@@ -38,10 +38,6 @@ class EdgeNotFound(ThompsonHoloError):
     """Pachner flip requested on an edge absent from the tessellation."""
 
 
-class BoundaryEdge(ThompsonHoloError):
-    """Pachner flip requested where the adjacent quadrilateral is incomplete."""
-
-
 class SearchExhausted(ThompsonHoloError):
     """Flip-sequence search ran out of room within the requested depth."""
 

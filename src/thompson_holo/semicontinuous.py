@@ -10,6 +10,7 @@ legs cyclically according to the element's marker.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -68,12 +69,18 @@ def _check_cap(num_legs: int, d: int):
         )
 
 
+@functools.lru_cache(maxsize=8)
 def _normalized_splitter(V: DenseTensor) -> np.ndarray:
-    """The 1->2 isometry W (d^2 x d matrix) cut out of the perfect tensor."""
+    """The 1->2 isometry W (d^2 x d matrix) cut out of the perfect tensor.
+
+    Cached per tensor and read-only; a tensor that is not perfect raises
+    NotPerfect on every call, since exceptions are not cached.
+    """
     cert = verify_perfect(V)
     c = cert.constant([0])
-    m = V.flatten_map([0])
-    return np.asarray(m) / math.sqrt(c)
+    W = np.asarray(V.flatten_map([0])) / math.sqrt(c)
+    W.setflags(write=False)
+    return W
 
 
 @dataclass(frozen=True)
@@ -141,51 +148,64 @@ class FineGrainer:
     tensor: DenseTensor
     carets: frozenset[StdDyadicInterval]
 
+    def apply(self, state: CutoffState) -> CutoffState:
+        """Fine-grain `state` one caret at a time, each splitter on one leg."""
+        if not self.carets:
+            return state
+        amps = self._grain(state.amplitudes)
+        return CutoffState(self.target, amps, state.tensor)
+
     @property
     def matrix(self) -> np.ndarray:
+        """The dense d^m x d^n isometry, for tests: `apply` on every basis vector."""
         d = self.tensor.leg_dims[0]
+        n, m = len(self.source), len(self.target)
+        if d ** (n + m) > amplitude_cap():
+            raise ResourceLimit(
+                f"the {d}^{m} x {d}^{n} fine-graining matrix exceeds the cap "
+                f"of {amplitude_cap()} entries"
+            )
+        basis = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
+        return self._grain(basis).reshape(d**m, d**n)
+
+    def _grain(self, amps: np.ndarray) -> np.ndarray:
+        """Expand the leading source-leg axes of `amps` into the target legs.
+
+        Source leaves are taken right to left so that the axes of the legs
+        not yet expanded stay put; trailing axes ride along untouched.
+        """
         W = _normalized_splitter(self.tensor)
-
-        def block(tree: TTree) -> np.ndarray:
-            # isometry from one leg to the leaves of `tree`
-            if tree.is_leaf:
-                return np.eye(d, dtype=complex)
-            left = block(tree.left)
-            right = block(tree.right)
-            return np.kron(left, right) @ W
-
-        src_tree = partition_to_tree(self.source)
-        tgt_tree = partition_to_tree(self.target)
-        blocks = [
-            block(_subtree_at(tgt_tree, leaf_path))
-            for leaf_path in _leaf_paths(src_tree)
-        ]
-        out = np.eye(1, dtype=complex)
-        for b in blocks:
-            out = np.kron(out, b)
-        return out
-
-    def apply(self, state: CutoffState) -> CutoffState:
-        d = state.dim
-        n = len(self.target)
-        vec = self.matrix @ state.amplitudes.reshape(-1)
-        return CutoffState(self.target, vec.reshape((d,) * n), state.tensor)
+        subtrees = _leaf_subtrees(
+            partition_to_tree(self.source), partition_to_tree(self.target)
+        )
+        for axis in reversed(range(len(subtrees))):
+            amps = _split_leg(amps, axis, subtrees[axis], W)
+        return amps
 
 
-def _leaf_paths(tree: TTree, prefix=()):
+def _split_leg(amps: np.ndarray, axis: int, tree: TTree, W: np.ndarray) -> np.ndarray:
+    """Apply one splitter W per caret of `tree` to the leg at `axis`.
+
+    The right child is expanded before the left one, so the left child's
+    axis is still `axis` when its turn comes.
+    """
     if tree.is_leaf:
-        yield prefix
-        return
-    yield from _leaf_paths(tree.left, prefix + (0,))
-    yield from _leaf_paths(tree.right, prefix + (1,))
+        return amps
+    d = W.shape[1]
+    shape = amps.shape
+    block = amps.reshape(math.prod(shape[:axis]), d, -1)
+    amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
+    amps = _split_leg(amps, axis + 1, tree.right, W)
+    return _split_leg(amps, axis, tree.left, W)
 
 
-def _subtree_at(tree: TTree, path) -> TTree:
-    for step in path:
-        if tree.is_leaf:
-            raise NotARefinement("target partition does not refine the source")
-        tree = tree.left if step == 0 else tree.right
-    return tree
+def _leaf_subtrees(src: TTree, tgt: TTree) -> list[TTree]:
+    """The subtree of `tgt` below each leaf of `src`, left to right."""
+    if src.is_leaf:
+        return [tgt]
+    if tgt.is_leaf:
+        raise NotARefinement("target partition does not refine the source")
+    return _leaf_subtrees(src.left, tgt.left) + _leaf_subtrees(src.right, tgt.right)
 
 
 def fine_grainer(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from thompson_holo.cli import main
+from thompson_holo.thompson import random_element
 
 
 def run(capsys, *argv):
@@ -79,6 +80,22 @@ class TestMatrixElement:
         data = json.loads(out)
         assert data["agree"] is True
         assert data["action"] == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    def test_ten_leaf_element_both_routes(self, capsys):
+        element = random_element(30, 5)
+        assert element.num_leaves == 10
+        code, out, err = run(capsys, "matrix-element", str(element), "--route", "both")
+        assert code == 0, err
+        assert out.strip().splitlines()[-1] == "routes agree"
+
+    def test_refinement_over_cap_is_a_domain_error(self, capsys):
+        element = random_element(45, 2)
+        assert 3**element.num_leaves > 2**24
+        code, out, err = run(capsys, "matrix-element", str(element))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ResourceLimit:")
+        assert "Traceback" not in err
 
 
 class TestOtherCommands:

@@ -2,12 +2,20 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from thompson_holo.dyadic import DyadicPartition, tree_to_partition, TTree
-from thompson_holo.errors import ResourceLimit, TheoryMismatch
+from thompson_holo.dyadic import (
+    DyadicPartition,
+    common_refinement,
+    partition_to_tree,
+    refines,
+    tree_to_partition,
+    TTree,
+)
+from thompson_holo.errors import NotPerfect, ResourceLimit, TheoryMismatch
 from thompson_holo.semicontinuous import (
     BASE_PARTITION,
     BulkKet,
@@ -21,9 +29,16 @@ from thompson_holo.semicontinuous import (
     inner_product,
     vacuum,
     vacuum_matrix_element,
+    _normalized_splitter,
 )
-from thompson_holo.tensor import four_colour_tensor, singlet_tensor
-from thompson_holo.thompson import compose, identity, inverse, parse_word
+from thompson_holo.tensor import DenseTensor, four_colour_tensor, singlet_tensor
+from thompson_holo.thompson import (
+    compose,
+    identity,
+    inverse,
+    parse_word,
+    random_element,
+)
 
 
 V3 = four_colour_tensor()
@@ -99,6 +114,72 @@ class TestFineGrainer:
 
         with pytest.raises(NotARefinement):
             fine_grainer(part("0, 1/2^2, 1/2^1, 1"), part("0, 1/2^1, 1"), V3)
+
+    @pytest.mark.parametrize("V", [V3, singlet_tensor()], ids=["four-colour", "singlet"])
+    def test_apply_matches_kronecker_oracle(self, V):
+        """The singlet tensor is not symmetric under swapping its output
+        legs, so it also catches a left/right mix-up."""
+        d = V.leg_dims[0]
+        rng = np.random.default_rng(5)
+        parts = all_partitions(5)
+        for p, q in itertools.product(parts, parts):
+            if not refines(p, q):
+                continue
+            fg = fine_grainer(p, q, V)
+            oracle = kronecker_matrix(fg)
+            assert np.allclose(fg.matrix, oracle, rtol=0, atol=1e-12), (p, q)
+            v = rng.normal(size=d ** len(p)) + 1j * rng.normal(size=d ** len(p))
+            got = fg.apply(CutoffState(p, v, V)).amplitudes.reshape(-1)
+            assert np.allclose(got, oracle @ v, rtol=0, atol=1e-12), (p, q)
+
+    def test_matrix_checks_its_own_size_against_the_cap(self, monkeypatch):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "100")
+        fg = fine_grainer(BASE_PARTITION, part("0, 1/2^2, 1/2^1, 3/2^2, 1"), V3)
+        with pytest.raises(ResourceLimit):
+            fg.matrix
+        out = fg.apply(vacuum(BASE_PARTITION, V3))
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_carets_returns_the_state(self):
+        s = vacuum(part("0, 1/2^1, 3/2^2, 1"), V3)
+        assert fine_grainer(s.cutoff, s.cutoff, V3).apply(s) is s
+
+
+class TestSplitter:
+    def test_cached_and_read_only(self):
+        W = _normalized_splitter(V3)
+        assert _normalized_splitter(four_colour_tensor()) is W
+        assert not W.flags.writeable
+        assert np.allclose(W.conj().T @ W, np.eye(3), atol=1e-12)
+
+    def test_not_perfect_raises_on_every_call(self):
+        bad = DenseTensor(np.random.default_rng(3).normal(size=(3, 3, 3)))
+        for _ in range(2):
+            with pytest.raises(NotPerfect):
+                _normalized_splitter(bad)
+
+
+def kronecker_matrix(fg) -> np.ndarray:
+    """The fine-graining isometry built independently of `apply`: the
+    Kronecker product over source leaves of each leaf's splitter tree."""
+    d = fg.tensor.leg_dims[0]
+    W = _normalized_splitter(fg.tensor)
+
+    def block(tree: TTree) -> np.ndarray:
+        if tree.is_leaf:
+            return np.eye(d, dtype=complex)
+        return np.kron(block(tree.left), block(tree.right)) @ W
+
+    def leaf_subtrees(src: TTree, tgt: TTree):
+        if src.is_leaf:
+            return [tgt]
+        return leaf_subtrees(src.left, tgt.left) + leaf_subtrees(src.right, tgt.right)
+
+    out = np.eye(1, dtype=complex)
+    src, tgt = partition_to_tree(fg.source), partition_to_tree(fg.target)
+    for sub in leaf_subtrees(src, tgt):
+        out = np.kron(out, block(sub))
+    return out
 
 
 class TestVacuum:
@@ -209,6 +290,58 @@ class TestAction:
     def test_invalid_route(self):
         with pytest.raises(ValueError):
             vacuum_matrix_element(identity(), V3, "sideways")
+
+
+def element_with_leaves(leaves: int, seed: int):
+    """A seeded random reduced element with exactly `leaves` leaves."""
+    rng = random.Random(seed)
+    while True:
+        f = random_element(rng.randint(3 * leaves // 2, 5 * leaves // 2), rng.randrange(10**6))
+        if f.num_leaves == leaves:
+            return f
+
+
+def random_state(rng) -> CutoffState:
+    """A random unit state at the two-interval cutoff."""
+    v = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return CutoffState(BASE_PARTITION, v / np.linalg.norm(v), V3)
+
+
+class TestRandomElements:
+    """Paper identities on seeded random elements with 8-14 leaves."""
+
+    @pytest.mark.parametrize("leaves", range(8, 15))
+    def test_routes_agree(self, leaves):
+        f = element_with_leaves(leaves, leaves)
+        assert vacuum_matrix_element(f, V3, "action") == pytest.approx(
+            vacuum_matrix_element(f, V3, "diagram"), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("leaves", range(8, 15))
+    def test_unitarity(self, leaves):
+        rng = np.random.default_rng(leaves)
+        f = element_with_leaves(leaves, 100 + leaves)
+        s1, s2 = random_state(rng), random_state(rng)
+        before = inner_product(s1, s2)
+        assert inner_product(act(f, s1), act(f, s2)) == pytest.approx(before, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_law_on_random_states(self, seed):
+        """pi(f)pi(g)|s> = pi(fg)|s>, for pairs whose cutoffs stay within 13
+        legs so that no amplitude array passes 3^13 entries."""
+        rng = np.random.default_rng(seed)
+        pyrng = random.Random(seed)
+        while True:
+            f = element_with_leaves(pyrng.randint(8, 14), pyrng.randrange(10**6))
+            g = element_with_leaves(pyrng.randint(8, 14), pyrng.randrange(10**6))
+            middle = common_refinement(g.range_partition, f.domain_partition)
+            if max(len(middle), compose(f, g).num_leaves) <= 13:
+                break
+        s = random_state(rng)
+        lhs = act(f, act(g, s))
+        rhs = act(compose(f, g), s)
+        assert lhs.norm() == pytest.approx(1.0, abs=1e-12)
+        assert inner_product(lhs, rhs) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGram:
