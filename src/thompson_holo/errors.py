@@ -39,7 +39,10 @@ class EdgeNotFound(ThompsonHoloError):
 
 
 class SearchExhausted(ThompsonHoloError):
-    """Flip-sequence search ran out of room within the requested depth."""
+    """A constructed flip sequence failed the apply_element oracle check.
+
+    The name dates from when flip sequences were searched for.
+    """
 
 
 class LabelNotRepresented(ThompsonHoloError):

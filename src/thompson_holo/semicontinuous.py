@@ -150,6 +150,11 @@ class FineGrainer:
 
     def apply(self, state: CutoffState) -> CutoffState:
         """Fine-grain `state` one caret at a time, each splitter on one leg."""
+        if state.cutoff != self.source:
+            raise NotARefinement(
+                f"state at cutoff {state.cutoff} is not at the grainer's "
+                f"source {self.source} (target {self.target})"
+            )
         if not self.carets:
             return state
         amps = self._grain(state.amplitudes)

@@ -10,7 +10,6 @@ chords that were added, and the oriented distinguished edge (doe).
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .dyadic import (
     StdDyadicInterval,
 )
 from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted
-from .thompson import TreeDiagram, to_pl_map
+from .thompson import TreeDiagram, adjoin_caret, reduce_diagram, to_pl_map
 
 __all__ = [
     "Chord",
@@ -392,8 +391,6 @@ def _internal_chords(tree) -> list[tuple[DyadicRational, DyadicRational]]:
 
 def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
     """Image tessellation f(t): f-images of all edges, f-image of the doe."""
-    from .thompson import reduce_diagram
-
     f = reduce_diagram(f)
     pl = to_pl_map(f)
 
@@ -432,177 +429,148 @@ def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
 
 # ---------------------------------------------------------------------------
 # flip sequences realizing group elements
+#
+# tau_0 and f(tau_0) differ only inside the polygon on the range tree's leaf
+# breakpoints, numbered 0..n-1 by leaf index.  There tau_0 is the range tree's
+# triangulation with doe (0, k_S), and f(tau_0) is the domain tree's
+# triangulation turned by the marker m, with doe (m, m + k_R).  Tree rotations
+# are diagonal flips (Sleator-Tarjan-Thurston), so the flip sequence is built
+# from the tree pair instead of searched for.
 
 
 def _chord_key(c: Chord):
     return (c.a.as_fraction(), c.b.as_fraction())
 
 
-def _state_of(t: Tessellation):
-    return (t.removed, t.added, t.doe)
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
 
 
-@functools.lru_cache(maxsize=None)
-def _window_standard_edges(window: int) -> tuple[Chord, ...]:
-    """tau_0 chords whose endpoints both have exponent <= window, sorted."""
-    out = {E0}
-    # a level-n interval has an odd endpoint numerator, so n <= window
-    for n in range(2, window + 1):
-        for a in range(2**n):
-            c = interval_chord(StdDyadicInterval(a, n))
-            if c.a.exp <= window and c.b.exp <= window:
-                out.add(c)
-    return tuple(sorted(out, key=_chord_key))
+def _between(x: int, a: int, b: int, n: int) -> bool:
+    """Polygon vertex x strictly inside the ccw arc from a to b."""
+    return 0 < (x - a) % n < (b - a) % n
 
 
-def _flip_candidates(t: Tessellation, window: int) -> list[Chord]:
-    """Present edges whose endpoints both have exponent <= window."""
-    out = [c for c in _window_standard_edges(window) if c not in t.removed]
-    out.extend(
-        sorted(
-            (c for c in t.added if c.a.exp <= window and c.b.exp <= window),
-            key=_chord_key,
-        )
-    )
-    return out
+class _Triangulation:
+    """Triangulated convex n-gon with an oriented doe, recording its flips."""
+
+    def __init__(self, n: int, diagonals: set, doe: tuple[int, int]):
+        self.n, self.diagonals, self.doe = n, diagonals, doe
+        self.flipped: list[tuple[tuple[int, int], tuple[int, int]]] = []
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return (j - i) % self.n in (1, self.n - 1) or _pair(i, j) in self.diagonals
+
+    def apex(self, i: int, j: int) -> int:
+        """Third vertex of the triangle on edge (i, j), ccw from i to j."""
+        k = (i + 1) % self.n
+        while not (self.has_edge(i, k) and self.has_edge(k, j)):
+            k = (k + 1) % self.n
+        return k
+
+    def flip(self, edge: tuple[int, int]) -> None:
+        """The pachner_flip rule: quad (u, a, v, b) with doe u->v gets b->a."""
+        i, j = edge
+        a, b = self.apex(i, j), self.apex(j, i)
+        self.diagonals.remove(_pair(i, j))
+        self.diagonals.add(_pair(a, b))
+        if self.doe == (i, j):
+            self.doe = (b, a)
+        elif self.doe == (j, i):
+            self.doe = (a, b)
+        self.flipped.append((_pair(i, j), _pair(a, b)))
+
+    def fan(self, p: int) -> None:
+        """Flip until p is joined to every vertex on its side of the doe."""
+        n = self.n
+        while True:
+            around = {(p - 1) % n, (p + 1) % n}
+            around.update(q for d in self.diagonals if p in d for q in d)
+            around = sorted(around - {p}, key=lambda q: (q - p) % n)
+            edges = [
+                (a, b)
+                for a, b in zip(around, around[1:])
+                if (b - a) % n > 1 and _pair(a, b) != _pair(*self.doe)
+            ]
+            if not edges:
+                return
+            self.flip(edges[0])
+
+    def move_doe(self, target: tuple[int, int]) -> None:
+        """Flip the doe onto `target`, a diagonal crossing it."""
+        for p in target:
+            self.fan(p)
+        self.flip(self.doe)
 
 
-def _distance_bound(t: Tessellation, target: Tessellation) -> int:
-    """Admissible lower bound on the number of flips from t to target."""
-    diff = len(t.removed ^ target.removed) + len(t.added ^ target.added)
-    h = (diff + 1) // 2
-    if h == 0 and t.doe != target.doe:
-        h = 1
-    return h
+def _diagonals(tree, shift: int, n: int) -> set:
+    """A tree's internal chords as diagonals between its leaf indices + shift."""
+    index = {iv.left: i + shift for i, iv in enumerate(tree.leaf_intervals())}
+    return {
+        _pair(index[p] % n, index[q.mod1()] % n) for p, q in _internal_chords(tree)
+    }
 
 
-def _direct_flip_search(target: Tessellation, max_flips: int, node_cap: int):
-    """Iterative-deepening A* from tau_0 to the target diff, or None.
-
-    Each vertex-exponent window gets a full budget sweep under a node cap
-    before the window is widened.
-    """
-    start = standard_tessellation(target.depth)
-    if start.same_tessellation(target):
-        return []
-    needed = max(
-        [2]
-        + [max(c.a.exp, c.b.exp) for c in target.removed | target.added]
-        + [p.exp for p in target.doe]
-    )
-    for window in range(needed, needed + 3):
-        nodes_left = [node_cap]
-        for budget in range(1, max_flips + 1):
-            result = _astar_flips(start, target, window, budget, nodes_left)
-            if result is not None:
-                return result
-            if nodes_left[0] <= 0:
-                break
-    return None
+def _split_root_children(f: TreeDiagram) -> TreeDiagram:
+    """Add carets until both root children of both trees are internal, so
+    that both does are diagonals of the polygon."""
+    while True:
+        n = f.num_leaves
+        for tree, offset in ((f.domain_tree, 0), (f.range_tree, -f.marker)):
+            if tree.is_leaf or tree.left.is_leaf:
+                leaf = 0
+            elif tree.right.is_leaf:
+                leaf = n - 1
+            else:
+                continue
+            f = adjoin_caret(f, (leaf + offset) % n)
+            break
+        else:
+            return f
 
 
-def _sequence_image(f: TreeDiagram, seq) -> list[Chord]:
-    """Transport a flip sequence by f; flips commute with the group action."""
-    pl = to_pl_map(f)
-    return [chord(pl(c.a), pl(c.b)) for c in seq]
-
-
-def flips_realizing(f: TreeDiagram, depth: int, max_flips: int = 24) -> list[Chord]:
+def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     """A flip sequence carrying (tau_0, e0) to apply_element(tau_0, f).
 
-    Short sequences are found by windowed iterative-deepening A* over flip
-    sequences; longer elements are peeled into generator factors whose
-    cached sequences are transported by the group action and concatenated.
-    Every returned sequence is checked against the apply_element oracle.
+    Built from the tree pair of f on the range tree's polygon of n leaves:
+    flip the doe onto the target doe's chord (through one diagonal crossing
+    both when the two do not cross), flip to the fan at the target doe's start
+    and on to the target triangulation, then flip the doe twice if it points
+    the wrong way.  That is at most about 4n flips, and the same f always gets
+    the same sequence.  Every returned sequence is checked against the
+    apply_element oracle.
     """
-    from .thompson import reduce_diagram
-
     f = reduce_diagram(f)
     start = standard_tessellation(depth)
-    target = apply_element(start, f)
-    seq = _realize(f, depth, max_flips, _seen=frozenset())
-    if seq is None:
-        raise SearchExhausted(
-            f"no flip sequence of length <= {max_flips} found within the window"
-        )
-    if not apply_flips(start, seq).same_tessellation(target):
-        raise SearchExhausted("flip search produced an inconsistent sequence")
+    g = _split_root_children(f)
+    n, m = g.num_leaves, g.marker
+    cur = _Triangulation(
+        n, _diagonals(g.range_tree, 0, n), (0, g.range_tree.left.num_leaves)
+    )
+    goal = _Triangulation(
+        n, _diagonals(g.domain_tree, m, n), (m, (m + g.domain_tree.left.num_leaves) % n)
+    )
+    (u, v), (p, q) = cur.doe, goal.doe
+    if _pair(u, v) != _pair(p, q):
+        if len({u, v, p, q}) < 4 or _between(p, u, v, n) == _between(q, u, v, n):
+            # the does do not cross: with both chords in ccw order x, y, s, t,
+            # the diagonal (x+1, s+1) crosses each of them
+            x, y = (v, u) if _between(p, u, v, n) or _between(q, u, v, n) else (u, v)
+            s = min((p, q), key=lambda z: (z - y) % n)
+            cur.move_doe(((x + 1) % n, (s + 1) % n))
+        cur.move_doe(goal.doe)
+    cur.fan(p)
+    goal.fan(p)
+    for _, new in reversed(goal.flipped):
+        cur.flip(new)
+    if cur.doe != goal.doe:
+        cur.flip(cur.doe)
+        cur.flip(cur.doe)
+    points = [iv.left for iv in g.range_tree.leaf_intervals()]
+    seq = [chord(points[i], points[j]) for (i, j), _ in cur.flipped]
+    if not apply_flips(start, seq).same_tessellation(apply_element(start, f)):
+        raise SearchExhausted("flip sequence does not reproduce apply_element")
     return seq
-
-
-_GENERATOR_SEQ_CACHE: dict = {}
-
-
-def _realize(f: TreeDiagram, depth, max_flips, _seen):
-    from .thompson import compose, generator, inverse, reduce_diagram
-
-    target = apply_element(standard_tessellation(depth), f)
-    key = (f.domain_tree, f.range_tree, f.marker)
-    if key in _GENERATOR_SEQ_CACHE:
-        return list(_GENERATOR_SEQ_CACHE[key])
-    # generators get a thorough search; larger elements only a shallow probe
-    # before being peeled into generator factors
-    if f.num_leaves <= 3:
-        budget, cap = min(max_flips, 8), 4000
-    else:
-        budget, cap = min(max_flips, 3), 600
-    direct = _direct_flip_search(target, budget, node_cap=cap)
-    if direct is not None:
-        if f.num_leaves <= 4:
-            _GENERATOR_SEQ_CACHE[key] = tuple(direct)
-        return direct
-    if key in _seen or max_flips <= 0:
-        return None
-    # peel a generator from the left: f = l . g with g strictly simpler
-    letters = [
-        (name, gen)
-        for name in "ABC"
-        for gen in (generator(name), inverse(generator(name)))
-    ]
-    options = []
-    for _, l in letters:
-        g = reduce_diagram(compose(inverse(l), f))
-        options.append((g.num_leaves, l, g))
-    options.sort(key=lambda o: o[0])
-    for _, l, g in options:
-        sub = _realize(g, depth, max_flips - 1, _seen | {key})
-        if sub is None:
-            continue
-        head = _realize(l, depth, max_flips, _seen | {key})
-        if head is None:
-            continue
-        return head + _sequence_image(l, sub)
-    return None
-
-
-def _astar_flips(start, target, window, max_flips, nodes_left):
-    t_state = _state_of(target)
-    counter = 0
-    heap = [(_distance_bound(start, target), 0, (), counter, start)]
-    best: dict = {_state_of(start): 0}
-    while heap:
-        est, cost, path, _, t = heapq.heappop(heap)
-        if _state_of(t) == t_state:
-            return [c for _, c in path]
-        if cost >= max_flips or best.get(_state_of(t), max_flips + 1) < cost:
-            continue
-        nodes_left[0] -= 1
-        if nodes_left[0] < 0:
-            return None
-        for c in _flip_candidates(t, window):
-            t2 = pachner_flip(t, c)
-            s2 = _state_of(t2)
-            cost2 = cost + 1
-            if best.get(s2, max_flips + 1) <= cost2:
-                continue
-            best[s2] = cost2
-            h = _distance_bound(t2, target)
-            if cost2 + h > max_flips:
-                continue
-            counter += 1
-            path2 = path + ((_chord_key(c), c),)
-            heapq.heappush(heap, (cost2 + h, cost2, path2, counter, t2))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,19 @@ class TestFineGrainer:
         with pytest.raises(NotARefinement):
             fine_grainer(part("0, 1/2^2, 1/2^1, 1"), part("0, 1/2^1, 1"), V3)
 
+    def test_apply_rejects_state_off_source(self):
+        """A state with the right leg count but another cutoff is refused,
+        also by a grainer that adds no carets."""
+        from thompson_holo.errors import NotARefinement
+
+        source = part("0, 1/2^1, 3/2^2, 1")
+        state = vacuum(part("0, 1/2^2, 1/2^1, 1"), V3)
+        for target in (part("0, 1/2^1, 3/2^2, 7/2^3, 1"), source):
+            with pytest.raises(NotARefinement) as err:
+                fine_grainer(source, target, V3).apply(state)
+            assert str(state.cutoff) in str(err.value)
+            assert str(source) in str(err.value)
+
     @pytest.mark.parametrize("V", [V3, singlet_tensor()], ids=["four-colour", "singlet"])
     def test_apply_matches_kronecker_oracle(self, V):
         """The singlet tensor is not symmetric under swapping its output

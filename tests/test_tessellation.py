@@ -1,10 +1,17 @@
 """Dyadic tessellations of the disc, Pachner flips and the group action."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from thompson_holo.dyadic import DyadicPartition, DyadicRational
+import thompson_holo
+from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, TTree
 from thompson_holo.errors import EdgeNotFound, LabelNotRepresented
 from thompson_holo.tessellation import (
     E0,
@@ -23,7 +30,13 @@ from thompson_holo.tessellation import (
     render_svg,
     standard_tessellation,
 )
-from thompson_holo.thompson import generator, identity, parse_word
+from thompson_holo.thompson import (
+    TreeDiagram,
+    generator,
+    identity,
+    parse_word,
+    reduce_diagram,
+)
 
 
 def d(text: str) -> DyadicRational:
@@ -289,6 +302,76 @@ class TestFlipsRealizing:
     def test_deterministic(self):
         f = parse_word("aC")
         assert flips_realizing(f, 5) == flips_realizing(f, 5)
+
+
+def reduced_words(max_len: int) -> list[TreeDiagram]:
+    """Every distinct reduced element of a word over ABCabc of length <= max_len."""
+    seen = {}
+    for length in range(max_len + 1):
+        for letters in itertools.product("ABCabc", repeat=length):
+            f = reduce_diagram(parse_word("".join(letters)))
+            seen.setdefault(f, f)
+    return list(seen)
+
+
+def random_reduced(leaves: int, seed: int) -> TreeDiagram:
+    """Reduced form of a seeded random tree pair with `leaves` leaves."""
+    rng = random.Random(seed)
+
+    def tree(n: int) -> TTree:
+        if n == 1:
+            return LEAF
+        k = rng.randint(1, n - 1)
+        return TTree(tree(k), tree(n - k))
+
+    return reduce_diagram(TreeDiagram(tree(leaves), tree(leaves), rng.randrange(leaves)))
+
+
+def assert_realizes(f: TreeDiagram, depth: int = 6):
+    seq = flips_realizing(f, depth)
+    t0 = standard_tessellation(depth)
+    assert apply_flips(t0, seq).same_tessellation(apply_element(t0, f)), str(f)
+    assert len(seq) <= 4 * f.num_leaves + 16, (str(f), len(seq))
+
+
+class TestFlipConstruction:
+    """Flip sequences built from the tree pair, on every short word and on
+    random elements far beyond the generators."""
+
+    def test_all_words_up_to_three_letters(self):
+        elements = reduced_words(3)
+        assert len(elements) == 128
+        for f in elements:
+            assert_realizes(f)
+
+    @pytest.mark.parametrize("leaves", range(2, 41))
+    def test_random_elements(self, leaves):
+        assert_realizes(random_reduced(leaves, seed=leaves))
+
+    def test_over_one_hundred_leaves(self):
+        f = random_reduced(121, seed=5)
+        assert f.num_leaves >= 100
+        assert_realizes(f, depth=4)
+
+    def test_independent_of_call_order(self):
+        x, y = parse_word("aCb"), random_reduced(30, seed=1)
+        first = flips_realizing(x, 5)
+        flips_realizing(y, 5)
+        assert flips_realizing(x, 5) == first
+        fresh = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from thompson_holo.tessellation import flips_realizing\n"
+                "from thompson_holo.thompson import parse_word\n"
+                "print(' '.join(map(str, flips_realizing(parse_word('aCb'), 5))))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(thompson_holo.__file__).parents[1])},
+        )
+        assert fresh.stdout.split() == [str(c) for c in first]
 
 
 class TestCutoff:
