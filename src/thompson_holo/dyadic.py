@@ -1,7 +1,7 @@
 """Exact dyadic rationals, standard dyadic intervals/partitions, and binary trees.
 
-Everything here is integer arithmetic; no floats ever enter.  Partitions are
-stored as sorted breakpoint lists, from which the interval view is derived.
+Everything here is integer arithmetic; no floats ever enter.  A partition is
+stored as its tree, from which the breakpoint and interval views are derived.
 """
 
 from __future__ import annotations
@@ -179,8 +179,11 @@ class TTree:
             raise ValueError("internal nodes need exactly two children")
         self.left = left
         self.right = right
-        self._leaves = 1 if left is None else left.num_leaves + right.num_leaves
-        self._hash = None
+        if left is None:
+            self._leaves, self._hash = 1, hash(".")
+        else:
+            self._leaves = left._leaves + right._leaves
+            self._hash = hash((left._hash, right._hash))
 
     @property
     def is_leaf(self) -> bool:
@@ -191,18 +194,22 @@ class TTree:
         return self._leaves
 
     def __eq__(self, other) -> bool:
+        """Structural equality, walked with an explicit stack like
+        leaf_intervals; equal leaf counts at every node pair suffice."""
         if not isinstance(other, TTree):
             return NotImplemented
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf
-        return self.left == other.left and self.right == other.right
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._leaves != b._leaves:
+                return False
+            if a.left is not None:
+                pairs += [(a.left, b.left), (a.right, b.right)]
+        return True
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self.is_leaf:
-                self._hash = hash(".")
-            else:
-                self._hash = hash((hash(self.left), hash(self.right)))
         return self._hash
 
     def __str__(self) -> str:
@@ -235,17 +242,19 @@ class TTree:
         return cls(left, right), rest[1:]
 
     def leaf_intervals(self) -> list[StdDyadicInterval]:
-        """Intervals of the leaves, left to right, under dyadic subdivision of [0,1]."""
-        out: list[StdDyadicInterval] = []
+        """Intervals of the leaves, left to right, under dyadic subdivision of [0,1].
 
-        def walk(node: "TTree", a: int, n: int):
+        An explicit stack, so that deep trees (a staircase of a thousand
+        intervals) stay within the interpreter's recursion limit.
+        """
+        out: list[StdDyadicInterval] = []
+        stack = [(self, 0, 0)]
+        while stack:
+            node, a, n = stack.pop()
             if node.is_leaf:
                 out.append(StdDyadicInterval(a, n))
             else:
-                walk(node.left, 2 * a, n + 1)
-                walk(node.right, 2 * a + 1, n + 1)
-
-        walk(self, 0, 0)
+                stack += [(node.right, 2 * a + 1, n + 1), (node.left, 2 * a, n + 1)]
         return out
 
     def internal_intervals(self) -> list[StdDyadicInterval]:
@@ -266,47 +275,53 @@ LEAF = TTree()
 
 
 class DyadicPartition:
-    """Standard dyadic partition of [0,1], stored as its sorted breakpoints.
-
-    Invariant: every derived interval is standard dyadic, which also forces
-    dyadic nesting of the breakpoints.
+    """Standard dyadic partition of [0,1], stored as its tree: interval j is
+    the j-th leaf interval.  Breakpoints and intervals are derived from it.
     """
 
-    __slots__ = ("breakpoints",)
+    __slots__ = ("tree",)
 
     def __init__(self, breakpoints):
         pts = sorted(set(breakpoints))
         if not pts or pts[0] != ZERO or pts[-1] != ONE:
             raise NotStandardDyadic("partition breakpoints must run from 0 to 1")
-        self.breakpoints = tuple(pts)
+        # Standard dyadic intervals tiling [0,1] always nest into one tree, so
+        # a finished subtree that is a right half (odd a) merges with the
+        # finished subtree before it, which is then its left half.
+        stack: list[TTree] = []
         for left, right in zip(pts, pts[1:]):
-            StdDyadicInterval.from_endpoints(left, right)
+            node, a = LEAF, StdDyadicInterval.from_endpoints(left, right).a
+            while a % 2:
+                node, a = TTree(stack.pop(), node), a // 2
+            stack.append(node)
+        [self.tree] = stack
 
     @classmethod
     def from_intervals(cls, intervals) -> "DyadicPartition":
         pts = [iv.left for iv in intervals] + [intervals[-1].right]
         part = cls(pts)
-        if len(part.intervals) != len(intervals):
+        if len(part) != len(intervals):
             raise NotStandardDyadic("intervals overlap or leave gaps")
         return part
 
     @property
     def intervals(self) -> list[StdDyadicInterval]:
-        return [
-            StdDyadicInterval.from_endpoints(a, b)
-            for a, b in zip(self.breakpoints, self.breakpoints[1:])
-        ]
+        return self.tree.leaf_intervals()
+
+    @property
+    def breakpoints(self) -> tuple[DyadicRational, ...]:
+        return tuple([iv.left for iv in self.tree.leaf_intervals()] + [ONE])
 
     def __len__(self) -> int:
-        return len(self.breakpoints) - 1
+        return self.tree.num_leaves
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicPartition):
             return NotImplemented
-        return self.breakpoints == other.breakpoints
+        return self.tree == other.tree
 
     def __hash__(self) -> int:
-        return hash(self.breakpoints)
+        return hash(self.tree)
 
     def __str__(self) -> str:
         return ", ".join(str(p) for p in self.breakpoints)
@@ -322,73 +337,52 @@ class DyadicPartition:
     def interval_index(self, x: DyadicRational) -> int:
         """Index of the half-open interval [b_j, b_{j+1}) containing x in [0,1)."""
         x = x.mod1()
-        lo, hi = 0, len(self)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid
+        node, a, n, index = self.tree, 0, 0, 0
+        while not node.is_leaf:
+            a, n = 2 * a, n + 1
+            if DyadicRational(a + 1, n) <= x:
+                index += node.left.num_leaves
+                node, a = node.right, a + 1
             else:
-                hi = mid
-        return lo
-
-
-TRIVIAL_PARTITION = DyadicPartition([ZERO, ONE])
+                node = node.left
+        return index
 
 
 def tree_to_partition(t: TTree) -> DyadicPartition:
     """Partition whose j-th interval is the j-th leaf interval of t."""
-    return DyadicPartition.from_intervals(t.leaf_intervals())
+    p = object.__new__(DyadicPartition)
+    p.tree = t
+    return p
 
 
 def partition_to_tree(p: DyadicPartition) -> TTree:
-    """Inverse of tree_to_partition; raises NotStandardDyadic on bad nesting."""
-
-    def build(lo: int, hi: int, a: int, n: int) -> TTree:
-        # breakpoints[lo:hi+1] span the standard interval (a, n)
-        if hi == lo + 1:
-            return LEAF
-        mid_point = DyadicRational(2 * a + 1, n + 1)
-        mid = None
-        for j in range(lo + 1, hi):
-            if p.breakpoints[j] == mid_point:
-                mid = j
-                break
-        if mid is None:
-            raise NotStandardDyadic(
-                f"breakpoints inside [{DyadicRational(a, n)}, {DyadicRational(a+1, n)}] "
-                f"do not nest dyadically"
-            )
-        return TTree(
-            build(lo, mid, 2 * a, n + 1),
-            build(mid, hi, 2 * a + 1, n + 1),
-        )
-
-    return build(0, len(p), 0, 0)
+    """Inverse of tree_to_partition."""
+    return p.tree
 
 
-def _coarsest_standard(points) -> DyadicPartition:
-    """Coarsest standard dyadic partition whose breakpoints include `points`."""
-    interior = sorted(x for x in set(points) if ZERO < x < ONE)
-    bps = [ZERO]
-
-    def refine(inner: list[DyadicRational], a: int, n: int):
-        # inner: given breakpoints strictly inside (a/2^n, (a+1)/2^n)
-        if not inner:
-            bps.append(DyadicRational(a + 1, n))
-            return
-        mid = DyadicRational(2 * a + 1, n + 1)
-        refine([x for x in inner if x < mid], 2 * a, n + 1)
-        refine([x for x in inner if x > mid], 2 * a + 1, n + 1)
-
-    refine(interior, 0, 0)
-    return DyadicPartition(bps)
+def _tree_union(t1: TTree, t2: TTree) -> TTree:
+    """The smallest tree containing both t1 and t2 from the root down."""
+    if t1.is_leaf:
+        return t2
+    if t2.is_leaf:
+        return t1
+    return TTree(_tree_union(t1.left, t2.left), _tree_union(t1.right, t2.right))
 
 
 def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartition:
     """Coarsest standard dyadic partition refining both inputs."""
-    return _coarsest_standard(set(p1.breakpoints) | set(p2.breakpoints))
+    return tree_to_partition(_tree_union(p1.tree, p2.tree))
 
 
 def refines(coarse: DyadicPartition, fine: DyadicPartition) -> bool:
-    """True iff every breakpoint of `coarse` is a breakpoint of `fine`."""
-    return set(coarse.breakpoints) <= set(fine.breakpoints)
+    """True iff every breakpoint of `coarse` is a breakpoint of `fine`, i.e.
+    the tree of `coarse` sits inside the tree of `fine` from the root down."""
+    stack = [(coarse.tree, fine.tree)]
+    while stack:
+        c, f = stack.pop()
+        if c.is_leaf:
+            continue
+        if f.is_leaf:
+            return False
+        stack += [(c.left, f.left), (c.right, f.right)]
+    return True

@@ -23,7 +23,8 @@ class NotPerfect(ThompsonHoloError):
 
 
 class DimensionMismatch(ThompsonHoloError):
-    """Bonded tensor legs have unequal dimensions."""
+    """Tensor legs have unequal dimensions, or a tensor has the wrong number
+    of legs for its role."""
 
 
 class TheoryMismatch(ThompsonHoloError):

@@ -4,8 +4,8 @@ A state of the semicontinuous limit is represented by a pair (cutoff,
 amplitudes); two representatives are identified when fine-graining to a
 common refinement makes them equal.  Fine grainers are tensor networks of a
 fixed perfect tensor V, one copy per caret of the refinement, and the group
-acts by refining until the image cutoff is standard and re-anchoring the
-legs cyclically according to the element's marker.
+acts by expanding the element's tree diagram to the cutoff: the range tree is
+the image cutoff, and the marker re-anchors the legs cyclically.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from .dyadic import (
     StdDyadicInterval,
     TTree,
     common_refinement,
-    partition_to_tree,
     refines,
-    tree_to_partition,
 )
-from .errors import NotARefinement, ResourceLimit, TheoryMismatch
+from .errors import DimensionMismatch, NotARefinement, ResourceLimit, TheoryMismatch
 from .tensor import DenseTensor, contract, TensorNetwork, verify_perfect
-from .thompson import TreeDiagram, compose, inverse, reduce_diagram, to_pl_map
+from .thompson import TreeDiagram, _expand_domain, compose, inverse, reduce_diagram
 
 __all__ = [
     "CutoffState",
@@ -69,6 +67,16 @@ def _check_cap(num_legs: int, d: int):
         )
 
 
+def _check_three_legs(V: DenseTensor):
+    """Every V of the semicontinuous limit fills one triangle: 3 equal legs."""
+    dims = V.leg_dims
+    if len(dims) != 3 or len(set(dims)) != 1:
+        raise DimensionMismatch(
+            f"the tensor has {len(dims)} legs of dimensions {dims}; "
+            "the semicontinuous limit needs exactly 3 legs of equal dimension"
+        )
+
+
 @functools.lru_cache(maxsize=8)
 def _normalized_splitter(V: DenseTensor) -> np.ndarray:
     """The 1->2 isometry W (d^2 x d matrix) cut out of the perfect tensor.
@@ -76,6 +84,7 @@ def _normalized_splitter(V: DenseTensor) -> np.ndarray:
     Cached per tensor and read-only; a tensor that is not perfect raises
     NotPerfect on every call, since exceptions are not cached.
     """
+    _check_three_legs(V)
     cert = verify_perfect(V)
     c = cert.constant([0])
     W = np.asarray(V.flatten_map([0])) / math.sqrt(c)
@@ -180,9 +189,7 @@ class FineGrainer:
         not yet expanded stay put; trailing axes ride along untouched.
         """
         W = _normalized_splitter(self.tensor)
-        subtrees = _leaf_subtrees(
-            partition_to_tree(self.source), partition_to_tree(self.target)
-        )
+        subtrees = _leaf_subtrees(self.source.tree, self.target.tree)
         for axis in reversed(range(len(subtrees))):
             amps = _split_leg(amps, axis, subtrees[axis], W)
         return amps
@@ -219,8 +226,8 @@ def fine_grainer(
     """The network of V's filling the region between nested cutoffs."""
     if not refines(gamma, gamma2):
         raise NotARefinement(f"{gamma2} does not refine {gamma}")
-    src_internal = set(partition_to_tree(gamma).internal_intervals())
-    tgt_internal = set(partition_to_tree(gamma2).internal_intervals())
+    src_internal = set(gamma.tree.internal_intervals())
+    tgt_internal = set(gamma2.tree.internal_intervals())
     carets = frozenset(tgt_internal - src_internal)
     _check_cap(len(gamma2), V.leg_dims[0])
     return FineGrainer(gamma, gamma2, V, carets)
@@ -254,34 +261,18 @@ def inner_product(s1: CutoffState, s2: CutoffState) -> complex:
 def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
     """The unitary action of a Thompson-T element on a cutoff state.
 
-    The cutoff is refined until the image partition is standard dyadic; the
-    amplitudes travel with their intervals, so the leg order is re-anchored
-    cyclically by the element's marker.
+    The cutoff is refined until it contains the domain tree of the reduced
+    element, and the element is expanded to that tree: leaf j of the refined
+    cutoff then lands on leaf (marker + j) mod n of the range tree, which is
+    the image cutoff, so the legs are re-anchored cyclically by the marker.
     """
     f = reduce_diagram(f)
     gamma = common_refinement(s.cutoff, f.domain_partition)
     refined = fine_grainer(s.cutoff, gamma, s.tensor).apply(s)
-    pl = to_pl_map(f)
+    f = _expand_domain(f, gamma.tree)
     n = len(gamma)
-    images = []
-    for iv in gamma.intervals:
-        left = pl(iv.left)
-        length = iv.length.scale_pow2(_slope_exp_at(pl, iv.left))
-        images.append((left, length))
-    breaks = sorted(left for left, _ in images)
-    image_partition = DyadicPartition(breaks + [ONE])
-    # interval j of gamma lands at position (m + j) mod n of the image
-    m = breaks.index(images[0][0])
-    perm = [(k - m) % n for k in range(n)]
-    amps = refined.amplitudes.transpose(perm)
-    return CutoffState(image_partition, amps, s.tensor)
-
-
-def _slope_exp_at(pl, x: DyadicRational) -> int:
-    for x0, x1, _, k in pl.pieces:
-        if x0 <= x < x1:
-            return k
-    raise ValueError(f"{x} not covered")
+    perm = [(k - f.marker) % n for k in range(n)]
+    return CutoffState(f.range_partition, refined.amplitudes.transpose(perm), s.tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +416,7 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     """
     if halfwidth < 1:
         raise ValueError("halfwidth must be at least 1")
+    _check_three_legs(V)
     d = V.leg_dims[0]
     ntri = 4 * halfwidth
     _check_cap(ntri, d)

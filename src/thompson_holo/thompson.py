@@ -17,6 +17,7 @@ from .dyadic import (
     DyadicPartition,
     DyadicRational,
     TTree,
+    _tree_union,
     tree_to_partition,
 )
 
@@ -84,14 +85,6 @@ def _caret_positions(tree: TTree) -> list[int]:
 
     walk(tree, 0)
     return out
-
-
-def _tree_union(t1: TTree, t2: TTree) -> TTree:
-    if t1.is_leaf:
-        return t2
-    if t2.is_leaf:
-        return t1
-    return TTree(_tree_union(t1.left, t2.left), _tree_union(t1.right, t2.right))
 
 
 def _first_expandable_leaf(tree: TTree, target: TTree) -> int | None:
@@ -265,17 +258,19 @@ def reduce_diagram(f: TreeDiagram, rng: random.Random | None = None) -> TreeDiag
         )
 
 
+def _expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
+    """Adjoin carets to f until its domain tree is `target`, which must
+    contain the domain tree from the root down."""
+    while f.domain_tree != target:
+        f = adjoin_caret(f, _first_expandable_leaf(f.domain_tree, target))
+    return f
+
+
 def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     """Reduced diagram of f o g (g applied first)."""
     target = _tree_union(g.range_tree, f.domain_tree)
-    # grow g until its range tree matches the union
-    while g.range_tree != target:
-        k = _first_expandable_leaf(g.range_tree, target)
-        g = adjoin_caret(g, (k - g.marker) % g.num_leaves)
-    # grow f until its domain tree matches the union
-    while f.domain_tree != target:
-        j = _first_expandable_leaf(f.domain_tree, target)
-        f = adjoin_caret(f, j)
+    g = inverse(_expand_domain(inverse(g), target))
+    f = _expand_domain(f, target)
     n = f.num_leaves
     return reduce_diagram(
         TreeDiagram(g.domain_tree, f.range_tree, (f.marker + g.marker) % n)

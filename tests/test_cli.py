@@ -5,6 +5,8 @@ import json
 import pytest
 
 from thompson_holo.cli import main
+from thompson_holo.dyadic import StdDyadicInterval
+from thompson_holo.tessellation import Cutoff, interval_chord, render_svg
 from thompson_holo.thompson import random_element
 
 
@@ -97,6 +99,21 @@ class TestMatrixElement:
         assert err.startswith("ResourceLimit:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("route", ["action", "diagram", "both"])
+    def test_four_leg_tensor_is_a_typed_error(self, capsys, route):
+        code, out, err = run(
+            capsys, "matrix-element", "B", "--tensor", "qutrit-code", "--route", route
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DimensionMismatch:")
+        assert "4 legs" in err
+
+    def test_four_leg_tensor_identity(self, capsys):
+        code, out, _ = run(capsys, "matrix-element", "", "--tensor", "qutrit-code")
+        assert code == 0
+        assert out.splitlines()[:2] == ["1 0", "1 0"]
+
 
 class TestOtherCommands:
     def test_flips(self, capsys):
@@ -122,6 +139,29 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["entropy_a"] == pytest.approx(data["entropy_b"], abs=1e-10)
         assert 0 < data["entropy_a"] <= data["rank_bound"]
+
+    def test_btz_entropy_four_leg_tensor(self, capsys):
+        code, out, err = run(
+            capsys, "btz-entropy", "--halfwidth", "1", "--tensor", "qutrit-code"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DimensionMismatch:")
+        assert "4 legs" in err
+
+    def test_render_deep_cutoff(self, capsys, tmp_path):
+        """A staircase of 1200 intervals, nested deeper than the recursion
+        limit, renders the same chords as its intervals listed directly."""
+        count = 1200
+        points = ["0"] + [f"{2**k - 1}/2^{k}" for k in range(1, count)] + ["1"]
+        out = tmp_path / "stair.svg"
+        code, _, err = run(capsys, "render", "cutoff:" + ", ".join(points), "--out", str(out))
+        assert code == 0, err
+        intervals = [StdDyadicInterval(2**k - 2, k) for k in range(1, count)]
+        intervals.append(StdDyadicInterval(2 ** (count - 1) - 1, count - 1))
+        cutoff = Cutoff(tuple(interval_chord(iv) for iv in intervals))
+        assert out.read_text() == render_svg(cutoff)
+        assert out.read_text().count("<path") == count + 1
 
     def test_render_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

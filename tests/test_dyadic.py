@@ -1,5 +1,6 @@
 """Exact dyadic arithmetic, standard intervals, trees and partitions."""
 
+import bisect
 from fractions import Fraction
 
 import pytest
@@ -158,3 +159,110 @@ class TestRefinement:
         p2 = DyadicPartition.parse("0, 1/2^1, 3/2^2, 1")
         cr = common_refinement(p1, p2)
         assert cr == DyadicPartition.parse("0, 1/2^2, 1/2^1, 3/2^2, 1")
+
+
+# The breakpoint algorithms that the tree operations replaced, kept as
+# references.
+
+
+def coarsest_standard(points) -> tuple[DyadicRational, ...]:
+    """Breakpoints of the coarsest standard dyadic partition containing `points`."""
+    bps = [ZERO]
+
+    def refine(inner, a, n):
+        # inner: given breakpoints strictly inside (a/2^n, (a+1)/2^n)
+        if not inner:
+            bps.append(DyadicRational(a + 1, n))
+            return
+        mid = DyadicRational(2 * a + 1, n + 1)
+        refine([x for x in inner if x < mid], 2 * a, n + 1)
+        refine([x for x in inner if x > mid], 2 * a + 1, n + 1)
+
+    refine(sorted(x for x in set(points) if ZERO < x < ONE), 0, 0)
+    return tuple(bps)
+
+
+def leaf_breakpoints(t: TTree, a: int = 0, n: int = 0) -> list[DyadicRational]:
+    """Left endpoints of the leaf intervals of t, by recursion."""
+    if t.is_leaf:
+        return [DyadicRational(a, n)]
+    return leaf_breakpoints(t.left, 2 * a, n + 1) + leaf_breakpoints(t.right, 2 * a + 1, n + 1)
+
+
+def all_intervals_standard(points) -> bool:
+    pts = sorted(set(points))
+    try:
+        for left, right in zip(pts, pts[1:]):
+            StdDyadicInterval.from_endpoints(left, right)
+    except NotStandardDyadic:
+        return False
+    return pts[0] == ZERO and pts[-1] == ONE
+
+
+sixteenths = st.sets(st.integers(min_value=1, max_value=15)).map(
+    lambda ks: [ZERO, ONE] + [DyadicRational(k, 4) for k in ks]
+)
+
+
+class TestTreeOperationsAgainstBreakpoints:
+    @given(trees, trees)
+    def test_common_refinement_is_coarsest_over_union(self, t1, t2):
+        p1, p2 = tree_to_partition(t1), tree_to_partition(t2)
+        union = set(p1.breakpoints) | set(p2.breakpoints)
+        assert common_refinement(p1, p2).breakpoints == coarsest_standard(union)
+
+    @given(trees, trees)
+    def test_refines_is_breakpoint_subset(self, t1, t2):
+        p1, p2 = tree_to_partition(t1), tree_to_partition(t2)
+        cr = common_refinement(p1, p2)
+        for coarse, fine in [(p1, p2), (p2, p1), (p1, cr), (cr, p1)]:
+            assert refines(coarse, fine) == (
+                set(coarse.breakpoints) <= set(fine.breakpoints)
+            )
+
+    @given(trees)
+    def test_breakpoints_round_trip(self, t):
+        p = tree_to_partition(t)
+        assert p.breakpoints == tuple(leaf_breakpoints(t)) + (ONE,)
+        assert DyadicPartition(p.breakpoints) == p
+        assert DyadicPartition(reversed(p.breakpoints)).tree == t
+
+    @given(trees, dyadics)
+    def test_interval_index_is_bisection(self, t, x):
+        p = tree_to_partition(t)
+        assert p.interval_index(x) == bisect.bisect_right(p.breakpoints, x.mod1()) - 1
+
+    @given(sixteenths)
+    def test_constructor_accepts_exactly_the_standard_sets(self, points):
+        if all_intervals_standard(points):
+            assert DyadicPartition(points).breakpoints == tuple(sorted(set(points)))
+        else:
+            with pytest.raises(NotStandardDyadic):
+                DyadicPartition(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [ZERO, DyadicRational(1, 2), ONE],
+            [ZERO, DyadicRational(1, 1), DyadicRational(5, 3), ONE],
+            [DyadicRational(1, 1), ONE],
+            [ZERO, DyadicRational(1, 1)],
+            [],
+        ],
+    )
+    def test_rejects(self, points):
+        with pytest.raises(NotStandardDyadic):
+            DyadicPartition(points)
+
+    def test_deep_staircase(self):
+        """1200 intervals halving rightward: deeper than the recursion limit."""
+        count = 1200
+        points = [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+        p = DyadicPartition(points)
+        assert len(p) == count
+        assert partition_to_tree(p).num_leaves == count
+        assert p.breakpoints == tuple(points)
+        assert DyadicPartition(reversed(points)) == p
+        assert hash(DyadicPartition(points)) == hash(p)
+        assert p.intervals[-1] == StdDyadicInterval(2 ** (count - 1) - 1, count - 1)
+        assert refines(DyadicPartition([ZERO, HALF, ONE]), p)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thompson_holo.dyadic import (
+    ONE,
     DyadicPartition,
     common_refinement,
     partition_to_tree,
@@ -34,6 +35,7 @@ from thompson_holo.semicontinuous import (
 from thompson_holo.tensor import DenseTensor, four_colour_tensor, singlet_tensor
 from thompson_holo.thompson import (
     compose,
+    evaluate,
     identity,
     inverse,
     parse_word,
@@ -338,6 +340,29 @@ class TestRandomElements:
         before = inner_product(s1, s2)
         assert inner_product(act(f, s1), act(f, s2)) == pytest.approx(before, abs=1e-12)
 
+    @pytest.mark.parametrize("leaves", range(2, 15))
+    def test_action_matches_pl_route(self, leaves):
+        """act against the route it replaced: evaluate f at the refined
+        cutoff's breakpoints, sort the images, and rotate the legs to put
+        the image of 0 at its sorted position."""
+        rng = np.random.default_rng(leaves)
+        f = element_with_leaves(leaves, 200 + leaves)
+        # at most max(leaves, 12) legs, so no amplitude array passes 3^14 entries
+        cutoffs = [
+            c for c in all_partitions(4)
+            if len(common_refinement(c, f.domain_partition)) <= max(leaves, 12)
+        ]
+        cutoff = cutoffs[rng.integers(len(cutoffs))]
+        v = rng.normal(size=3 ** len(cutoff)) + 1j * rng.normal(size=3 ** len(cutoff))
+        s = CutoffState(cutoff, v, V3)
+        gamma = common_refinement(cutoff, f.domain_partition)
+        images = sorted(evaluate(f, b) for b in gamma.breakpoints[:-1])
+        out = act(f, s)
+        assert out.cutoff.breakpoints == tuple(images) + (ONE,)
+        m, n = images.index(evaluate(f, gamma.breakpoints[0])), len(gamma)
+        refined = fine_grainer(cutoff, gamma, V3).apply(s).amplitudes
+        assert np.array_equal(out.amplitudes, refined.transpose([(k - m) % n for k in range(n)]))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_group_law_on_random_states(self, seed):
         """pi(f)pi(g)|s> = pi(fg)|s>, for pairs whose cutoffs stay within 13
@@ -368,6 +393,19 @@ class TestGram:
     def test_positive_semidefinite(self):
         words = [parse_word(w) for w in ["", "A", "B", "C", "ab"]]
         G = gram_matrix(words, V3)
+        assert np.linalg.eigvalsh(G).min() >= -1e-10
+
+    def test_positive_semidefinite_words_up_to_three(self):
+        """The 38 distinct reduced elements of words over {A,B,C} of length <= 3."""
+        seen = {}
+        for length in range(4):
+            for letters in itertools.product("ABC", repeat=length):
+                f = parse_word("".join(letters))
+                seen.setdefault(str(f), f)
+        words = list(seen.values())
+        assert len(words) == 38
+        G = gram_matrix(words, V3)
+        assert np.abs(G - G.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
     def test_inverse_symmetry(self):
