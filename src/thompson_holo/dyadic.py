@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import NotStandardDyadic
+from .errors import NotARefinement, NotStandardDyadic
 
 __all__ = [
     "DyadicRational",
@@ -198,6 +198,8 @@ class TTree:
         leaf_intervals; equal leaf counts at every node pair suffice."""
         if not isinstance(other, TTree):
             return NotImplemented
+        if self._hash != other._hash:
+            return False
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
@@ -213,62 +215,63 @@ class TTree:
         return self._hash
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return "."
-        return f"({self.left}{self.right})"
+        # A leaf closes one bracket per ancestor whose right spine it ends:
+        # the trailing 1 bits of its index a.
+        return "".join(
+            "." + ")" * ((a ^ (a + 1)).bit_length() - 1) if node.is_leaf else "("
+            for node, a, _ in self._walk()
+        )
 
     def __repr__(self) -> str:
         return f"TTree[{self}]"
 
     @classmethod
     def parse(cls, text: str) -> "TTree":
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ValueError(f"trailing characters in tree text: {rest!r}")
+        """Parse the bracket form, e.g. "(.(..))", keeping on a stack the
+        left child, once read, of each caret still open."""
+        text = text.strip()
+        open_carets: list[list[TTree]] = []
+        pos = 0
+        while True:
+            ch = text[pos : pos + 1]
+            pos += 1
+            if ch == "(":
+                open_carets.append([])
+                continue
+            if ch != ".":
+                raise ValueError(
+                    f"unexpected character {ch!r} in tree text" if ch else "empty tree text"
+                )
+            tree = LEAF
+            while open_carets and open_carets[-1]:
+                if text[pos : pos + 1] != ")":
+                    raise ValueError("unbalanced parentheses in tree text")
+                pos += 1
+                tree = cls(open_carets.pop()[0], tree)
+            if not open_carets:
+                break
+            open_carets[-1].append(tree)
+        if text[pos:]:
+            raise ValueError(f"trailing characters in tree text: {text[pos:]!r}")
         return tree
 
-    @classmethod
-    def _parse(cls, text: str) -> tuple["TTree", str]:
-        if not text:
-            raise ValueError("empty tree text")
-        if text[0] == ".":
-            return LEAF, text[1:]
-        if text[0] != "(":
-            raise ValueError(f"unexpected character {text[0]!r} in tree text")
-        left, rest = cls._parse(text[1:])
-        right, rest = cls._parse(rest)
-        if not rest or rest[0] != ")":
-            raise ValueError("unbalanced parentheses in tree text")
-        return cls(left, right), rest[1:]
-
-    def leaf_intervals(self) -> list[StdDyadicInterval]:
-        """Intervals of the leaves, left to right, under dyadic subdivision of [0,1].
-
-        An explicit stack, so that deep trees (a staircase of a thousand
-        intervals) stay within the interpreter's recursion limit.
-        """
-        out: list[StdDyadicInterval] = []
+    def _walk(self):
+        """(node, a, n) for every node with interval [a/2^n, (a+1)/2^n], parent
+        first, then the left subtree; an explicit stack, for deep trees."""
         stack = [(self, 0, 0)]
         while stack:
             node, a, n = stack.pop()
-            if node.is_leaf:
-                out.append(StdDyadicInterval(a, n))
-            else:
+            yield node, a, n
+            if node.left is not None:
                 stack += [(node.right, 2 * a + 1, n + 1), (node.left, 2 * a, n + 1)]
-        return out
+
+    def leaf_intervals(self) -> list[StdDyadicInterval]:
+        """Intervals of the leaves, left to right, under dyadic subdivision of [0,1]."""
+        return [StdDyadicInterval(a, n) for node, a, n in self._walk() if node.is_leaf]
 
     def internal_intervals(self) -> list[StdDyadicInterval]:
         """Intervals of the internal nodes (including the root if internal)."""
-        out: list[StdDyadicInterval] = []
-
-        def walk(node: "TTree", a: int, n: int):
-            if not node.is_leaf:
-                out.append(StdDyadicInterval(a, n))
-                walk(node.left, 2 * a, n + 1)
-                walk(node.right, 2 * a + 1, n + 1)
-
-        walk(self, 0, 0)
-        return out
+        return [StdDyadicInterval(a, n) for node, a, n in self._walk() if not node.is_leaf]
 
 
 LEAF = TTree()
@@ -360,13 +363,61 @@ def partition_to_tree(p: DyadicPartition) -> TTree:
     return p.tree
 
 
+# Whole-tree walks shared by the partition algebra, the group law and
+# fine-graining; each keeps an explicit stack, so tree depth is not bounded by
+# the interpreter's recursion limit.
+def _build(item, split) -> TTree:
+    """Build a tree top-down: `split(item)` returns the finished subtree for
+    `item` or the (left, right) items of its two children; a None on the
+    stack joins the last two subtrees built under a new node."""
+    out: list[TTree] = []
+    stack = [item]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            right = out.pop()
+            out[-1] = TTree(out[-1], right)
+            continue
+        got = split(item)
+        if isinstance(got, TTree):
+            out.append(got)
+        else:
+            stack += [None, got[1], got[0]]
+    return out[0]
+
+
 def _tree_union(t1: TTree, t2: TTree) -> TTree:
     """The smallest tree containing both t1 and t2 from the root down."""
-    if t1.is_leaf:
-        return t2
-    if t2.is_leaf:
-        return t1
-    return TTree(_tree_union(t1.left, t2.left), _tree_union(t1.right, t2.right))
+
+    def split(pair):
+        a, b = pair
+        if a.is_leaf or b.is_leaf:
+            return b if a.is_leaf else a
+        return (a.left, b.left), (a.right, b.right)
+
+    return _build((t1, t2), split)
+
+
+def _graft(tree: TTree, subtrees: list[TTree]) -> TTree:
+    """`tree` with its leaf j replaced by subtrees[j]."""
+    below = iter(subtrees)
+    return _build(tree, lambda node: next(below) if node.is_leaf else (node.left, node.right))
+
+
+def _leaf_subtrees(src: TTree, tgt: TTree) -> list[TTree]:
+    """The subtree of `tgt` below each leaf of `src`, left to right; `tgt`
+    must contain `src` from the root down."""
+    out: list[TTree] = []
+    stack = [(src, tgt)]
+    while stack:
+        s, t = stack.pop()
+        if s.is_leaf:
+            out.append(t)
+        elif t.is_leaf:
+            raise NotARefinement("target partition does not refine the source")
+        else:
+            stack += [(s.right, t.right), (s.left, t.left)]
+    return out
 
 
 def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartition:
@@ -377,12 +428,4 @@ def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartiti
 def refines(coarse: DyadicPartition, fine: DyadicPartition) -> bool:
     """True iff every breakpoint of `coarse` is a breakpoint of `fine`, i.e.
     the tree of `coarse` sits inside the tree of `fine` from the root down."""
-    stack = [(coarse.tree, fine.tree)]
-    while stack:
-        c, f = stack.pop()
-        if c.is_leaf:
-            continue
-        if f.is_leaf:
-            return False
-        stack += [(c.left, f.left), (c.right, f.right)]
-    return True
+    return _tree_union(coarse.tree, fine.tree) == fine.tree

@@ -25,6 +25,7 @@ from .dyadic import (
     DyadicRational,
     StdDyadicInterval,
     TTree,
+    _leaf_subtrees,
     common_refinement,
     refines,
 )
@@ -155,7 +156,13 @@ class FineGrainer:
     source: DyadicPartition
     target: DyadicPartition
     tensor: DenseTensor
-    carets: frozenset[StdDyadicInterval]
+
+    @functools.cached_property
+    def carets(self) -> frozenset[StdDyadicInterval]:
+        """The internal nodes of the target tree that the source tree lacks."""
+        return frozenset(self.target.tree.internal_intervals()) - frozenset(
+            self.source.tree.internal_intervals()
+        )
 
     def apply(self, state: CutoffState) -> CutoffState:
         """Fine-grain `state` one caret at a time, each splitter on one leg."""
@@ -164,7 +171,7 @@ class FineGrainer:
                 f"state at cutoff {state.cutoff} is not at the grainer's "
                 f"source {self.source} (target {self.target})"
             )
-        if not self.carets:
+        if self.source == self.target:
             return state
         amps = self._grain(state.amplitudes)
         return CutoffState(self.target, amps, state.tensor)
@@ -211,26 +218,14 @@ def _split_leg(amps: np.ndarray, axis: int, tree: TTree, W: np.ndarray) -> np.nd
     return _split_leg(amps, axis, tree.left, W)
 
 
-def _leaf_subtrees(src: TTree, tgt: TTree) -> list[TTree]:
-    """The subtree of `tgt` below each leaf of `src`, left to right."""
-    if src.is_leaf:
-        return [tgt]
-    if tgt.is_leaf:
-        raise NotARefinement("target partition does not refine the source")
-    return _leaf_subtrees(src.left, tgt.left) + _leaf_subtrees(src.right, tgt.right)
-
-
 def fine_grainer(
     gamma: DyadicPartition, gamma2: DyadicPartition, V: DenseTensor
 ) -> FineGrainer:
     """The network of V's filling the region between nested cutoffs."""
     if not refines(gamma, gamma2):
         raise NotARefinement(f"{gamma2} does not refine {gamma}")
-    src_internal = set(gamma.tree.internal_intervals())
-    tgt_internal = set(gamma2.tree.internal_intervals())
-    carets = frozenset(tgt_internal - src_internal)
     _check_cap(len(gamma2), V.leg_dims[0])
-    return FineGrainer(gamma, gamma2, V, carets)
+    return FineGrainer(gamma, gamma2, V)
 
 
 def _cup(d: int) -> np.ndarray:
@@ -279,22 +274,6 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
 # matrix elements
 
 
-def _grain_network(tree: TTree, W3: np.ndarray, nodes, bonds, open_legs, feed):
-    """Wire one copy of W3 per internal node of `tree` below the root.
-
-    `feed` is the (node, leg) pair supplying this subtree's input; open leaf
-    legs are appended to open_legs left to right.
-    """
-    if tree.is_leaf:
-        open_legs.append(feed)
-        return
-    idx = len(nodes)
-    nodes.append(W3)
-    bonds.append((feed, (idx, 0)))
-    _grain_network(tree.left, W3, nodes, bonds, open_legs, (idx, 1))
-    _grain_network(tree.right, W3, nodes, bonds, open_legs, (idx, 2))
-
-
 def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
     """Reflect-and-join evaluation of <Omega|pi(f)|Omega> from the reduced
     diagram: ket network from the domain tree, reflected (conjugated) bra
@@ -319,12 +298,22 @@ def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
 
 
 def _grain_like_side(tree: TTree, W3: DenseTensor, d: int, nodes, bonds):
-    cup = DenseTensor(np.eye(d) / math.sqrt(d))
-    idx = len(nodes)
-    nodes.append(cup)
+    """Wire a cup at the root of `tree` and one copy of W3 (legs in, out,
+    out) per internal node below it, numbered parent before children; return
+    the open leaf legs, left to right."""
+    nodes.append(DenseTensor(np.eye(d) / math.sqrt(d)))
+    cup = len(nodes) - 1
     open_legs: list = []
-    _grain_network(tree.left, W3, nodes, bonds, open_legs, (idx, 0))
-    _grain_network(tree.right, W3, nodes, bonds, open_legs, (idx, 1))
+    stack = [(tree.right, (cup, 1)), (tree.left, (cup, 0))]
+    while stack:
+        node, feed = stack.pop()
+        if node.is_leaf:
+            open_legs.append(feed)
+            continue
+        idx = len(nodes)
+        nodes.append(W3)
+        bonds.append((feed, (idx, 0)))
+        stack += [(node.right, (idx, 2)), (node.left, (idx, 1))]
     return open_legs
 
 

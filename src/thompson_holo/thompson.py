@@ -17,6 +17,9 @@ from .dyadic import (
     DyadicPartition,
     DyadicRational,
     TTree,
+    _build,
+    _graft,
+    _leaf_subtrees,
     _tree_union,
     tree_to_partition,
 )
@@ -36,68 +39,6 @@ __all__ = [
     "random_element",
     "parse_word",
 ]
-
-
-# ---------------------------------------------------------------------------
-# tree helpers
-
-
-def _subdivide_leaf(tree: TTree, j: int) -> TTree:
-    """Replace leaf j (left to right) with a caret."""
-    if tree.is_leaf:
-        if j != 0:
-            raise IndexError(f"leaf index {j} out of range")
-        return TTree(LEAF, LEAF)
-    nl = tree.left.num_leaves
-    if j < nl:
-        return TTree(_subdivide_leaf(tree.left, j), tree.right)
-    return TTree(tree.left, _subdivide_leaf(tree.right, j - nl))
-
-
-def _remove_caret(tree: TTree, j: int) -> TTree:
-    """Merge the caret whose children are leaves j and j+1 back into a leaf."""
-    if tree.is_leaf:
-        raise ValueError("cannot remove a caret from a leaf")
-    if tree.left.is_leaf and tree.right.is_leaf:
-        if j == 0:
-            return LEAF
-        raise ValueError(f"leaf index {j} out of range")
-    nl = tree.left.num_leaves
-    if j <= nl - 2:
-        return TTree(_remove_caret(tree.left, j), tree.right)
-    if j >= nl:
-        return TTree(tree.left, _remove_caret(tree.right, j - nl))
-    raise ValueError(f"leaves {j},{j+1} are not a caret")
-
-
-def _caret_positions(tree: TTree) -> list[int]:
-    """Leaf indices j such that leaves j and j+1 are the children of one caret."""
-    out: list[int] = []
-
-    def walk(node: TTree, offset: int):
-        if node.is_leaf:
-            return
-        if node.left.is_leaf and node.right.is_leaf:
-            out.append(offset)
-            return
-        walk(node.left, offset)
-        walk(node.right, offset + node.left.num_leaves)
-
-    walk(tree, 0)
-    return out
-
-
-def _first_expandable_leaf(tree: TTree, target: TTree) -> int | None:
-    """First leaf index of `tree` at which `target` has an internal node."""
-    if tree.is_leaf:
-        return None if target.is_leaf else 0
-    j = _first_expandable_leaf(tree.left, target.left)
-    if j is not None:
-        return j
-    j = _first_expandable_leaf(tree.right, target.right)
-    if j is not None:
-        return j + tree.left.num_leaves
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,47 +164,73 @@ def adjoin_caret(f: TreeDiagram, leaf_index: int) -> TreeDiagram:
     n = f.num_leaves
     if not 0 <= leaf_index < n:
         raise IndexError(f"leaf index {leaf_index} out of range for {n} leaves")
-    k = (f.marker + leaf_index) % n
-    marker = f.marker + 1 if k < f.marker else f.marker
-    return TreeDiagram(
-        _subdivide_leaf(f.domain_tree, leaf_index),
-        _subdivide_leaf(f.range_tree, k),
-        marker,
-    )
+    carets = [_CARET if j == leaf_index else LEAF for j in range(n)]
+    return _expand_domain(f, _graft(f.domain_tree, carets))
 
 
 def reduce_diagram(f: TreeDiagram, rng: random.Random | None = None) -> TreeDiagram:
-    """Remove common carets until none remain; the result is the canonical form.
+    """The reduced diagram of f, its canonical form, in one top-down walk:
+    every maximal domain subtree whose leaves land, in order, on a range
+    subtree of the same shape collapses to a leaf, and so does that subtree.
 
-    `rng` randomises the removal order (used to test confluence); the reduced
-    form is independent of it.
+    Range nodes are keyed by (first leaf index, leaf count); none wraps from
+    leaf n-1 to leaf 0, so neither does a match.  `rng` is still accepted
+    but no longer chooses anything: there is no removal order to randomise.
     """
-    while True:
-        n = f.num_leaves
-        dom_carets = _caret_positions(f.domain_tree)
-        rng_carets = set(_caret_positions(f.range_tree))
-        candidates = []
-        for j in dom_carets:
-            k = (f.marker + j) % n
-            if k + 1 < n and k in rng_carets:
-                candidates.append((j, k))
-        if not candidates:
-            return f
-        j, k = rng.choice(candidates) if rng is not None else candidates[0]
-        marker = f.marker - 1 if f.marker > k else f.marker
-        f = TreeDiagram(
-            _remove_caret(f.domain_tree, j),
-            _remove_caret(f.range_tree, k),
-            marker,
-        )
+    n, m = f.num_leaves, f.marker
+    range_nodes = {}
+    stack = [(f.range_tree, 0)]
+    while stack:
+        node, a = stack.pop()
+        if not node.is_leaf:
+            range_nodes[a, node.num_leaves] = node
+            stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
+    domain_blocks, range_blocks = set(), set()
+    stack = [(f.domain_tree, 0)]
+    while stack:
+        node, a = stack.pop()
+        if node.is_leaf:
+            continue
+        image = ((m + a) % n, node.num_leaves)
+        if range_nodes.get(image) == node:
+            domain_blocks.add((a, node.num_leaves))
+            range_blocks.add(image)
+        else:
+            stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
+    if not range_blocks:
+        return f
+    # Domain leaf 0 lands on the range block starting at leaf m; every
+    # collapsed block before it is k leaves that became one.
+    marker = m - sum(k - 1 for b, k in range_blocks if b < m)
+    return TreeDiagram(
+        _collapse(f.domain_tree, domain_blocks), _collapse(f.range_tree, range_blocks), marker
+    )
+
+
+def _collapse(tree: TTree, blocks: set[tuple[int, int]]) -> TTree:
+    """`tree` with the subtree at each (first leaf index, leaf count) in
+    `blocks` collapsed to a leaf."""
+
+    def split(item):
+        node, a = item
+        if node.is_leaf or (a, node.num_leaves) in blocks:
+            return LEAF
+        return (node.left, a), (node.right, a + node.left.num_leaves)
+
+    return _build((tree, 0), split)
 
 
 def _expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
     """Adjoin carets to f until its domain tree is `target`, which must
-    contain the domain tree from the root down."""
-    while f.domain_tree != target:
-        f = adjoin_caret(f, _first_expandable_leaf(f.domain_tree, target))
-    return f
+    contain the domain tree from the root down: the subtree of `target` below
+    domain leaf j is grafted under its image, range leaf (marker + j) mod n,
+    and the new marker counts the leaves grafted under range leaves before
+    the old marker."""
+    below = _leaf_subtrees(f.domain_tree, target)
+    n, m = f.num_leaves, f.marker
+    image = below[n - m :] + below[: n - m]  # image[k] is below[(k - m) mod n]
+    marker = sum(t.num_leaves for t in image[:m])
+    return TreeDiagram(target, _graft(f.range_tree, image), marker)
 
 
 def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:

@@ -191,3 +191,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "ZZZ", "0")
         assert code == 1
         assert err
+
+
+class TestDeepDiagram:
+    """A diagram of two 1100-deep trees, beyond the interpreter's recursion
+    limit, still reduces and composes to the identity."""
+
+    DEEP = "(." * 1100 + "." + ")" * 1100
+
+    def test_reduce(self, capsys):
+        code, out, _ = run(capsys, "reduce", f"{self.DEEP}|{self.DEEP}@0")
+        assert code == 0
+        assert out.strip() == ".|.@0"
+
+    def test_compose(self, capsys):
+        diagram = f"{self.DEEP}|{self.DEEP}@0"
+        code, out, _ = run(capsys, "compose", diagram, diagram)
+        assert code == 0
+        assert out.strip() == ".|.@0"

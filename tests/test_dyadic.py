@@ -266,3 +266,39 @@ class TestTreeOperationsAgainstBreakpoints:
         assert hash(DyadicPartition(points)) == hash(p)
         assert p.intervals[-1] == StdDyadicInterval(2 ** (count - 1) - 1, count - 1)
         assert refines(DyadicPartition([ZERO, HALF, ONE]), p)
+
+    def test_deep_staircase_tree_walks(self):
+        """Union, text form and internal intervals of the 1200-interval
+        staircase also stay within the recursion limit."""
+        count = 1200
+        points = [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+        p = DyadicPartition(points)
+        assert common_refinement(p, p) == p
+        assert common_refinement(p, DyadicPartition([ZERO, HALF, ONE])) == p
+        text = str(p.tree)
+        assert text == "(." * (count - 1) + "." + ")" * (count - 1)
+        assert TTree.parse(text) == p.tree
+        internal = p.tree.internal_intervals()
+        assert internal == [StdDyadicInterval(2**k - 1, k) for k in range(count - 1)]
+
+
+class TestTreeText:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty tree text"),
+            ("(", "empty tree text"),
+            ("(.", "empty tree text"),
+            ("(.)", "unexpected character ')' in tree text"),
+            ("x", "unexpected character 'x' in tree text"),
+            ("( ..)", "unexpected character ' ' in tree text"),
+            ("(...)", "unbalanced parentheses in tree text"),
+            ("(..", "unbalanced parentheses in tree text"),
+            ("..", "trailing characters in tree text: '.'"),
+            ("(..))", "trailing characters in tree text: ')'"),
+        ],
+    )
+    def test_rejects_bad_text(self, text, message):
+        with pytest.raises(ValueError) as err:
+            TTree.parse(text)
+        assert str(err.value) == message

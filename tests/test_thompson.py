@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompson_holo.dyadic import DyadicRational, ZERO
+from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO
 from thompson_holo.thompson import (
     TreeDiagram,
+    _expand_domain,
     adjoin_caret,
     compose,
     equals,
@@ -180,3 +181,169 @@ class TestPLMap:
             f = random_element(4, seed)
             seen = {evaluate(f, as_dyadic(x)) for x in GRID}
             assert len(seen) == len(GRID)
+
+
+# Reference algebra: the caret-at-a-time edits the one-pass walks replaced.
+# Reduction removes one common caret at a time in a random order; expansion
+# adjoins one caret at a time at the first leaf where the target is deeper.
+
+
+def ref_subdivide_leaf(tree: TTree, j: int) -> TTree:
+    if tree.is_leaf:
+        return TTree(LEAF, LEAF)
+    nl = tree.left.num_leaves
+    if j < nl:
+        return TTree(ref_subdivide_leaf(tree.left, j), tree.right)
+    return TTree(tree.left, ref_subdivide_leaf(tree.right, j - nl))
+
+
+def ref_remove_caret(tree: TTree, j: int) -> TTree:
+    if tree.left.is_leaf and tree.right.is_leaf:
+        return LEAF
+    nl = tree.left.num_leaves
+    if j < nl:
+        return TTree(ref_remove_caret(tree.left, j), tree.right)
+    return TTree(tree.left, ref_remove_caret(tree.right, j - nl))
+
+
+def ref_caret_positions(tree: TTree, offset: int = 0) -> list[int]:
+    if tree.is_leaf:
+        return []
+    if tree.left.is_leaf and tree.right.is_leaf:
+        return [offset]
+    return ref_caret_positions(tree.left, offset) + ref_caret_positions(
+        tree.right, offset + tree.left.num_leaves
+    )
+
+
+def ref_adjoin_caret(f: TreeDiagram, j: int) -> TreeDiagram:
+    k = (f.marker + j) % f.num_leaves
+    return TreeDiagram(
+        ref_subdivide_leaf(f.domain_tree, j),
+        ref_subdivide_leaf(f.range_tree, k),
+        f.marker + 1 if k < f.marker else f.marker,
+    )
+
+
+def ref_reduce(f: TreeDiagram, rng: random.Random) -> TreeDiagram:
+    while True:
+        n = f.num_leaves
+        range_carets = set(ref_caret_positions(f.range_tree))
+        candidates = [
+            (j, (f.marker + j) % n)
+            for j in ref_caret_positions(f.domain_tree)
+            if (f.marker + j) % n + 1 < n and (f.marker + j) % n in range_carets
+        ]
+        if not candidates:
+            return f
+        j, k = rng.choice(candidates)
+        f = TreeDiagram(
+            ref_remove_caret(f.domain_tree, j),
+            ref_remove_caret(f.range_tree, k),
+            f.marker - 1 if f.marker > k else f.marker,
+        )
+
+
+def ref_first_expandable_leaf(tree: TTree, target: TTree):
+    if tree.is_leaf:
+        return None if target.is_leaf else 0
+    j = ref_first_expandable_leaf(tree.left, target.left)
+    if j is not None:
+        return j
+    j = ref_first_expandable_leaf(tree.right, target.right)
+    return None if j is None else j + tree.left.num_leaves
+
+
+def ref_expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
+    while f.domain_tree != target:
+        f = ref_adjoin_caret(f, ref_first_expandable_leaf(f.domain_tree, target))
+    return f
+
+
+def ref_union(t1: TTree, t2: TTree) -> TTree:
+    if t1.is_leaf or t2.is_leaf:
+        return t2 if t1.is_leaf else t1
+    return TTree(ref_union(t1.left, t2.left), ref_union(t1.right, t2.right))
+
+
+def ref_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
+    target = ref_union(g.range_tree, f.domain_tree)
+    g = inverse(ref_expand_domain(inverse(g), target))
+    f = ref_expand_domain(f, target)
+    n = f.num_leaves
+    joined = TreeDiagram(g.domain_tree, f.range_tree, (f.marker + g.marker) % n)
+    return ref_reduce(joined, random.Random(0))
+
+
+def random_tree(rng: random.Random, leaves: int) -> TTree:
+    if leaves == 1:
+        return LEAF
+    left = rng.randrange(1, leaves)
+    return TTree(random_tree(rng, left), random_tree(rng, leaves - left))
+
+
+def random_unreduced(rng: random.Random) -> TreeDiagram:
+    """Two random trees of 1-40 leaves, a random marker and 0-5 adjoined
+    carets, so most pairs have some but not all carets in common."""
+    n = rng.randint(1, 40)
+    f = TreeDiagram(random_tree(rng, n), random_tree(rng, n), rng.randrange(n))
+    for _ in range(rng.randint(0, 5)):
+        f = ref_adjoin_caret(f, rng.randrange(f.num_leaves))
+    return f
+
+
+class TestOnePassAgainstReference:
+    def test_reduce_matches_caret_at_a_time(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            f = random_unreduced(rng)
+            expected = ref_reduce(f, random.Random(0))
+            assert reduce_diagram(f) == expected
+            assert reduce_diagram(f, random.Random(5)) == expected
+
+    def test_reference_is_confluent(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            f = random_unreduced(rng)
+            results = {ref_reduce(f, random.Random(k)) for k in range(6)}
+            assert results == {reduce_diagram(f)}
+
+    def test_adjoin_caret_matches_reference(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            f = random_unreduced(rng)
+            for j in range(f.num_leaves):
+                assert adjoin_caret(f, j) == ref_adjoin_caret(f, j)
+
+    def test_expand_domain_matches_reference(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            f = random_unreduced(rng)
+            target = f.domain_tree
+            for _ in range(rng.randint(0, 12)):
+                target = ref_subdivide_leaf(target, rng.randrange(target.num_leaves))
+            assert _expand_domain(f, target) == ref_expand_domain(f, target)
+
+    def test_compose_matches_reference(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            f, g = random_unreduced(rng), random_unreduced(rng)
+            assert compose(f, g) == ref_compose(f, g)
+
+    def test_compose_words_matches_reference(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            u = "".join(rng.choice("ABCabc") for _ in range(rng.randint(0, 30)))
+            v = "".join(rng.choice("ABCabc") for _ in range(rng.randint(0, 30)))
+            f, g = parse_word(u), parse_word(v)
+            assert compose(f, g) == ref_compose(f, g)
+
+
+class TestDeepTrees:
+    def test_reduce_and_compose_a_1100_deep_diagram(self):
+        deep = TTree.parse("(." * 1100 + "." + ")" * 1100)
+        f = TreeDiagram(deep, deep, 0)
+        assert str(TreeDiagram.parse(str(f))) == str(f)
+        assert reduce_diagram(f) == identity()
+        assert compose(f, f) == identity()
+        assert reduce_diagram(adjoin_caret(f, 1100)) == identity()
