@@ -21,7 +21,7 @@ from .dyadic import (
     partition_to_tree,
 )
 from .errors import DegenerateImage, NotMonotone
-from .thompson import TreeDiagram, to_pl_map
+from .thompson import TreeDiagram, evaluate, to_pl_map
 
 __all__ = [
     "CircleMap",
@@ -228,7 +228,7 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
     xs.extend(float(x) for x, _ in pl.breakpoints)
     worst = 0.0
     for x in xs:
-        gx = float(pl(_as_dyadic(x)))
+        gx = float(evaluate(g, _as_dyadic(x)))
         worst = max(worst, circle_distance(f(x), gx))
     return worst
 

@@ -93,9 +93,19 @@ def _cmd_matrix_element(args) -> int:
     f = _parse_element(args.word)
     V = tensor.normalize_isometry(_load_tensor(args.tensor), [0])
     routes = ["action", "diagram"] if args.route == "both" else [args.route]
+    # The action route holds d^n amplitudes for the n leaves of the reduced
+    # element, so above the cap "both" runs the diagram route alone.
+    d, n = V.leg_dims[0], max(thompson.reduce_diagram(f).num_leaves, 2)
+    cap = semicontinuous.amplitude_cap()
+    over_cap = args.route == "both" and d**n > cap
+    if over_cap:
+        routes = ["diagram"]
     values = {
         r: semicontinuous.vacuum_matrix_element(f, V, r) for r in routes
     }
+    if over_cap:
+        note = f"note: {d}^{n} amplitudes exceed the cap of {cap}; ran the diagram route only"
+        print(note, file=sys.stderr)
     payload = {r: [v.real, v.imag] for r, v in values.items()}
     lines = [f"{_fmt(v.real)} {_fmt(v.imag)}" for v in values.values()]
     if len(values) == 2:

@@ -273,6 +273,27 @@ class TTree:
         """Intervals of the internal nodes (including the root if internal)."""
         return [StdDyadicInterval(a, n) for node, a, n in self._walk() if not node.is_leaf]
 
+    def leaf_containing(self, x: DyadicRational) -> tuple[int, StdDyadicInterval]:
+        """Index and interval of the leaf whose half-open interval holds x in
+        [0,1): one descent, going right where x's next binary digit is 1."""
+        node, a, n, index = self, 0, 0, 0
+        while not node.is_leaf:
+            n += 1
+            bit = (x.num >> (x.exp - n)) & 1 if n <= x.exp else 0
+            a, index = 2 * a + bit, index + bit * node.left.num_leaves
+            node = node.right if bit else node.left
+        return index, StdDyadicInterval(a, n)
+
+    def leaf_at(self, index: int) -> StdDyadicInterval:
+        """Interval of leaf `index`, by one descent on the leaf counts."""
+        node, a, n = self, 0, 0
+        while not node.is_leaf:
+            n += 1
+            bit = int(index >= node.left.num_leaves)
+            a, index = 2 * a + bit, index - bit * node.left.num_leaves
+            node = node.right if bit else node.left
+        return StdDyadicInterval(a, n)
+
 
 LEAF = TTree()
 
@@ -339,16 +360,7 @@ class DyadicPartition:
 
     def interval_index(self, x: DyadicRational) -> int:
         """Index of the half-open interval [b_j, b_{j+1}) containing x in [0,1)."""
-        x = x.mod1()
-        node, a, n, index = self.tree, 0, 0, 0
-        while not node.is_leaf:
-            a, n = 2 * a, n + 1
-            if DyadicRational(a + 1, n) <= x:
-                index += node.left.num_leaves
-                node, a = node.right, a + 1
-            else:
-                node = node.left
-        return index
+        return self.tree.leaf_containing(x.mod1())[0]
 
 
 def tree_to_partition(t: TTree) -> DyadicPartition:

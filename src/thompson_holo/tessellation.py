@@ -2,9 +2,11 @@
 
 Circle points are parameter values in [0,1) (exact dyadic rationals); the
 hyperbolic picture only appears in the SVG renderer.  The standard tessellation
-tau_0 is infinite, so a general admissible tessellation is stored as a finite
-diff against it: the set of tau_0 chords that were removed, the set of foreign
-chords that were added, and the oriented distinguished edge (doe).
+tau_0 is infinite, but T acts freely and transitively on the tessellations with
+a doe (distinguished oriented edge) that differ from tau_0 in finitely many
+chords, so each is f(tau_0, e0) for exactly one reduced tree diagram f, and is
+stored as f.  Its diff against tau_0 (the removed and added chords) and its doe
+are derived from f; a flip or the group action composes f with one element.
 """
 
 from __future__ import annotations
@@ -17,13 +19,24 @@ from fractions import Fraction
 
 from .dyadic import (
     HALF,
+    LEAF,
+    ONE,
     ZERO,
     DyadicPartition,
     DyadicRational,
     StdDyadicInterval,
+    TTree,
 )
-from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted
-from .thompson import TreeDiagram, adjoin_caret, reduce_diagram, to_pl_map
+from .errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic, SearchExhausted
+from .thompson import (
+    TreeDiagram,
+    adjoin_caret,
+    compose,
+    evaluate,
+    identity,
+    inverse,
+    reduce_diagram,
+)
 
 __all__ = [
     "Chord",
@@ -73,21 +86,15 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
 
 @functools.lru_cache(maxsize=None)
 def _standard_interval_of(c: Chord) -> StdDyadicInterval | None:
-    """The standard dyadic interval (level >= 1) subtended by c, if any."""
-    try:
-        iv = StdDyadicInterval.from_endpoints(c.a, c.b)
+    """The standard dyadic interval (level >= 1) subtended by c, if any:
+    [a, b], or the complementary arc [b, 1] when a is 0."""
+    for left, right in [(c.a, c.b)] + [(c.b, ONE)] * (c.a == ZERO):
+        try:
+            iv = StdDyadicInterval.from_endpoints(left, right)
+        except NotStandardDyadic:
+            continue
         if iv.n >= 1:
             return iv
-    except Exception:
-        pass
-    if c.a == ZERO:
-        # the complementary arc [b, 1] may be the standard interval
-        try:
-            iv = StdDyadicInterval.from_endpoints(c.b, DyadicRational(1, 0))
-            if iv.n >= 1:
-                return iv
-        except Exception:
-            pass
     return None
 
 
@@ -115,100 +122,129 @@ def _default_apex(c: Chord, ccw_from_a: bool) -> DyadicRational | None:
     iv = _standard_interval_of(c)
     if iv is None:
         return None
-    inside = _in_open_arc(
-        iv.left + StdDyadicInterval(2 * iv.a, iv.n + 1).length, c.a, c.b
-    )
-    if inside == ccw_from_a:
-        return (iv.halves()[0].right).mod1()
+    if (iv.left == c.a) == ccw_from_a:  # the side inside iv
+        return iv.halves()[0].right
     if iv.n == 1:
         # the other side of e0 is the interior of the complementary half
-        other = StdDyadicInterval(1 - iv.a, 1)
-        return other.halves()[0].right.mod1()
+        return StdDyadicInterval(1 - iv.a, 1).halves()[0].right
     parent = StdDyadicInterval(iv.a // 2, iv.n - 1)
-    far = parent.right if iv.a % 2 == 0 else parent.left
-    return far.mod1()
+    return (parent.right if iv.a % 2 == 0 else parent.left).mod1()
+
+
+@functools.lru_cache(maxsize=8)
+def _standard_window(depth: int) -> tuple[Chord, ...]:
+    """The chords of tau_0 at levels <= depth+2: e0, then level by level."""
+    return (E0,) + tuple(
+        interval_chord(StdDyadicInterval(a, n))
+        for n in range(2, depth + 3)
+        for a in range(2**n)
+    )
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
+def _chord_pairs(tree: TTree, shift: int, n: int) -> set[tuple[int, int]]:
+    """Chords of the non-root internal nodes of a tree with n leaves, as pairs
+    of leaf indices (first leaf, one past the last) + shift, mod n.  A node
+    of n-1 leaves spans a polygon side and is left out."""
+    out = set()
+    stack = [(tree, 0)]
+    while stack:
+        node, a = stack.pop()
+        if node.is_leaf:
+            continue
+        k = node.num_leaves
+        if k < n - 1:
+            out.add(_pair((a + shift) % n, (a + k + shift) % n))
+        stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
+    return out
 
 
 @dataclass(frozen=True)
 class Tessellation:
-    """Admissible tessellation as a finite diff against tau_0.
+    """Admissible tessellation f(tau_0), stored as the reduced tree diagram f.
 
-    `removed` are tau_0 chords absent here; `added` are present non-tau_0
-    chords; `doe` is the oriented distinguished edge; `depth` bounds the
+    `element` is the f carrying (tau_0, e0) to this tessellation and its doe;
+    it must be reduced, as every constructor in this module leaves it, so
+    that equal tessellations have equal elements.  `removed` (tau_0 chords
+    absent here), `added` (present non-tau_0 chords) and `doe` (the oriented
+    distinguished edge) are derived from it and cached.  `depth` bounds the
     rendered/enumerated window; `flips` is the construction history when
     known (None after a group action).
     """
 
     depth: int
-    removed: frozenset[Chord]
-    added: frozenset[Chord]
-    doe: tuple[DyadicRational, DyadicRational]
+    element: TreeDiagram
     flips: tuple[Chord, ...] | None = ()
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        for c in self.removed:
-            if not in_standard_set(c):
-                raise ValueError(f"removed chord {c} is not a standard edge")
-        for c in self.added:
-            if in_standard_set(c):
-                raise ValueError(f"added chord {c} is already a standard edge")
-        if not self.has_edge(chord(*self.doe)):
-            raise ValueError("doe must be an edge of the tessellation")
+
+    @functools.cached_property
+    def _diff(self) -> tuple[frozenset[Chord], frozenset[Chord]]:
+        # Both trees' chords as diagonals of the polygon on the range tree's
+        # leaf points, which increase with the index: f(tau_0) keeps tau_0
+        # outside the range tree, and inside it has the domain tree's chords
+        # turned by the marker.
+        f = self.element
+        n = f.num_leaves
+        points = [iv.left for iv in f.range_tree.leaf_intervals()]
+        old = _chord_pairs(f.range_tree, 0, n)
+        new = _chord_pairs(f.domain_tree, f.marker, n)
+        return tuple(
+            frozenset(Chord(points[i], points[j]) for i, j in pairs)
+            for pairs in (old - new, new - old)
+        )
+
+    @property
+    def removed(self) -> frozenset[Chord]:
+        return self._diff[0]
+
+    @property
+    def added(self) -> frozenset[Chord]:
+        return self._diff[1]
+
+    @functools.cached_property
+    def doe(self) -> tuple[DyadicRational, DyadicRational]:
+        return (evaluate(self.element, ZERO), evaluate(self.element, HALF))
+
+    def _preimage(self, c: Chord) -> tuple[DyadicRational, DyadicRational]:
+        """f^-1 of c's endpoints, in c's order."""
+        g = inverse(self.element)
+        return evaluate(g, c.a), evaluate(g, c.b)
 
     def has_edge(self, c: Chord) -> bool:
-        if c in self.added:
-            return True
-        return in_standard_set(c) and c not in self.removed
+        return in_standard_set(chord(*self._preimage(c)))
 
     def doe_chord(self) -> Chord:
         return chord(*self.doe)
 
     def same_tessellation(self, other: "Tessellation") -> bool:
         """Equality as tessellations-with-doe, ignoring depth and history."""
-        return (
-            self.removed == other.removed
-            and self.added == other.added
-            and self.doe == other.doe
-        )
+        return self.element == other.element
 
     # -- enumeration within the depth window --------------------------------
 
     def window_edges(self) -> list[Chord]:
         """Edges of the depth window: tau_0 levels <= depth+2, minus removed,
         plus every added chord."""
-        out = [E0] if E0 not in self.removed else []
-        for n in range(2, self.depth + 3):
-            for a in range(2**n):
-                c = interval_chord(StdDyadicInterval(a, n))
-                if c not in self.removed:
-                    out.append(c)
+        removed = self.removed
+        out = [c for c in _standard_window(self.depth) if c not in removed]
         out.extend(sorted(self.added))
         return out
 
     def face_apex(self, c: Chord, ccw_from_a: bool) -> DyadicRational:
-        """Third vertex of the face adjacent to c on the selected side."""
-        if not self.has_edge(c):
+        """Third vertex of the face adjacent to c on the selected side: f of
+        the tau_0 apex beside f^-1(c).  f keeps the orientation, so the side
+        swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a)."""
+        p, q = self._preimage(c)
+        x = _default_apex(chord(p, q), ccw_from_a == (p < q))
+        if x is None:
             raise EdgeNotFound(f"{c} is not an edge of this tessellation")
-        start, end = (c.a, c.b) if ccw_from_a else (c.b, c.a)
-        candidates = set()
-        default = _default_apex(c, ccw_from_a)
-        if default is not None:
-            candidates.add(default)
-        for mod in (self.removed, self.added):
-            for m in mod:
-                candidates.update(m.endpoints())
-        found = None
-        for x in candidates:
-            if not _in_open_arc(x, start, end):
-                continue
-            if self.has_edge(chord(c.a, x)) and self.has_edge(chord(c.b, x)):
-                found = x
-                break
-        if found is None:
-            raise EdgeNotFound(f"no face found beside {c}; tessellation corrupt")
-        return found
+        return evaluate(self.element, x)
 
     # -- serialization ------------------------------------------------------
 
@@ -229,11 +265,8 @@ class Tessellation:
     @classmethod
     def from_json(cls, text: str) -> "Tessellation":
         data = json.loads(text)
-        t = standard_tessellation(int(data["depth"]))
-        for p, q in data.get("flips", []):
-            t = pachner_flip(
-                t, chord(DyadicRational.parse(p), DyadicRational.parse(q))
-            )
+        flips = [chord(*map(DyadicRational.parse, pq)) for pq in data.get("flips", [])]
+        t = apply_flips(standard_tessellation(int(data["depth"])), flips)
         doe = tuple(DyadicRational.parse(s) for s in data["doe"])
         if t.doe != doe:
             raise ValueError(f"doe {doe} does not match flip history (got {t.doe})")
@@ -242,45 +275,58 @@ class Tessellation:
 
 def standard_tessellation(depth: int) -> Tessellation:
     """tau_0 with doe from 0 to 1/2, rendered to `depth` triangle layers."""
-    return Tessellation(depth, frozenset(), frozenset(), (ZERO, HALF), ())
+    return Tessellation(depth, identity(), ())
+
+
+_QUAD = TTree(TTree(LEAF, LEAF), TTree(LEAF, LEAF))
+# The doe flip of tau_0: the quad (0, 1/4, 1/2, 3/4) gets the diagonal
+# 3/4 -> 1/4 as its doe, so this element has order 4.
+_DOE_FLIP = TreeDiagram(_QUAD, _QUAD, 3)
+
+
+def _flip_element(iv: StdDyadicInterval) -> TreeDiagram:
+    """The element r with r(tau_0) = tau_0 flipped at the chord of iv.
+
+    For iv at level >= 2 under its parent P, r is the tree rotation at P:
+    both trees are the path from the root to P, and the range tree splits
+    iv where the domain tree splits iv's sibling.
+    """
+    if iv.n == 1:
+        return _DOE_FLIP
+    caret = TTree(LEAF, LEAF)
+    trees = (TTree(LEAF, caret), TTree(caret, LEAF))  # iv a left child
+    if iv.a % 2:
+        trees = trees[::-1]
+    for k in range(1, iv.n):  # up the path from P to the root
+        left = (iv.a >> k) % 2 == 0
+        trees = tuple(TTree(t, LEAF) if left else TTree(LEAF, t) for t in trees)
+    return TreeDiagram(*trees, 0)
 
 
 def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     """Replace the diagonal `edge` with the opposite diagonal of its quad.
 
     Flipping the doe carries it to the new diagonal rotated clockwise, so
-    four doe flips restore the original tessellation-with-doe.
+    four doe flips restore the original tessellation-with-doe.  A flip
+    commutes with the action, so with t = f(tau_0) the result is f r(tau_0),
+    for the r that makes the same flip at f^-1(edge) in tau_0.
     """
-    if not t.has_edge(edge):
+    iv = _standard_interval_of(chord(*t._preimage(edge)))
+    if iv is None:
         raise EdgeNotFound(f"{edge} is not an edge of this tessellation")
-    x = t.face_apex(edge, True)   # side swept ccw from edge.a to edge.b
-    y = t.face_apex(edge, False)
-    new_edge = chord(x, y)
-    removed, added = set(t.removed), set(t.added)
-    if in_standard_set(edge):
-        removed.add(edge)
-    else:
-        added.discard(edge)
-    if in_standard_set(new_edge):
-        removed.discard(new_edge)
-    else:
-        added.add(new_edge)
-    if chord(*t.doe) == edge:
-        u, v = t.doe
-        # quadrilateral in ccw order is (u, a, v, b); rotate clockwise
-        a = t.face_apex(edge, (u, v) == (edge.a, edge.b))
-        b = x if a == y else y
-        doe = (b, a)
-    else:
-        doe = t.doe
     flips = None if t.flips is None else t.flips + (edge,)
-    return Tessellation(t.depth, frozenset(removed), frozenset(added), doe, flips)
+    return Tessellation(t.depth, compose(t.element, _flip_element(iv)), flips)
 
 
 def apply_flips(t: Tessellation, edges) -> Tessellation:
     for e in edges:
         t = pachner_flip(t, e)
     return t
+
+
+def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
+    """Image tessellation f(t): with t = h(tau_0), it is (f h)(tau_0)."""
+    return Tessellation(t.depth, compose(f, t.element), None)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +380,7 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     """
     if max_exponent is None:
         max_exponent = t.depth + 2
-    special = set()
-    for mod in (t.removed, t.added):
-        for m in mod:
-            special.update(m.endpoints())
+    special = {x for m in t.removed | t.added for x in m.endpoints()}
 
     u, v = t.doe
     labels: dict[DyadicRational, tuple[int, int]] = {u: (0, 1), v: (1, 0)}
@@ -361,70 +404,14 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
         labels[x] = lx
         out.append((x, lx))
         # recurse across the two new edges, away from the current face
-        queue.append(((p, lp), (x, lx), not _side_of(p, x, q)))
-        queue.append(((x, lx), (q, lq), not _side_of(x, q, p)))
+        queue.append(((p, lp), (x, lx), not _in_open_arc(q, p, x)))
+        queue.append(((x, lx), (q, lq), not _in_open_arc(p, x, q)))
     return FareyLabeling(tuple(out))
-
-
-def _side_of(p: DyadicRational, q: DyadicRational, x: DyadicRational) -> bool:
-    """Whether x lies on the side of chord {p,q} swept ccw from p to q."""
-    return _in_open_arc(x, p, q)
 
 
 def characteristic_map(t: Tessellation, label, max_exponent: int | None = None):
     """Vertex of t carrying the given Farey label."""
     return farey_labels(t, max_exponent).vertex_of(label)
-
-
-# ---------------------------------------------------------------------------
-# the T action
-
-
-def _internal_chords(tree) -> list[tuple[DyadicRational, DyadicRational]]:
-    """Endpoint pairs of chords of internal tree nodes at depth >= 1."""
-    return [
-        (iv.left, iv.right)
-        for iv in tree.internal_intervals()
-        if iv.n >= 1
-    ]
-
-
-def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
-    """Image tessellation f(t): f-images of all edges, f-image of the doe."""
-    f = reduce_diagram(f)
-    pl = to_pl_map(f)
-
-    def image(c: Chord) -> Chord:
-        return chord(pl(c.a), pl(c.b))
-
-    # f(tau_0) = (tau_0 minus internal chords of the range tree)
-    #            union images of internal chords of the domain tree.
-    # A chord below or equal to a leaf of the range tree survives as a leaf
-    # image; e0 names two intervals, so it is only cut when both are internal.
-    range_internal = {
-        chord(p, q) for p, q in _internal_chords(f.range_tree)
-    } - {
-        interval_chord(iv)
-        for iv in f.range_tree.leaf_intervals()
-        if iv.n >= 1
-    }
-    domain_images = {
-        chord(pl(p), pl(q)) for p, q in _internal_chords(f.domain_tree)
-    }
-    removed_images = {image(c) for c in t.removed}
-    added_images = {image(c) for c in t.added}
-
-    def present(c: Chord) -> bool:
-        in_f_tau0 = (in_standard_set(c) and c not in range_internal) or (
-            c in domain_images
-        )
-        return (in_f_tau0 and c not in removed_images) or c in added_images
-
-    candidates = range_internal | domain_images | removed_images | added_images
-    removed = frozenset(c for c in candidates if in_standard_set(c) and not present(c))
-    added = frozenset(c for c in candidates if not in_standard_set(c) and present(c))
-    doe = (pl(t.doe[0]), pl(t.doe[1]))
-    return Tessellation(t.depth, removed, added, doe, None)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +427,6 @@ def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
 
 def _chord_key(c: Chord):
     return (c.a.as_fraction(), c.b.as_fraction())
-
-
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
 
 
 def _between(x: int, a: int, b: int, n: int) -> bool:
@@ -503,14 +486,6 @@ class _Triangulation:
         self.flip(self.doe)
 
 
-def _diagonals(tree, shift: int, n: int) -> set:
-    """A tree's internal chords as diagonals between its leaf indices + shift."""
-    index = {iv.left: i + shift for i, iv in enumerate(tree.leaf_intervals())}
-    return {
-        _pair(index[p] % n, index[q.mod1()] % n) for p, q in _internal_chords(tree)
-    }
-
-
 def _split_root_children(f: TreeDiagram) -> TreeDiagram:
     """Add carets until both root children of both trees are internal, so
     that both does are diagonals of the polygon."""
@@ -541,14 +516,13 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     apply_element oracle.
     """
     f = reduce_diagram(f)
-    start = standard_tessellation(depth)
     g = _split_root_children(f)
     n, m = g.num_leaves, g.marker
     cur = _Triangulation(
-        n, _diagonals(g.range_tree, 0, n), (0, g.range_tree.left.num_leaves)
+        n, _chord_pairs(g.range_tree, 0, n), (0, g.range_tree.left.num_leaves)
     )
     goal = _Triangulation(
-        n, _diagonals(g.domain_tree, m, n), (m, (m + g.domain_tree.left.num_leaves) % n)
+        n, _chord_pairs(g.domain_tree, m, n), (m, (m + g.domain_tree.left.num_leaves) % n)
     )
     (u, v), (p, q) = cur.doe, goal.doe
     if _pair(u, v) != _pair(p, q):
@@ -568,7 +542,7 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
         cur.flip(cur.doe)
     points = [iv.left for iv in g.range_tree.leaf_intervals()]
     seq = [chord(points[i], points[j]) for (i, j), _ in cur.flipped]
-    if not apply_flips(start, seq).same_tessellation(apply_element(start, f)):
+    if apply_flips(standard_tessellation(depth), seq).element != f:
         raise SearchExhausted("flip sequence does not reproduce apply_element")
     return seq
 
@@ -646,17 +620,27 @@ def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
 
 
 def _render_tree(tree, x0: float, x1: float, y: float, parts: list[str]):
-    xm = (x0 + x1) / 2.0
-    if tree.is_leaf:
-        parts.append(f'<circle cx="{xm:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
-        return
-    for child, (a, b) in ((tree.left, (x0, xm)), (tree.right, (xm, x1))):
-        xc = (a + b) / 2.0
-        parts.append(
-            f'<line x1="{xm:.2f}" y1="{y:.2f}" x2="{xc:.2f}" y2="{y + 60:.2f}" '
-            'stroke="black" stroke-width="1.5"/>'
-        )
-        _render_tree(child, a, b, y + 60.0, parts)
+    """Draw `tree` in the strip x0..x1 from height y down, parent before
+    children, left before right: each node gets the edge from its parent
+    and each leaf a dot.  An explicit stack, for deep trees."""
+    stack = [(tree, x0, x1, y, None)]
+    while stack:
+        node, x0, x1, y, parent = stack.pop()
+        xm = (x0 + x1) / 2.0
+        if parent is not None:
+            px, py = parent
+            parts.append(
+                f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{xm:.2f}" y2="{py + 60:.2f}" '
+                'stroke="black" stroke-width="1.5"/>'
+            )
+        if node.is_leaf:
+            parts.append(f'<circle cx="{xm:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
+        else:
+            below = y + 60.0
+            stack += [(node.right, xm, x1, below, (xm, y)), (node.left, x0, xm, below, (xm, y))]
+
+
+_DISC = '<circle cx="500" cy="500" r="480" fill="none" stroke="gray" stroke-width="2"/>'
 
 
 def render_svg(obj, labels: bool = False) -> str:
@@ -669,10 +653,7 @@ def render_svg(obj, labels: bool = False) -> str:
     )
     parts = [header]
     if isinstance(obj, Tessellation):
-        parts.append(
-            '<circle cx="500" cy="500" r="480" fill="none" '
-            'stroke="gray" stroke-width="2"/>'
-        )
+        parts.append(_DISC)
         parts.extend(_render_tessellation(obj, labels))
     elif isinstance(obj, TreeDiagram):
         for tree, x0 in ((obj.domain_tree, 20.0), (obj.range_tree, 520.0)):
@@ -682,10 +663,7 @@ def render_svg(obj, labels: bool = False) -> str:
             f"marker {obj.marker}</text>"
         )
     elif isinstance(obj, Cutoff):
-        parts.append(
-            '<circle cx="500" cy="500" r="480" fill="none" '
-            'stroke="gray" stroke-width="2"/>'
-        )
+        parts.append(_DISC)
         for c in sorted(obj.edges, key=_chord_key):
             parts.append(
                 f'<path d="{_arc_path(c.a, c.b)}" fill="none" '

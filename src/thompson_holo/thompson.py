@@ -127,17 +127,6 @@ class PLMap:
     def breakpoints(self) -> list[tuple[DyadicRational, DyadicRational]]:
         return [(x0, y0) for x0, _, y0, _ in self.pieces]
 
-    @property
-    def slopes(self) -> list[int]:
-        return [k for _, _, _, k in self.pieces]
-
-    def __call__(self, x: DyadicRational) -> DyadicRational:
-        x = x.mod1()
-        for x0, x1, y0, k in self.pieces:
-            if x0 <= x < x1:
-                return (y0 + (x - x0).scale_pow2(k)).mod1()
-        raise ValueError(f"{x} not covered by any piece")
-
 
 def to_pl_map(f: TreeDiagram) -> PLMap:
     dom = f.domain_tree.leaf_intervals()
@@ -151,8 +140,16 @@ def to_pl_map(f: TreeDiagram) -> PLMap:
 
 
 def evaluate(f: TreeDiagram, x: DyadicRational) -> DyadicRational:
-    """Exact image of the circle point x under f."""
-    return to_pl_map(f)(x)
+    """Exact image of the circle point x under f, read off the two trees:
+    one descent finds the domain leaf j holding x, a second the range leaf
+    (marker + j) mod n, and the affine piece between them maps x."""
+    x = x.mod1()
+    j, d = f.domain_tree.leaf_containing(x)
+    r = f.range_tree.leaf_at((f.marker + j) % f.num_leaves)
+    # r.left + (x - d.left) * 2^(d.n - r.n), over the denominator 2^(x.exp + r.n)
+    exp = x.exp + r.n
+    num = (x.num << d.n) + ((r.a - d.a) << x.exp)
+    return DyadicRational(num % (1 << exp), exp)
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,32 @@ class TestMatrixElement:
         assert code == 0, err
         assert out.strip().splitlines()[-1] == "routes agree"
 
-    def test_refinement_over_cap_is_a_domain_error(self, capsys):
+    def test_action_route_over_cap_is_a_domain_error(self, capsys):
         element = random_element(45, 2)
         assert 3**element.num_leaves > 2**24
-        code, out, err = run(capsys, "matrix-element", str(element))
+        code, out, err = run(capsys, "matrix-element", str(element), "--route", "action")
         assert code == 1
         assert out == ""
         assert err.startswith("ResourceLimit:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_both_routes_over_cap_run_the_diagram_route(self, capsys, monkeypatch, json_flag):
+        monkeypatch.delenv("THOMPSON_HOLO_MAX_AMPLITUDES", raising=False)
+        element = str(random_element(45, 2))
+        code, out, err = run(capsys, "matrix-element", element, *json_flag)
+        assert code == 0
+        assert err == "note: 3^16 amplitudes exceed the cap of 16777216; ran the diagram route only\n"
+        _, diagram, _ = run(capsys, "matrix-element", element, "--route", "diagram", *json_flag)
+        assert out == diagram
+
+    def test_both_routes_over_cap_keep_the_leg_check(self, capsys):
+        code, out, err = run(
+            capsys, "matrix-element", str(random_element(45, 2)), "--tensor", "qutrit-code"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DimensionMismatch:")
 
     @pytest.mark.parametrize("route", ["action", "diagram", "both"])
     def test_four_leg_tensor_is_a_typed_error(self, capsys, route):
@@ -209,3 +227,18 @@ class TestDeepDiagram:
         code, out, _ = run(capsys, "compose", diagram, diagram)
         assert code == 0
         assert out.strip() == ".|.@0"
+
+    LEFT_COMB = "(" * 1100 + "." + ".)" * 1100
+
+    def test_eval(self, capsys):
+        code, out, _ = run(capsys, "eval", f"{self.DEEP}|{self.LEFT_COMB}@0", "3/2^2")
+        assert code == 0
+        assert out.strip() == "1/2^1099"
+
+    def test_render(self, capsys, tmp_path):
+        out = tmp_path / "deep.svg"
+        code, _, err = run(
+            capsys, "render", f"{self.DEEP}|{self.LEFT_COMB}@0", "--out", str(out)
+        )
+        assert code == 0, err
+        assert out.read_text().startswith("<svg")

@@ -1,22 +1,27 @@
 """Dyadic tessellations of the disc, Pachner flips and the group action."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import thompson_holo
-from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, TTree
-from thompson_holo.errors import EdgeNotFound, LabelNotRepresented
+from thompson_holo.dyadic import LEAF, ZERO, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
+from thompson_holo.errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic
 from thompson_holo.tessellation import (
     E0,
     Chord,
     Tessellation,
+    _in_open_arc,
+    _render_tessellation,
+    _render_tree,
     apply_element,
     apply_flips,
     characteristic_map,
@@ -32,10 +37,12 @@ from thompson_holo.tessellation import (
 )
 from thompson_holo.thompson import (
     TreeDiagram,
+    evaluate,
     generator,
     identity,
     parse_word,
     reduce_diagram,
+    to_pl_map,
 )
 
 
@@ -304,11 +311,11 @@ class TestFlipsRealizing:
         assert flips_realizing(f, 5) == flips_realizing(f, 5)
 
 
-def reduced_words(max_len: int) -> list[TreeDiagram]:
-    """Every distinct reduced element of a word over ABCabc of length <= max_len."""
+def reduced_words(max_len: int, alphabet: str = "ABCabc") -> list[TreeDiagram]:
+    """Every distinct reduced element of a word over `alphabet` of length <= max_len."""
     seen = {}
     for length in range(max_len + 1):
-        for letters in itertools.product("ABCabc", repeat=length):
+        for letters in itertools.product(alphabet, repeat=length):
             f = reduce_diagram(parse_word("".join(letters)))
             seen.setdefault(f, f)
     return list(seen)
@@ -410,3 +417,279 @@ class TestRendering:
         assert "<svg" in render_svg(parse_word("B"))
         cut = partition_to_cutoff(DyadicPartition.parse("0, 1/2^1, 3/2^2, 1"))
         assert "<svg" in render_svg(cut)
+
+
+# Reference: the tessellation as a diff against tau_0, kept up by hand, which
+# storing the element replaced.  apply_element maps candidate chords through
+# the PL map, face_apex scans the endpoints of every modified chord, and
+# pachner_flip edits the removed and added sets one flip at a time.
+
+
+def ref_standard_interval(c: Chord):
+    """The standard interval (level >= 1) of c, by trying [a, b] and then,
+    when a is 0, [b, 1]."""
+    try:
+        iv = StdDyadicInterval.from_endpoints(c.a, c.b)
+        if iv.n >= 1:
+            return iv
+    except NotStandardDyadic:
+        pass
+    if c.a == ZERO:
+        try:
+            iv = StdDyadicInterval.from_endpoints(c.b, DyadicRational(1, 0))
+            if iv.n >= 1:
+                return iv
+        except NotStandardDyadic:
+            pass
+    return None
+
+
+def ref_in_standard_set(c: Chord) -> bool:
+    return ref_standard_interval(c) is not None
+
+
+def ref_default_apex(c: Chord, ccw_from_a: bool):
+    """The tau_0 apex beside c, telling the inner side by its midpoint."""
+    iv = ref_standard_interval(c)
+    if iv is None:
+        return None
+    inside = _in_open_arc(iv.left + StdDyadicInterval(2 * iv.a, iv.n + 1).length, c.a, c.b)
+    if inside == ccw_from_a:
+        return iv.halves()[0].right.mod1()
+    if iv.n == 1:
+        return StdDyadicInterval(1 - iv.a, 1).halves()[0].right.mod1()
+    parent = StdDyadicInterval(iv.a // 2, iv.n - 1)
+    return (parent.right if iv.a % 2 == 0 else parent.left).mod1()
+
+
+def ref_pl(f: TreeDiagram):
+    """f as a function, by a linear scan over its PL pieces."""
+    pieces = to_pl_map(f).pieces
+
+    def image(x: DyadicRational) -> DyadicRational:
+        x = x.mod1()
+        for x0, x1, y0, k in pieces:
+            if x0 <= x < x1:
+                return (y0 + (x - x0).scale_pow2(k)).mod1()
+        raise ValueError(f"{x} not covered by any piece")
+
+    return image
+
+
+@dataclass(frozen=True)
+class RefTessellation:
+    depth: int
+    removed: frozenset
+    added: frozenset
+    doe: tuple
+    flips: tuple | None = ()
+
+    def has_edge(self, c: Chord) -> bool:
+        if c in self.added:
+            return True
+        return ref_in_standard_set(c) and c not in self.removed
+
+    def doe_chord(self) -> Chord:
+        return chord(*self.doe)
+
+    def window_edges(self) -> list:
+        out = [E0] if E0 not in self.removed else []
+        for n in range(2, self.depth + 3):
+            for a in range(2**n):
+                c = chord(StdDyadicInterval(a, n).left, StdDyadicInterval(a, n).right)
+                if c not in self.removed:
+                    out.append(c)
+        out.extend(sorted(self.added))
+        return out
+
+    def face_apex(self, c: Chord, ccw_from_a: bool) -> DyadicRational:
+        if not self.has_edge(c):
+            raise EdgeNotFound(f"{c} is not an edge of this tessellation")
+        start, end = (c.a, c.b) if ccw_from_a else (c.b, c.a)
+        candidates = set()
+        default = ref_default_apex(c, ccw_from_a)
+        if default is not None:
+            candidates.add(default)
+        for mod in (self.removed, self.added):
+            for m in mod:
+                candidates.update(m.endpoints())
+        for x in candidates:
+            if _in_open_arc(x, start, end) and self.has_edge(chord(c.a, x)) and self.has_edge(
+                chord(c.b, x)
+            ):
+                return x
+        raise EdgeNotFound(f"no face found beside {c}")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "depth": self.depth,
+                "doe": [str(self.doe[0]), str(self.doe[1])],
+                "flips": [[str(c.a), str(c.b)] for c in self.flips],
+            }
+        )
+
+
+def ref_standard(depth: int) -> RefTessellation:
+    return RefTessellation(depth, frozenset(), frozenset(), (d("0"), d("1/2^1")), ())
+
+
+def ref_flip(t: RefTessellation, edge: Chord) -> RefTessellation:
+    x, y = t.face_apex(edge, True), t.face_apex(edge, False)
+    new_edge = chord(x, y)
+    removed, added = set(t.removed), set(t.added)
+    if ref_in_standard_set(edge):
+        removed.add(edge)
+    else:
+        added.discard(edge)
+    if ref_in_standard_set(new_edge):
+        removed.discard(new_edge)
+    else:
+        added.add(new_edge)
+    doe = t.doe
+    if chord(*t.doe) == edge:
+        u, v = t.doe
+        a = t.face_apex(edge, (u, v) == (edge.a, edge.b))
+        doe = (x if a == y else y, a)
+    flips = None if t.flips is None else t.flips + (edge,)
+    return RefTessellation(t.depth, frozenset(removed), frozenset(added), doe, flips)
+
+
+def ref_apply(t: RefTessellation, f: TreeDiagram) -> RefTessellation:
+    f = reduce_diagram(f)
+    pl = ref_pl(f)
+
+    def image(c: Chord) -> Chord:
+        return chord(pl(c.a), pl(c.b))
+
+    def internal(tree) -> set:
+        return {chord(iv.left, iv.right) for iv in tree.internal_intervals() if iv.n >= 1}
+
+    leaf_chords = {chord(iv.left, iv.right) for iv in f.range_tree.leaf_intervals() if iv.n >= 1}
+    range_internal = internal(f.range_tree) - leaf_chords
+    domain_images = {image(c) for c in internal(f.domain_tree)}
+    removed_images = {image(c) for c in t.removed}
+    added_images = {image(c) for c in t.added}
+
+    def present(c: Chord) -> bool:
+        in_f_tau0 = (ref_in_standard_set(c) and c not in range_internal) or c in domain_images
+        return (in_f_tau0 and c not in removed_images) or c in added_images
+
+    candidates = range_internal | domain_images | removed_images | added_images
+    removed = frozenset(c for c in candidates if ref_in_standard_set(c) and not present(c))
+    added = frozenset(c for c in candidates if not ref_in_standard_set(c) and present(c))
+    return RefTessellation(t.depth, removed, added, (pl(t.doe[0]), pl(t.doe[1])), None)
+
+
+def assert_matches_reference(t: Tessellation, ref: RefTessellation, outputs: bool = True):
+    assert t.removed == ref.removed
+    assert t.added == ref.added
+    assert t.doe == ref.doe
+    if not outputs:
+        return
+    assert t.flips == ref.flips
+    assert t.window_edges() == ref.window_edges()
+    assert farey_labels(t).vertex_to_label == farey_labels(ref).vertex_to_label
+    for labels in (False, True):
+        # render_svg is the header, the boundary circle, the disc's parts and
+        # the closing tag, one per line
+        assert render_svg(t, labels).split("\n")[2:-1] == _render_tessellation(ref, labels)
+    if t.flips is not None:
+        assert t.to_json() == ref.to_json()
+
+
+class TestAgainstDiffReference:
+    """The stored element against the hand-kept diff it replaced: the diff,
+    the doe, the window, Farey labels, SVG parts and JSON agree exactly."""
+
+    def test_all_words_up_to_three_letters(self):
+        elements = reduced_words(3)
+        assert len(elements) == 128
+        depth = 3
+        t0, r0 = standard_tessellation(depth), ref_standard(depth)
+        for f in elements:
+            assert_matches_reference(apply_element(t0, f), ref_apply(r0, f))
+            seq = flips_realizing(f, depth)
+            t, r = t0, r0
+            for e in seq:
+                t, r = pachner_flip(t, e), ref_flip(r, e)
+                assert_matches_reference(t, r, outputs=False)
+            # the window, labels and SVG follow from the diff and the doe,
+            # which matched apply_element's above
+            assert t.same_tessellation(apply_element(t0, f))
+            assert t.to_json() == r.to_json()
+
+    def test_seeded_flip_walks(self):
+        rng = random.Random(606)
+        letters = reduced_words(1)
+        for _ in range(200):
+            depth = rng.randint(3, 6)
+            t, r = standard_tessellation(depth), ref_standard(depth)
+            for _ in range(rng.randint(1, 40)):
+                edges = t.window_edges()
+                e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
+                t, r = pachner_flip(t, e), ref_flip(r, e)
+                assert_matches_reference(t, r, outputs=False)
+            assert_matches_reference(t, r, outputs=depth == 3)
+            assert t.flips == r.flips
+            g = rng.choice(letters)
+            assert_matches_reference(apply_element(t, g), ref_apply(r, g), outputs=False)
+
+    def test_doe_flips(self):
+        t, r = standard_tessellation(3), ref_standard(3)
+        for e in [E0, ch("1/2^2", "1/2^1")] * 3:
+            for _ in range(5):
+                t, r = pachner_flip(t, t.doe_chord()), ref_flip(r, r.doe_chord())
+                assert_matches_reference(t, r)
+            t, r = pachner_flip(t, t.window_edges()[3]), ref_flip(r, r.window_edges()[3])
+            assert_matches_reference(t, r)
+
+
+class TestActionCommutesWithFlips:
+    def test_flip_then_act_is_act_then_flip(self):
+        """g(flip_e(tau_0)) = flip_g(e)(g(tau_0)), the identity flips are
+        built on, for every window edge at depth 3 and the 13 short words."""
+        t0 = standard_tessellation(3)
+        elements = reduced_words(2, "ABC")
+        assert len(elements) == 13
+        for e in t0.window_edges():
+            flipped = pachner_flip(t0, e)
+            for g in elements:
+                ge = chord(evaluate(g, e.a), evaluate(g, e.b))
+                lhs = pachner_flip(apply_element(t0, g), ge)
+                rhs = apply_element(flipped, g)
+                assert lhs.same_tessellation(rhs), (str(e), str(g))
+                assert (lhs.removed, lhs.added, lhs.doe) == (rhs.removed, rhs.added, rhs.doe)
+
+
+def ref_render_tree(tree, x0: float, x1: float, y: float, parts: list):
+    """The recursive tree drawing that the explicit-stack walk replaced."""
+    xm = (x0 + x1) / 2.0
+    if tree.is_leaf:
+        parts.append(f'<circle cx="{xm:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
+        return
+    for child, (a, b) in ((tree.left, (x0, xm)), (tree.right, (xm, x1))):
+        xc = (a + b) / 2.0
+        parts.append(
+            f'<line x1="{xm:.2f}" y1="{y:.2f}" x2="{xc:.2f}" y2="{y + 60:.2f}" '
+            'stroke="black" stroke-width="1.5"/>'
+        )
+        ref_render_tree(child, a, b, y + 60.0, parts)
+
+
+class TestTreeRendering:
+    def test_matches_recursive_reference(self):
+        for leaves in range(1, 41):
+            f = random_reduced(leaves, seed=leaves)
+            for tree in (f.domain_tree, f.range_tree):
+                got, want = [], []
+                _render_tree(tree, 20.0, 480.0, 100.0, got)
+                ref_render_tree(tree, 20.0, 480.0, 100.0, want)
+                assert got == want
+
+    def test_1100_deep_diagram(self):
+        right = TTree.parse("(." * 1100 + "." + ")" * 1100)
+        left = TTree.parse("(" * 1100 + "." + ".)" * 1100)
+        svg = render_svg(TreeDiagram(right, left, 0))
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert svg.count("<circle") == 2 * 1101

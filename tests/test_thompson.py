@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO
 from thompson_holo.thompson import (
+    PLMap,
     TreeDiagram,
     _expand_domain,
     adjoin_caret,
@@ -164,6 +165,37 @@ class TestSerialization:
     def test_marker_out_of_range(self):
         with pytest.raises(ValueError):
             TreeDiagram.parse("(..)|(..)@5")
+
+
+def pl_scan(pl: PLMap, x: DyadicRational) -> DyadicRational:
+    """Reference evaluation: a linear scan over the pieces of a PL map."""
+    x = x.mod1()
+    for x0, x1, y0, k in pl.pieces:
+        if x0 <= x < x1:
+            return (y0 + (x - x0).scale_pow2(k)).mod1()
+    raise ValueError(f"{x} not covered by any piece")
+
+
+class TestEvaluateAgainstPLScan:
+    def test_random_elements(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            n = rng.randint(1, 60)
+            f = TreeDiagram(random_tree(rng, n), random_tree(rng, n), rng.randrange(n))
+            points = [iv.left for iv in f.domain_tree.leaf_intervals()]
+            points += [iv.right for iv in f.domain_tree.internal_intervals()]
+            points += [DyadicRational(rng.randrange(2**20), 20) for _ in range(20)]
+            points += [DyadicRational(rng.randrange(-9, 9), rng.randint(0, 3)) for _ in range(5)]
+            pl = to_pl_map(f)
+            for x in points:
+                assert evaluate(f, x) == pl_scan(pl, x), (str(f), str(x))
+
+    def test_generators_and_inverses(self):
+        for w in "ABCabc":
+            f = parse_word(w)
+            pl = to_pl_map(f)
+            for x in GRID:
+                assert evaluate(f, as_dyadic(x)) == pl_scan(pl, as_dyadic(x))
 
 
 class TestPLMap:
