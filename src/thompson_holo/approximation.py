@@ -21,6 +21,7 @@ from .dyadic import (
     partition_to_tree,
 )
 from .errors import DegenerateImage, NotMonotone
+from .semicontinuous import _check_cap
 from .thompson import TreeDiagram, evaluate, to_pl_map
 
 __all__ = [
@@ -197,6 +198,7 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
     """Level-n Thompson-T approximation of the circle map f."""
     if n < 1:
         raise ValueError("level must be at least 1")
+    _check_cap(n, 2, "image points", f"level {n}: ")
     m = 2**n
     points = [f(j / m) for j in range(m)]
     if len(set(points)) < m:

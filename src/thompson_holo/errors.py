@@ -32,7 +32,10 @@ class TheoryMismatch(ThompsonHoloError):
 
 
 class ResourceLimit(ThompsonHoloError):
-    """A requested amplitude vector exceeds the configured cap."""
+    """A requested size exceeds the configured amplitude cap: an amplitude
+    vector, the image points of an approximation level, or the chords or
+    points of a tessellation's window.  The message names the input, the
+    size and the cap."""
 
 
 class EdgeNotFound(ThompsonHoloError):

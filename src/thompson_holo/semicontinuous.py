@@ -61,11 +61,11 @@ def amplitude_cap() -> int:
     return int(raw) if raw else DEFAULT_AMPLITUDE_CAP
 
 
-def _check_cap(num_legs: int, d: int):
-    if d**num_legs > amplitude_cap():
-        raise ResourceLimit(
-            f"{d}^{num_legs} amplitudes exceed the cap of {amplitude_cap()}"
-        )
+def _check_cap(exponent: int, base: int, what: str = "amplitudes", subject: str = ""):
+    """Raise ResourceLimit if base^exponent `what` would exceed the cap."""
+    cap = amplitude_cap()
+    if base**exponent > cap:
+        raise ResourceLimit(f"{subject}{base}^{exponent} {what} exceed the cap of {cap}")
 
 
 def _check_three_legs(V: DenseTensor):

@@ -1,12 +1,20 @@
 """Perfect tensors and a small deterministic dense contraction engine.
 
 Tensor entries are complex doubles; exactness lives in the combinatorics.
-Networks here are trees or single cycles, so a greedy smallest-intermediate
-pairwise contraction order is already optimal enough and fully deterministic.
+Two networks are contracted: the diagram route's two trees of 3-leg tensors
+glued leaf to leaf along the boundary (planar, no open legs), and the BTZ
+ring of 4*halfwidth triangles.  `contract` merges greedily from a heap of
+bonded pairs keyed (result size, older id, newer id), ids numbering pool
+entries as they are made, so it takes the first minimum of an all-pairs scan
+in pool order without rescanning: a merge changes only the sizes of pairs
+touching its result.  Each label has two ends, so self-bonds are traced once,
+when a tensor enters the pool.
 """
 
 from __future__ import annotations
 
+import collections
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -84,16 +92,25 @@ class DenseTensor:
 
     @classmethod
     def from_text(cls, text: str) -> "DenseTensor":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("dims:"):
+        lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or not lines[0][1].startswith("dims:"):
             raise ValueError("tensor text must start with a 'dims:' line")
-        dims = tuple(int(tok) for tok in lines[0].split(":", 1)[1].split())
+        dims = tuple(int(tok) for tok in lines[0][1].split(":", 1)[1].split())
         arr = np.zeros(dims, dtype=complex)
-        for ln in lines[1:]:
+        for num, ln in lines[1:]:
             toks = ln.split()
-            idx = tuple(int(t) for t in toks[: len(dims)])
-            re, im = float(toks[len(dims)]), float(toks[len(dims) + 1])
-            arr[idx] = complex(re, im)
+            try:
+                if len(toks) != len(dims) + 2:
+                    raise ValueError(
+                        f"expected {len(dims)} indices, a real and an imaginary "
+                        f"part, got {len(toks)} fields"
+                    )
+                idx = tuple(int(t) for t in toks[: len(dims)])
+                if not all(0 <= i < d for i, d in zip(idx, dims)):
+                    raise ValueError(f"index {idx} is outside the dims {dims}")
+                arr[idx] = complex(float(toks[-2]), float(toks[-1]))
+            except ValueError as exc:
+                raise ValueError(f"tensor text line {num}: {exc}") from None
         return cls(arr)
 
 
@@ -244,8 +261,9 @@ class TensorNetwork:
 def contract(net: TensorNetwork) -> DenseTensor:
     """Contract the whole network into a dense tensor over its open legs.
 
-    Disconnected components are contracted independently and combined by
-    outer product; the result is deterministic for a given network.
+    Greedy: merge the bonded pair with the smallest result, ties going to
+    the pair made earliest; then outer-product the disconnected components,
+    first two at a time with the product going to the back.  Deterministic.
     """
     net.validate()
     # label every leg with a bond id or an open id
@@ -258,62 +276,45 @@ def contract(net: TensorNetwork) -> DenseTensor:
         labels[end] = len(net.bonds) + j
         open_ids[len(net.bonds) + j] = j
 
-    pool: list[tuple[np.ndarray, list[int]]] = []
+    pool: list[tuple[np.ndarray, list[int]] | None] = []  # by id; None once used
+    holders = collections.defaultdict(set)  # label -> ids of live holders
+    heap: list[tuple[int, int, int]] = []  # (result size, older id, newer id)
+
+    def enter(arr, lab):
+        for l in [l for i, l in enumerate(lab) if l in lab[i + 1 :]]:
+            i = lab.index(l)
+            arr = np.trace(arr, axis1=i, axis2=lab.index(l, i + 1))
+            lab = [m for m in lab if m != l]
+        new = len(pool)
+        partners = set().union(*(holders[l] for l in lab))
+        for l in lab:
+            holders[l].add(new)
+        for old in partners:
+            arr_o, lab_o = pool[old]
+            dims = zip(arr_o.shape + arr.shape, lab_o + lab)
+            size = math.prod(d for d, l in dims if l not in lab or l not in lab_o)
+            heapq.heappush(heap, (size, old, new))
+        pool.append((arr, lab))
+
     for node, t in enumerate(net.tensors):
-        pool.append((t.array, [labels[(node, leg)] for leg in range(t.num_legs)]))
-
-    def contract_pair(a, b):
-        arr_a, lab_a = a
-        arr_b, lab_b = b
+        enter(t.array, [labels[(node, leg)] for leg in range(t.num_legs)])
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pool[i] is None or pool[j] is None:
+            continue
+        (arr_a, lab_a), (arr_b, lab_b) = pool[i], pool[j]
+        pool[i] = pool[j] = None
+        for l in lab_a + lab_b:
+            holders[l] -= {i, j}
         shared = [l for l in lab_a if l in lab_b]
-        ax_a = [lab_a.index(l) for l in shared]
-        ax_b = [lab_b.index(l) for l in shared]
-        out = np.tensordot(arr_a, arr_b, axes=(ax_a, ax_b))
-        lab = [l for l in lab_a if l not in shared] + [l for l in lab_b if l not in shared]
-        # self-bonds may remain duplicated after the pairwise step
-        return trace_dups((out, lab))
+        axes = ([lab_a.index(l) for l in shared], [lab_b.index(l) for l in shared])
+        out = np.tensordot(arr_a, arr_b, axes=axes)
+        enter(out, [l for l in lab_a + lab_b if l not in shared])
 
-    def trace_dups(item):
-        arr, lab = item
-        while True:
-            dup = None
-            for i, l in enumerate(lab):
-                if l in lab[i + 1 :]:
-                    dup = (i, i + 1 + lab[i + 1 :].index(l))
-                    break
-            if dup is None:
-                return arr, lab
-            i, j = dup
-            arr = np.trace(arr, axis1=i, axis2=j)
-            lab = [l for k, l in enumerate(lab) if k not in (i, j)]
-
-    pool = [trace_dups(item) for item in pool]
-    while len(pool) > 1:
-        best = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                shared = set(pool[i][1]) & set(pool[j][1])
-                if not shared:
-                    continue
-                size = math.prod(
-                    d
-                    for arr, lab in (pool[i], pool[j])
-                    for d, l in zip(arr.shape, lab)
-                    if l not in shared
-                )
-                if best is None or size < best[0]:
-                    best = (size, i, j)
-        if best is None:
-            # disconnected: outer-product the first two components
-            i, j = 0, 1
-        else:
-            _, i, j = best
-        merged = contract_pair(pool[i], pool[j]) if best is not None else (
-            np.multiply.outer(pool[i][0], pool[j][0]),
-            pool[i][1] + pool[j][1],
-        )
-        pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [merged]
-
-    arr, lab = pool[0]
+    rest = [item for item in pool if item is not None]
+    while len(rest) > 1:
+        (arr_a, lab_a), (arr_b, lab_b), *rest = rest
+        rest.append((np.multiply.outer(arr_a, arr_b), lab_a + lab_b))
+    arr, lab = rest[0]
     order = sorted(range(len(lab)), key=lambda k: open_ids[lab[k]])
     return DenseTensor(arr.transpose(order))

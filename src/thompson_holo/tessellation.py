@@ -28,6 +28,7 @@ from .dyadic import (
     TTree,
 )
 from .errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic, SearchExhausted
+from .semicontinuous import _check_cap
 from .thompson import (
     TreeDiagram,
     adjoin_caret,
@@ -231,6 +232,7 @@ class Tessellation:
     def window_edges(self) -> list[Chord]:
         """Edges of the depth window: tau_0 levels <= depth+2, minus removed,
         plus every added chord."""
+        _check_cap(self.depth + 3, 2, "window chords", f"depth {self.depth}: ")
         removed = self.removed
         out = [c for c in _standard_window(self.depth) if c not in removed]
         out.extend(sorted(self.added))
@@ -265,12 +267,31 @@ class Tessellation:
     @classmethod
     def from_json(cls, text: str) -> "Tessellation":
         data = json.loads(text)
-        flips = [chord(*map(DyadicRational.parse, pq)) for pq in data.get("flips", [])]
-        t = apply_flips(standard_tessellation(int(data["depth"])), flips)
-        doe = tuple(DyadicRational.parse(s) for s in data["doe"])
+        if not isinstance(data, dict):
+            raise ValueError("tessellation JSON must be an object with 'depth', 'doe' and 'flips'")
+        for key in ("depth", "doe"):
+            if key not in data:
+                raise ValueError(f"tessellation JSON has no {key!r} field")
+        try:
+            depth = int(data["depth"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"tessellation 'depth' is not an integer: {data['depth']!r}") from None
+        flips = data.get("flips", [])
+        if not isinstance(flips, list):
+            raise ValueError(f"tessellation 'flips' is not a list: {flips!r}")
+        flips = [chord(*_point_pair(pq, f"flip {k}")) for k, pq in enumerate(flips)]
+        t = apply_flips(standard_tessellation(depth), flips)
+        doe = _point_pair(data["doe"], "'doe'")
         if t.doe != doe:
             raise ValueError(f"doe {doe} does not match flip history (got {t.doe})")
         return t
+
+
+def _point_pair(value, name: str) -> tuple[DyadicRational, DyadicRational]:
+    """Parse a JSON [p, q] pair of dyadic strings."""
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(x, str) for x in value)):
+        raise ValueError(f"tessellation {name} is not a [p, q] pair of strings: {value!r}")
+    return DyadicRational.parse(value[0]), DyadicRational.parse(value[1])
 
 
 def standard_tessellation(depth: int) -> Tessellation:
@@ -380,6 +401,7 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     """
     if max_exponent is None:
         max_exponent = t.depth + 2
+    _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
     special = {x for m in t.removed | t.added for x in m.endpoints()}
 
     u, v = t.doe

@@ -5,8 +5,17 @@ import json
 import pytest
 
 from thompson_holo.cli import main
-from thompson_holo.dyadic import StdDyadicInterval
-from thompson_holo.tessellation import Cutoff, interval_chord, render_svg
+from thompson_holo.dyadic import HALF, DyadicRational, StdDyadicInterval
+from thompson_holo.errors import ResourceLimit
+from thompson_holo.tessellation import (
+    Cutoff,
+    apply_flips,
+    chord,
+    farey_labels,
+    interval_chord,
+    render_svg,
+    standard_tessellation,
+)
 from thompson_holo.thompson import random_element
 
 
@@ -198,6 +207,73 @@ class TestOtherCommands:
         assert "<svg" in out.read_text()
 
 
+class TestBadFiles:
+    @pytest.mark.parametrize("line", ["0 1 2", "0 1 5  1.0 0.0", "0 -1 2  1.0 0.0"])
+    @pytest.mark.parametrize("argv", [["verify-tensor"], ["matrix-element", "B", "--tensor"]])
+    def test_tensor_file_line(self, capsys, tmp_path, argv, line):
+        path = tmp_path / "t.txt"
+        path.write_text("dims: 3 3 3\n0 1 2  1.0 0.0\n" + line + "\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tensor text line 3: ")
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"doe": ["0", "1/2^1"], "flips": []}, "'depth'"),
+            ({"depth": 3, "doe": ["0", "1/2^1"], "flips": [["1/2^1"]]}, "flip 0"),
+            ([3, ["0", "1/2^1"], []], "object"),
+        ],
+    )
+    def test_tessellation_file(self, capsys, tmp_path, data, field):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "render", str(path), "--out", str(tmp_path / "t.svg"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tessellation ")
+        assert field in err.splitlines()[0]
+
+    def test_tessellation_file_round_trip(self, capsys, tmp_path):
+        t = apply_flips(standard_tessellation(3), [chord(HALF, DyadicRational(3, 2))])
+        path = tmp_path / "t.json"
+        path.write_text(t.to_json())
+        code, _, err = run(capsys, "render", str(path), "--out", str(tmp_path / "t.svg"))
+        assert code == 0, err
+        assert (tmp_path / "t.svg").read_text() == render_svg(t)
+
+
+class TestSizeChecks:
+    """Inputs whose size the cap rules out fail before any work."""
+
+    def test_over_the_cap(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("THOMPSON_HOLO_MAX_AMPLITUDES", raising=False)
+        for argv, message in [
+            (["approximate", "identity", "--level", "27"], "level 27: 2^27 image points"),
+            (["render", "tessellation:26", "--out", str(tmp_path / "t.svg")], "depth 26: 2^29 window chords"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == f"ResourceLimit: {message} exceed the cap of 16777216\n"
+
+    def test_the_cap_is_the_amplitude_cap(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
+        assert run(capsys, "approximate", "identity", "--level", "6")[0] == 0
+        assert run(capsys, "approximate", "identity", "--level", "7")[0] == 1
+        out = str(tmp_path / "t.svg")
+        assert run(capsys, "render", "tessellation:3", "--out", out)[0] == 0
+        assert run(capsys, "render", "tessellation:4", "--out", out)[0] == 1
+
+    def test_farey_labels_window(self, monkeypatch):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
+        t = standard_tessellation(2)
+        assert farey_labels(t, 6).label_of(HALF) == (1, 0)
+        with pytest.raises(ResourceLimit, match="^max exponent 7: 2\\^7 window points"):
+            farey_labels(t, 7)
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(capsys, "no-such-command")[0] == 2
@@ -242,3 +318,15 @@ class TestDeepDiagram:
         )
         assert code == 0, err
         assert out.read_text().startswith("<svg")
+
+    def test_matrix_element_diagram_route(self, capsys):
+        """The diagram route contracts the 2200 tensors of the comb diagram
+        (1101 leaves) to the identity's matrix element."""
+        diagram = f"{self.DEEP}|{self.LEFT_COMB}@0"
+        code, out, err = run(capsys, "matrix-element", diagram, "--route", "diagram")
+        assert code == 0, err
+        assert out == "1 0\n"
+        code, both, err = run(capsys, "matrix-element", diagram)
+        assert code == 0
+        assert both == out
+        assert err.startswith("note: 3^1101 amplitudes exceed the cap of ")

@@ -1,10 +1,12 @@
 """Perfect tensors and the contraction engine."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from thompson_holo import semicontinuous
 from thompson_holo.errors import DimensionMismatch, NotPerfect
 from thompson_holo.tensor import (
     DenseTensor,
@@ -17,6 +19,7 @@ from thompson_holo.tensor import (
     singlet_tensor,
     verify_perfect,
 )
+from thompson_holo.thompson import parse_word, random_element
 
 
 class TestFourColour:
@@ -107,6 +110,21 @@ class TestBuiltins:
         for t in (four_colour_tensor(), singlet_tensor(), qutrit_code_tensor()):
             assert DenseTensor.from_text(t.to_text()) == t
 
+    @pytest.mark.parametrize(
+        "body, line, reason",
+        [
+            ("0 1 2\n", 2, "got 3 fields"),
+            ("0 1 2  1.0 0.0 7\n", 2, "got 6 fields"),
+            ("0 1 5  1.0 0.0\n", 2, "outside the dims"),
+            ("\n0 -1 2  1.0 0.0\n", 3, "outside the dims"),
+            ("0 1 2  1.0 0.0\n0 x 2  1.0 0.0\n", 3, "invalid literal"),
+            ("0 1 2  one 0.0\n", 2, "could not convert"),
+        ],
+    )
+    def test_bad_text_line_names_its_number(self, body, line, reason):
+        with pytest.raises(ValueError, match=f"^tensor text line {line}: .*{reason}"):
+            DenseTensor.from_text("dims: 3 3 3\n" + body)
+
 
 class TestContraction:
     def test_pair_matches_einsum(self):
@@ -164,3 +182,200 @@ class TestContraction:
             for x in idx:
                 m = m @ t.array[:, x, :]
             assert got[idx] == pytest.approx(np.trace(m), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the greedy contraction against the all-pairs scan it replaced
+#
+# `scan_contract` is the earlier `contract`, verbatim: every step rescans
+# every pair of the pool for the smallest result, taking the first minimum in
+# pool order, and traces duplicated labels after every merge.  The heap-driven
+# `contract` must make the same choices in the same order, so the two agree
+# to the byte.
+
+
+def scan_contract(net: TensorNetwork) -> DenseTensor:
+    """Contract the whole network into a dense tensor over its open legs.
+
+    Disconnected components are contracted independently and combined by
+    outer product; the result is deterministic for a given network.
+    """
+    net.validate()
+    # label every leg with a bond id or an open id
+    labels: dict[tuple[int, int], int] = {}
+    for b, (end1, end2) in enumerate(net.bonds):
+        labels[end1] = b
+        labels[end2] = b
+    open_ids = {}
+    for j, end in enumerate(net.open_legs):
+        labels[end] = len(net.bonds) + j
+        open_ids[len(net.bonds) + j] = j
+
+    pool: list[tuple[np.ndarray, list[int]]] = []
+    for node, t in enumerate(net.tensors):
+        pool.append((t.array, [labels[(node, leg)] for leg in range(t.num_legs)]))
+
+    def contract_pair(a, b):
+        arr_a, lab_a = a
+        arr_b, lab_b = b
+        shared = [l for l in lab_a if l in lab_b]
+        ax_a = [lab_a.index(l) for l in shared]
+        ax_b = [lab_b.index(l) for l in shared]
+        out = np.tensordot(arr_a, arr_b, axes=(ax_a, ax_b))
+        lab = [l for l in lab_a if l not in shared] + [l for l in lab_b if l not in shared]
+        # self-bonds may remain duplicated after the pairwise step
+        return trace_dups((out, lab))
+
+    def trace_dups(item):
+        arr, lab = item
+        while True:
+            dup = None
+            for i, l in enumerate(lab):
+                if l in lab[i + 1 :]:
+                    dup = (i, i + 1 + lab[i + 1 :].index(l))
+                    break
+            if dup is None:
+                return arr, lab
+            i, j = dup
+            arr = np.trace(arr, axis1=i, axis2=j)
+            lab = [l for k, l in enumerate(lab) if k not in (i, j)]
+
+    pool = [trace_dups(item) for item in pool]
+    while len(pool) > 1:
+        best = None
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                shared = set(pool[i][1]) & set(pool[j][1])
+                if not shared:
+                    continue
+                size = math.prod(
+                    d
+                    for arr, lab in (pool[i], pool[j])
+                    for d, l in zip(arr.shape, lab)
+                    if l not in shared
+                )
+                if best is None or size < best[0]:
+                    best = (size, i, j)
+        if best is None:
+            # disconnected: outer-product the first two components
+            i, j = 0, 1
+        else:
+            _, i, j = best
+        merged = contract_pair(pool[i], pool[j]) if best is not None else (
+            np.multiply.outer(pool[i][0], pool[j][0]),
+            pool[i][1] + pool[j][1],
+        )
+        pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [merged]
+
+    arr, lab = pool[0]
+    order = sorted(range(len(lab)), key=lambda k: open_ids[lab[k]])
+    return DenseTensor(arr.transpose(order))
+
+
+def recorded_networks(run):
+    """The networks `run()` hands to the contraction in semicontinuous."""
+    nets = []
+
+    def recording(net):
+        nets.append(net)
+        return contract(net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semicontinuous, "contract", recording)
+        run()
+    return nets
+
+
+def diagram_networks(elements, tensors=(four_colour_tensor, singlet_tensor)):
+    """The diagram-route networks of `elements` with each tensor, normalised
+    as the CLI does."""
+    tensors = [normalize_isometry(V(), [0]) for V in tensors]
+    return recorded_networks(
+        lambda: [
+            semicontinuous.vacuum_matrix_element(f, V, "diagram")
+            for V in tensors
+            for f in elements
+        ]
+    )
+
+
+def random_network(seed: int, components: int = 4) -> TensorNetwork:
+    """Random complex tensors in `components` groups bonded only within a
+    group, with self-bonds, parallel bonds and open legs at random, and the
+    nodes and open legs in scrambled order."""
+    rng = np.random.default_rng(seed)
+    shapes: list[list[int]] = []
+    bonds, open_legs = [], []
+    for _ in range(components):
+        first = len(shapes)
+        shapes += [[0] * int(rng.integers(1, 5)) for _ in range(rng.integers(1, 5))]
+        ends = [(n, leg) for n in range(first, len(shapes)) for leg in range(len(shapes[n]))]
+        ends = [ends[k] for k in rng.permutation(len(ends))]
+        n_open = int(rng.integers(0, 3))
+        n_open = min(len(ends), n_open + (len(ends) - n_open) % 2)
+        for n, leg in ends[:n_open]:
+            shapes[n][leg] = int(rng.integers(2, 4))
+            open_legs.append((n, leg))
+        for a, b in zip(ends[n_open::2], ends[n_open + 1 :: 2]):
+            shapes[a[0]][a[1]] = shapes[b[0]][b[1]] = int(rng.integers(2, 4))
+            bonds.append((a, b))
+    place = list(rng.permutation(len(shapes)))
+    tensors = [None] * len(shapes)
+    for n, shape in enumerate(shapes):
+        tensors[place[n]] = DenseTensor(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    def moved(end):
+        return int(place[end[0]]), end[1]
+
+    open_legs = [moved(open_legs[k]) for k in rng.permutation(len(open_legs))]
+    return TensorNetwork(tensors, [(moved(a), moved(b)) for a, b in bonds], open_legs)
+
+
+def assert_same_bytes(nets):
+    assert nets
+    for net in nets:
+        got, want = contract(net).array, scan_contract(net).array
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# 104 seeded words of 20-500 letters, reducing to 5-122 leaves
+RANDOM_ELEMENT_SIZES = [(seed, (20, 30, 45, 60, 90, 130)[seed % 6]) for seed in range(1, 103)]
+RANDOM_ELEMENT_SIZES += [(0, 300), (20, 500)]
+
+
+class TestGreedyOrder:
+    """`contract` reproduces `scan_contract` byte for byte."""
+
+    def test_words_up_to_length_three(self):
+        words = ["".join(w) for n in range(4) for w in itertools.product("ABCabc", repeat=n)]
+        assert len(words) == 259
+        assert_same_bytes(diagram_networks([parse_word(w) for w in words]))
+
+    def test_random_elements(self):
+        elements = [random_element(length, seed) for seed, length in RANDOM_ELEMENT_SIZES]
+        assert len(elements) >= 100
+        assert all(5 <= f.num_leaves <= 160 for f in elements)
+        # every leg has one dimension, so the singlet tensor makes the same
+        # choices as the four-colour one; the words above run both
+        assert_same_bytes(diagram_networks(elements, [four_colour_tensor]))
+
+    def test_btz_rings(self):
+        # the singlet ring at h = 3 holds 4^12 amplitudes (268 MB); h <= 2
+        # covers its tensor at a small fraction of that
+        nets = recorded_networks(
+            lambda: [
+                semicontinuous.btz_state(h, V())
+                for V, halfwidths in ((four_colour_tensor, (1, 2, 3)), (singlet_tensor, (1, 2)))
+                for h in halfwidths
+            ]
+        )
+        assert len(nets) == 5
+        assert_same_bytes(nets)
+
+    def test_random_complex_networks(self):
+        nets = [random_network(seed) for seed in range(200)]
+        node_pairs = [[tuple(sorted((a[0], b[0]))) for a, b in net.bonds] for net in nets]
+        assert any(n == m for pairs in node_pairs for n, m in pairs)  # self-bonds
+        assert any(len(set(pairs)) < len(pairs) for pairs in node_pairs)  # parallel bonds
+        assert_same_bytes(nets)
