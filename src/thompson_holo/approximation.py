@@ -4,12 +4,20 @@ The algorithm pushes the uniform dyadic partition through the map, then
 greedily subdivides the range, always splitting the interval holding the
 most image points (ties to the leftmost), until domain and range have the
 same number of pieces; the image of the origin picks the marker.
+
+The image points are sorted once, so an interval's count is two bisections,
+and the live intervals wait in a heap keyed (-count, left endpoint): the top
+is the fullest interval and, among equals, the leftmost, and the entries tied
+with it pop off in left-to-right order.  The sup-norm error reads each value
+of the element off its PL pieces, exactly, with one bisection per sample.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .dyadic import (
@@ -21,8 +29,8 @@ from .dyadic import (
     partition_to_tree,
 )
 from .errors import DegenerateImage, NotMonotone
-from .semicontinuous import _check_cap
-from .thompson import TreeDiagram, evaluate, to_pl_map
+from .tensor import _check_cap
+from .thompson import TreeDiagram, to_pl_map
 
 __all__ = [
     "CircleMap",
@@ -53,6 +61,9 @@ class CircleMap:
         self.func = func
         self.name = name
         vals = [func(i / samples) % 1.0 for i in range(samples)]
+        if not all(map(math.isfinite, vals)):
+            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise NotMonotone(f"map {name!r} is not finite at x={i / samples}")
         total = 0.0
         for i in range(samples):
             step = (vals[(i + 1) % samples] - vals[i]) % 1.0
@@ -112,13 +123,14 @@ def tabulated_map(pairs) -> CircleMap:
         x = x % 1.0
         if x < xs[0]:
             x += 1.0
-        for i in range(len(xs) - 1):
-            if xs[i] <= x <= xs[i + 1]:
-                if xs[i + 1] == xs[i]:
-                    return lift[i] % 1.0
-                t = (x - xs[i]) / (xs[i + 1] - xs[i])
-                return (lift[i] + t * (lift[i + 1] - lift[i])) % 1.0
-        return lift[-1] % 1.0
+        # the first piece whose closed interval holds x
+        i = max(bisect_left(xs, x) - 1, 0)
+        if not xs[i] <= x <= xs[i + 1]:  # only a NaN lies in no piece
+            return lift[-1] % 1.0
+        if xs[i + 1] == xs[i]:
+            return lift[i] % 1.0
+        t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        return (lift[i] + t * (lift[i + 1] - lift[i])) % 1.0
 
     return CircleMap(func, "tabulated")
 
@@ -130,16 +142,29 @@ def parse_map(text: str) -> CircleMap:
     if text.startswith("rotation:"):
         return rotation_map(DyadicRational.parse(text.split(":", 1)[1]))
     if text.startswith("mobius:"):
-        a, b = (float(tok) for tok in text.split(":", 1)[1].split(","))
+        toks = text.split(":", 1)[1].split(",")
+        try:
+            if len(toks) != 2:
+                raise ValueError(f"expected two numbers a,b, got {len(toks)}")
+            a, b = (float(tok) for tok in toks)
+        except ValueError as exc:
+            raise ValueError(f"map spec {text!r}: {exc}") from None
         return mobius_map(a, b)
     pairs = []
     with open(text) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for num, line in enumerate(fh, 1):
+            toks = line.split()
+            if not toks or toks[0].startswith("#"):
                 continue
-            x, y = line.split()
-            pairs.append((float(x), float(y)))
+            try:
+                if len(toks) != 2:
+                    raise ValueError(f"expected two fields x y, got {len(toks)}")
+                x, y = float(toks[0]), float(toks[1])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"sample ({x}, {y}) is not finite")
+            except ValueError as exc:
+                raise ValueError(f"tabulated map line {num}: {exc}") from None
+            pairs.append((x, y))
     return tabulated_map(pairs)
 
 
@@ -173,25 +198,29 @@ def _greedy_range(points, n: int):
     Points on a boundary count to the interval on their right.  Returns the
     interval list and the recorded tie events.
     """
-    intervals = [StdDyadicInterval(0, 0)]
+    pts = sorted(points)
+
+    def entry(iv: StdDyadicInterval):
+        lo, hi = iv.a / (1 << iv.n), (iv.a + 1) / (1 << iv.n)
+        return (bisect_left(pts, lo) - bisect_left(pts, hi), lo, iv)
+
+    # live intervals are disjoint, so no two entries share a left endpoint
+    heap = [entry(StdDyadicInterval(0, 0))]
     ties: list[TieEvent] = []
-
-    def count(iv: StdDyadicInterval) -> int:
-        lo, hi = float(iv.left), float(iv.right)
-        return sum(1 for p in points if lo <= p < hi)
-
-    step = 0
-    while len(intervals) < 2**n:
-        counts = [count(iv) for iv in intervals]
-        best = max(counts)
-        tied = [iv for iv, c in zip(intervals, counts) if c == best]
-        chosen = tied[0]  # intervals are kept sorted, so this is leftmost
+    for step in range(2**n - 1):
+        top = heapq.heappop(heap)
+        tied = [top]
+        while heap and heap[0][0] == top[0]:
+            tied.append(heapq.heappop(heap))
+        chosen = top[2]
         if len(tied) > 1:
-            ties.append(TieEvent(step, best, chosen, tuple(tied)))
-        i = intervals.index(chosen)
-        intervals[i : i + 1] = list(chosen.halves())
-        step += 1
-    return intervals, ties
+            ties.append(TieEvent(step, -top[0], chosen, tuple(e[2] for e in tied)))
+        for e in tied[1:]:
+            heapq.heappush(heap, e)
+        for half in chosen.halves():
+            heapq.heappush(heap, entry(half))
+    heap.sort(key=lambda e: e[1])
+    return [e[2] for e in heap], ties
 
 
 def approximate(f: CircleMap, n: int) -> ApproximationResult:
@@ -201,19 +230,19 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
     _check_cap(n, 2, "image points", f"level {n}: ")
     m = 2**n
     points = [f(j / m) for j in range(m)]
+    if not all(map(math.isfinite, points)):
+        raise NotMonotone(f"map {f.name!r} is not finite at level {n}")
     if len(set(points)) < m:
         raise DegenerateImage(
             f"image points of {f.name!r} collide at level {n}"
         )
     intervals, ties = _greedy_range(points, n)
     partition = DyadicPartition.from_intervals(intervals)
+    # the interval holding the image of 0; an image rounded up to 1.0 falls
+    # past the last one and takes interval 0
     red = points[0]
-    marker = None
-    for i, iv in enumerate(intervals):
-        if float(iv.left) <= red < float(iv.right):
-            marker = i
-            break
-    if marker is None:
+    marker = bisect_right([float(iv.left) for iv in intervals], red) - 1
+    if red >= float(intervals[marker].right):
         marker = 0
     domain = DyadicPartition(
         [DyadicRational(a, n) for a in range(m)] + [ONE]
@@ -224,20 +253,38 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
 
 
 def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
-    """sup |f - g| over a grid plus g's breakpoints, with circle distance."""
+    """sup |f - g| over a grid plus g's breakpoints, with circle distance.
+
+    Each sample x is read exactly as num/2^e, its piece found by bisecting
+    the piece starts, and g(x) computed as an integer numerator over
+    2^(e + r.n); the one int/int division rounds correctly, so each value is
+    the float of g's exact image of x.
+    """
     pl = to_pl_map(g)
+    # piece j maps x to r + (x - d) 2^s mod 1, where d = [d.a, d.a + 1]/2^d.n
+    # is its domain interval and r = [r.a, r.a + 1]/2^r.n its range interval;
+    # starts are the d.a over the common denominator 2^depth
+    depth = max((x1 - x0).exp for x0, x1, _, _ in pl.pieces)
+    starts, pieces = [], []
+    for x0, x1, y0, s in pl.pieces:
+        d_n = (x1 - x0).exp
+        r_n = d_n - s
+        d_a = x0.num << (d_n - x0.exp)
+        starts.append(d_a << (depth - d_n))
+        pieces.append((d_n, (y0.num << (r_n - y0.exp)) - d_a, r_n))
     xs = [i / samples for i in range(samples)]
     xs.extend(float(x) for x, _ in pl.breakpoints)
     worst = 0.0
     for x in xs:
-        gx = float(evaluate(g, _as_dyadic(x)))
+        num, den = (x % 1.0).as_integer_ratio()
+        e = den.bit_length() - 1
+        key = num << (depth - e) if e <= depth else num >> (e - depth)
+        d_n, shift, r_n = pieces[bisect_right(starts, key) - 1]
+        # x = num/2^e, so g(x) = ((num << d.n) + ((r.a - d.a) << e)) / 2^(e + r.n)
+        exp = e + r_n
+        gx = ((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp)
         worst = max(worst, circle_distance(f(x), gx))
     return worst
-
-
-def _as_dyadic(x: float) -> DyadicRational:
-    num, exp = float(x % 1.0).as_integer_ratio()
-    return DyadicRational(num, exp.bit_length() - 1)
 
 
 def tie_break_report(f: CircleMap, n: int) -> list[TieEvent]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,14 @@ from .dyadic import (
     refines,
 )
 from .errors import DimensionMismatch, NotARefinement, ResourceLimit, TheoryMismatch
-from .tensor import DenseTensor, contract, TensorNetwork, verify_perfect
+from .tensor import (
+    DenseTensor,
+    TensorNetwork,
+    _check_cap,
+    amplitude_cap,
+    contract,
+    verify_perfect,
+)
 from .thompson import TreeDiagram, _expand_domain, compose, inverse, reduce_diagram
 
 __all__ = [
@@ -51,22 +57,6 @@ __all__ = [
 ]
 
 BASE_PARTITION = DyadicPartition([ZERO, HALF, ONE])
-
-DEFAULT_AMPLITUDE_CAP = 2**24
-
-
-def amplitude_cap() -> int:
-    """Largest permitted amplitude-vector length, overridable by env var."""
-    raw = os.environ.get("THOMPSON_HOLO_MAX_AMPLITUDES")
-    return int(raw) if raw else DEFAULT_AMPLITUDE_CAP
-
-
-def _check_cap(exponent: int, base: int, what: str = "amplitudes", subject: str = ""):
-    """Raise ResourceLimit if base^exponent `what` would exceed the cap."""
-    cap = amplitude_cap()
-    if base**exponent > cap:
-        raise ResourceLimit(f"{subject}{base}^{exponent} {what} exceed the cap of {cap}")
-
 
 def _check_three_legs(V: DenseTensor):
     """Every V of the semicontinuous limit fills one triangle: 3 equal legs."""

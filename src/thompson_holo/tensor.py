@@ -17,11 +17,12 @@ import collections
 import heapq
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPerfect
+from .errors import DimensionMismatch, NotPerfect, ResourceLimit
 
 __all__ = [
     "DenseTensor",
@@ -37,6 +38,21 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+
+DEFAULT_AMPLITUDE_CAP = 2**24
+
+
+def amplitude_cap() -> int:
+    """Largest permitted amplitude-vector length, overridable by env var."""
+    raw = os.environ.get("THOMPSON_HOLO_MAX_AMPLITUDES")
+    return int(raw) if raw else DEFAULT_AMPLITUDE_CAP
+
+
+def _check_cap(exponent: int, base: int, what: str = "amplitudes", subject: str = ""):
+    """Raise ResourceLimit if base^exponent `what` would exceed the cap."""
+    cap = amplitude_cap()
+    if base**exponent > cap:
+        raise ResourceLimit(f"{subject}{base}^{exponent} {what} exceed the cap of {cap}")
 
 
 class DenseTensor:
@@ -96,6 +112,11 @@ class DenseTensor:
         if not lines or not lines[0][1].startswith("dims:"):
             raise ValueError("tensor text must start with a 'dims:' line")
         dims = tuple(int(tok) for tok in lines[0][1].split(":", 1)[1].split())
+        cap = amplitude_cap()
+        if math.prod(dims) > cap:
+            raise ResourceLimit(
+                f"tensor dims {dims}: {math.prod(dims)} entries exceed the cap of {cap}"
+            )
         arr = np.zeros(dims, dtype=complex)
         for num, ln in lines[1:]:
             toks = ln.split()

@@ -28,7 +28,7 @@ from .dyadic import (
     TTree,
 )
 from .errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic, SearchExhausted
-from .semicontinuous import _check_cap
+from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
     adjoin_caret,

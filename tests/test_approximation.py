@@ -1,11 +1,14 @@
 """Greedy Thompson approximation of circle maps."""
 
 import math
+import random
 
 import pytest
 
 from thompson_holo.approximation import (
     CircleMap,
+    TieEvent,
+    _greedy_range,
     approximate,
     circle_distance,
     identity_map,
@@ -16,9 +19,97 @@ from thompson_holo.approximation import (
     tabulated_map,
     tie_break_report,
 )
-from thompson_holo.dyadic import DyadicRational
+from thompson_holo.dyadic import DyadicRational, StdDyadicInterval
 from thompson_holo.errors import DegenerateImage, NotMonotone
-from thompson_holo.thompson import identity, parse_word
+from thompson_holo.thompson import (
+    TreeDiagram,
+    evaluate,
+    identity,
+    parse_word,
+    random_element,
+    to_pl_map,
+)
+
+
+# ---------------------------------------------------------------------------
+# The scan-based algorithms the library used before the heap, the bisected
+# counts and the PL-piece sup norm; each is the reference for its rewrite.
+
+
+def scan_greedy_range(points, n):
+    """Rescan every interval's count on every step; ties to the leftmost."""
+    intervals = [StdDyadicInterval(0, 0)]
+    ties = []
+
+    def count(iv):
+        lo, hi = float(iv.left), float(iv.right)
+        return sum(1 for p in points if lo <= p < hi)
+
+    step = 0
+    while len(intervals) < 2**n:
+        counts = [count(iv) for iv in intervals]
+        best = max(counts)
+        tied = [iv for iv, c in zip(intervals, counts) if c == best]
+        chosen = tied[0]
+        if len(tied) > 1:
+            ties.append(TieEvent(step, best, chosen, tuple(tied)))
+        i = intervals.index(chosen)
+        intervals[i : i + 1] = list(chosen.halves())
+        step += 1
+    return intervals, ties
+
+
+def evaluate_sup_norm_error(f, g, samples=1024):
+    """The sup norm with each value of g from the tree-walking `evaluate`."""
+    xs = [i / samples for i in range(samples)]
+    xs.extend(float(x) for x, _ in to_pl_map(g).breakpoints)
+    worst = 0.0
+    for x in xs:
+        num, den = float(x % 1.0).as_integer_ratio()
+        gx = float(evaluate(g, DyadicRational(num, den.bit_length() - 1)))
+        worst = max(worst, circle_distance(f(x), gx))
+    return worst
+
+
+def scan_tabulated(pairs):
+    """The tabulated map's interpolant, finding its piece by a linear scan."""
+    pts = sorted((x % 1.0, y % 1.0) for x, y in pairs)
+    xs = [p[0] for p in pts]
+    lift = [pts[0][1]]
+    for _, y in pts[1:]:
+        prev = lift[-1]
+        lift.append(prev + ((y - prev) % 1.0))
+    xs.append(xs[0] + 1.0)
+    lift.append(pts[0][1] + 1.0)
+
+    def func(x):
+        x = x % 1.0
+        if x < xs[0]:
+            x += 1.0
+        for i in range(len(xs) - 1):
+            if xs[i] <= x <= xs[i + 1]:
+                if xs[i + 1] == xs[i]:
+                    return lift[i] % 1.0
+                t = (x - xs[i]) / (xs[i + 1] - xs[i])
+                return (lift[i] + t * (lift[i + 1] - lift[i])) % 1.0
+        return lift[-1] % 1.0
+
+    return func
+
+
+def seeded_mobius(seed):
+    rng = random.Random(seed)
+    while True:
+        a, b = rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)
+        if abs(complex(a, b)) < 0.6:
+            return mobius_map(a, b)
+
+
+def clustered_map():
+    """Half the level-n image points land in [0, 1/8), the other half spread
+    over [1/2, 1): splitting [0, 1/2] leaves [0, 1/4] with all its points,
+    tied with [1/2, 1] one level up."""
+    return tabulated_map([(0.0, 0.0), (0.4999, 0.12), (0.5, 0.5), (0.9999, 0.9999)])
 
 
 class TestCircleMap:
@@ -94,6 +185,12 @@ class TestApproximate:
         with pytest.raises(DegenerateImage):
             approximate(stair, 13)
 
+    def test_non_finite_image(self):
+        # finite on the monotonicity grid, NaN between its points
+        gappy = CircleMap(lambda x: x if (x * 4096).is_integer() else math.nan, "gappy")
+        with pytest.raises(NotMonotone, match="^map 'gappy' is not finite at level 13$"):
+            approximate(gappy, 13)
+
     def test_level_validated(self):
         with pytest.raises(ValueError):
             approximate(identity_map(), 0)
@@ -147,3 +244,92 @@ class TestParseMap:
     def test_tabulated_needs_two_points(self):
         with pytest.raises(ValueError):
             tabulated_map([(0.0, 0.0)])
+
+
+class TestReferences:
+    """The heap and the PL-piece sup norm against the scans they replace:
+    the same intervals, the same tie events and the same float error."""
+
+    @staticmethod
+    def check(f, n):
+        m = 2**n
+        points = [f(j / m) for j in range(m)]
+        intervals, ties = _greedy_range(points, n)
+        ref_intervals, ref_ties = scan_greedy_range(points, n)
+        assert intervals == ref_intervals
+        assert ties == ref_ties
+        res = approximate(f, n)
+        assert list(res.ties) == ref_ties
+        samples = max(4 * m, 256)
+        assert res.sup_error == evaluate_sup_norm_error(f, res.element, samples)
+        return ref_ties
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_mobius(self, seed):
+        f = seeded_mobius(seed)
+        for n in range(1, 9):
+            self.check(f, n)
+
+    @pytest.mark.parametrize("spec", ["identity", "rotation:1/2^1", "rotation:3/2^3", "rotation:5/2^4"])
+    def test_every_level_ties(self, spec):
+        f = parse_map(spec)
+        for n in range(1, 8):
+            ties = self.check(f, n)
+            assert len(ties) == 2**n - n - 1  # all but the last split at each depth
+
+    def test_ties_across_depths(self):
+        f = clustered_map()
+        across = 0
+        for n in range(2, 9):
+            ties = self.check(f, n)
+            across += sum(len({iv.n for iv in ev.tied}) > 1 for ev in ties)
+        assert across  # some tie is between intervals of different depths
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sup_norm_of_random_elements(self, seed):
+        f = seeded_mobius(100 + seed)
+        g = random_element(1 + 3 * seed, seed)
+        assert sup_norm_error(f, g) == evaluate_sup_norm_error(f, g)
+
+    def test_sup_norm_of_a_deep_element(self):
+        """Breakpoints finer than a float's mantissa: the pieces are still
+        found and evaluated exactly."""
+        comb = "(." * 120 + "." + ")" * 120
+        left = "(" * 120 + "." + ".)" * 120
+        f = mobius_map(0.3, 0.1)
+        for text in (f"{comb}|{left}@0", f"{left}|{comb}@7", f"{comb}|{comb}@3"):
+            g = TreeDiagram.parse(text)
+            assert sup_norm_error(f, g, 300) == evaluate_sup_norm_error(f, g, 300)
+
+
+class TestTabulatedReference:
+    """The bisected piece lookup against the linear scan, exactly."""
+
+    @staticmethod
+    def sample_pairs(rng, k):
+        xs = [rng.random() for _ in range(k)]
+        xs += rng.sample(xs, k // 4)  # repeated abscissae
+        xs.sort()
+        ys = sorted(rng.random() for _ in xs)
+        return list(zip(xs, ys))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_samples(self, seed):
+        rng = random.Random(seed)
+        pairs = self.sample_pairs(rng, rng.randint(2, 60))
+        new, ref = tabulated_map(pairs).func, scan_tabulated(pairs)
+        probes = [x for x, _ in pairs] + [rng.random() for _ in range(300)]
+        probes += [0.0, 1.0, -0.25, 1.5, math.nextafter(pairs[0][0], -1.0)]
+        probes += [math.nextafter(x, 2.0) for x, _ in pairs]
+        for x in probes:
+            assert new(x) == ref(x), x
+
+    def test_repeated_first_abscissa(self):
+        pairs = [(0.25, 0.1), (0.25, 0.3), (0.5, 0.5), (0.75, 0.7)]
+        new, ref = tabulated_map(pairs).func, scan_tabulated(pairs)
+        for x in (0.0, 0.25, 0.3, 0.5, 0.75, 0.9, math.nextafter(0.25, 0.0)):
+            assert new(x) == ref(x), x
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(NotMonotone, match="^map 'tabulated' is not finite at x="):
+            tabulated_map([(0.0, 0.0), (0.5, math.nan)])

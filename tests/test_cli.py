@@ -235,6 +235,49 @@ class TestBadFiles:
         assert err.startswith("error: tessellation ")
         assert field in err.splitlines()[0]
 
+    def test_tensor_dims_over_the_cap(self, capsys, tmp_path):
+        """The dims are checked against the cap before anything is allocated."""
+        path = tmp_path / "t.txt"
+        path.write_text("dims: 100000 100000 100000\n0 1 2  1.0 0.0\n")
+        code, out, err = run(capsys, "verify-tensor", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ResourceLimit: tensor dims (100000, 100000, 100000): ")
+        assert err.endswith(" exceed the cap of 16777216\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("mobius:0.3", "error: map spec 'mobius:0.3': expected two numbers a,b, got 1"),
+            ("mobius:0.3,0.1,5", "error: map spec 'mobius:0.3,0.1,5': expected two numbers a,b, got 3"),
+            ("mobius:0.3,x", "error: map spec 'mobius:0.3,x': could not convert string to float: 'x'"),
+            ("mobius:nan,0", "NotMonotone: map 'mobius:nan,0.0' is not finite at x=0.0"),
+        ],
+    )
+    def test_map_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, "approximate", spec, "--level", "3")
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0.5", "expected two fields x y, got 1"),
+            ("0.5 0.75 1", "expected two fields x y, got 3"),
+            ("0.5 half", "could not convert string to float: 'half'"),
+            ("0.5 nan", "sample (0.5, nan) is not finite"),
+        ],
+    )
+    def test_tabulated_map_file_line(self, capsys, tmp_path, line, message):
+        path = tmp_path / "map.txt"
+        path.write_text("# x y\n0 0.25\n\n" + line + "\n0.75 0.9\n")
+        code, out, err = run(capsys, "approximate", str(path), "--level", "3")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tabulated map line 4: {message}\n"
+
     def test_tessellation_file_round_trip(self, capsys, tmp_path):
         t = apply_flips(standard_tessellation(3), [chord(HALF, DyadicRational(3, 2))])
         path = tmp_path / "t.json"

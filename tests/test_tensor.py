@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thompson_holo import semicontinuous
-from thompson_holo.errors import DimensionMismatch, NotPerfect
+from thompson_holo.errors import DimensionMismatch, NotPerfect, ResourceLimit
 from thompson_holo.tensor import (
     DenseTensor,
     TensorNetwork,
@@ -125,6 +125,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match=f"^tensor text line {line}: .*{reason}"):
             DenseTensor.from_text("dims: 3 3 3\n" + body)
 
+
+    def test_dims_checked_against_the_cap(self, monkeypatch):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
+        assert DenseTensor.from_text("dims: 4 4 4\n").array.shape == (4, 4, 4)
+        with pytest.raises(
+            ResourceLimit, match=r"^tensor dims \(4, 4, 5\): 80 entries exceed the cap of 64$"
+        ):
+            DenseTensor.from_text("dims: 4 4 5\n0 1 2  1.0 0.0\n")
 
 class TestContraction:
     def test_pair_matches_einsum(self):
