@@ -320,14 +320,6 @@ class DyadicPartition:
             stack.append(node)
         [self.tree] = stack
 
-    @classmethod
-    def from_intervals(cls, intervals) -> "DyadicPartition":
-        pts = [iv.left for iv in intervals] + [intervals[-1].right]
-        part = cls(pts)
-        if len(part) != len(intervals):
-            raise NotStandardDyadic("intervals overlap or leave gaps")
-        return part
-
     @property
     def intervals(self) -> list[StdDyadicInterval]:
         return self.tree.leaf_intervals()

@@ -203,6 +203,8 @@ def _bipartitions(n: int):
 
 def verify_perfect(t: DenseTensor, tol: float = DEFAULT_TOL) -> PerfectTensorCertificate:
     """Check proportional-isometry across every bipartition; raises NotPerfect."""
+    if t.num_legs < 2:
+        raise DimensionMismatch(f"a perfect tensor needs at least two legs, got {t.num_legs}")
     dims = set(t.leg_dims)
     if len(dims) != 1:
         raise NotPerfect("all leg dimensions must be equal for perfectness")

@@ -1,7 +1,9 @@
 """Greedy Thompson approximation of circle maps."""
 
+import heapq
 import math
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -32,8 +34,9 @@ from thompson_holo.thompson import (
 
 
 # ---------------------------------------------------------------------------
-# The scan-based algorithms the library used before the heap, the bisected
-# counts and the PL-piece sup norm; each is the reference for its rewrite.
+# The algorithms the library used before the rows of equal count, the heap,
+# the bisected counts and the PL-piece sup norm; each is the reference for its
+# rewrite.
 
 
 def scan_greedy_range(points, n):
@@ -57,6 +60,41 @@ def scan_greedy_range(points, n):
         intervals[i : i + 1] = list(chosen.halves())
         step += 1
     return intervals, ties
+
+
+def heap_greedy_range(points, n):
+    """Pop the fullest interval off a heap keyed (-count, left endpoint), pop
+    the entries tied with it and push them back; ties to the leftmost."""
+    pts = sorted(points)
+
+    def entry(iv: StdDyadicInterval):
+        lo, hi = iv.a / (1 << iv.n), (iv.a + 1) / (1 << iv.n)
+        return (bisect_left(pts, lo) - bisect_left(pts, hi), lo, iv)
+
+    # live intervals are disjoint, so no two entries share a left endpoint
+    heap = [entry(StdDyadicInterval(0, 0))]
+    ties: list[TieEvent] = []
+    for step in range(2**n - 1):
+        top = heapq.heappop(heap)
+        tied = [top]
+        while heap and heap[0][0] == top[0]:
+            tied.append(heapq.heappop(heap))
+        chosen = top[2]
+        if len(tied) > 1:
+            ties.append(TieEvent(step, -top[0], chosen, tuple(e[2] for e in tied)))
+        for e in tied[1:]:
+            heapq.heappush(heap, e)
+        for half in chosen.halves():
+            heapq.heappush(heap, entry(half))
+    heap.sort(key=lambda e: e[1])
+    return [e[2] for e in heap], ties
+
+
+def float_marker(intervals, image):
+    """The interval whose float endpoints hold the image of 0; an image
+    rounded up to 1.0 falls past the last one and takes interval 0."""
+    marker = bisect_right([float(iv.left) for iv in intervals], image) - 1
+    return 0 if image >= float(intervals[marker].right) else marker
 
 
 def evaluate_sup_norm_error(f, g, samples=1024):
@@ -247,19 +285,21 @@ class TestParseMap:
 
 
 class TestReferences:
-    """The heap and the PL-piece sup norm against the scans they replace:
-    the same intervals, the same tie events and the same float error."""
+    """The rows of equal count and the leaf-interval sup norm against the
+    scans they replace: the same intervals, the same tie events, the same
+    marker and the same float error."""
 
     @staticmethod
     def check(f, n):
         m = 2**n
         points = [f(j / m) for j in range(m)]
-        intervals, ties = _greedy_range(points, n)
+        tree, ties = _greedy_range(points, n)
         ref_intervals, ref_ties = scan_greedy_range(points, n)
-        assert intervals == ref_intervals
-        assert ties == ref_ties
+        assert tree.leaf_intervals() == ref_intervals
+        assert list(ties) == ref_ties
         res = approximate(f, n)
         assert list(res.ties) == ref_ties
+        assert res.marker_interval == float_marker(ref_intervals, points[0])
         samples = max(4 * m, 256)
         assert res.sup_error == evaluate_sup_norm_error(f, res.element, samples)
         return ref_ties
@@ -284,6 +324,30 @@ class TestReferences:
             ties = self.check(f, n)
             across += sum(len({iv.n for iv in ev.tied}) > 1 for ev in ties)
         assert across  # some tie is between intervals of different depths
+
+    @pytest.mark.parametrize("spec", ["identity", "rotation:3/2^3", "seeded"])
+    def test_heap_at_levels_beyond_the_scan(self, spec):
+        """Levels 9-11, where the scan is too slow: the heap the rows replace
+        gives the same intervals and tie events, the quadratic record included."""
+        f = seeded_mobius(7) if spec == "seeded" else parse_map(spec)
+        for n in range(9, 12):
+            m = 2**n
+            points = [f(j / m) for j in range(m)]
+            tree, ties = _greedy_range(points, n)
+            ref_intervals, ref_ties = heap_greedy_range(points, n)
+            assert tree.leaf_intervals() == ref_intervals
+            assert list(ties) == ref_ties
+            if spec != "seeded":
+                assert len(ties) == 2**n - n - 1
+
+    def test_image_of_zero_rounded_up_to_one(self):
+        """f(0) = -1e-17 reduces to the float 1.0, the circle point 0, so the
+        marker is leaf 0, as the float bisection's wrap-around made it."""
+        f = CircleMap(lambda x: x - 1e-17)
+        assert f(0.0) == 1.0
+        for n in range(1, 6):
+            res = approximate(f, n)
+            assert res.marker_interval == 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sup_norm_of_random_elements(self, seed):

@@ -1,9 +1,16 @@
 """End-to-end checks of the thompson-holo command line."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thompson_holo import errors
 from thompson_holo.cli import main
 from thompson_holo.dyadic import HALF, DyadicRational, StdDyadicInterval
 from thompson_holo.errors import ResourceLimit
@@ -69,6 +76,14 @@ class TestVerifyTensor:
         code, _, err = run(capsys, "verify-tensor", "/no/such/file")
         assert code == 1
         assert err
+
+    def test_one_leg_tensor(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("dims: 1\n0 1.0 0.0\n")
+        code, out, err = run(capsys, "verify-tensor", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "DimensionMismatch: a perfect tensor needs at least two legs, got 1\n"
 
 
 class TestMatrixElement:
@@ -373,3 +388,136 @@ class TestDeepDiagram:
         assert code == 0
         assert both == out
         assert err.startswith("note: 3^1101 amplitudes exceed the cap of ")
+
+
+# ---------------------------------------------------------------------------
+# Generated command lines for every subcommand: each ends in exit code 0, 1
+# or 2, never in an escaped exception, and each exit-1 message starts with an
+# error class name or "error:".
+
+
+class File(str):
+    """An argument that names a file written with this text, under `suffix`."""
+
+    def __new__(cls, text, suffix):
+        self = super().__new__(cls, text)
+        self.suffix = suffix
+        return self
+
+
+class Out(str):
+    """An output path, taken relative to the temporary directory."""
+
+ERROR_PREFIXES = {"error"} | {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.ThompsonHoloError)
+}
+
+junk = st.text(alphabet="()./|@^:,-0123456789ABCabcxe ", max_size=12)
+ints = st.integers(-3, 12).map(str)
+dyadic_text = st.one_of(st.builds("{}/2^{}".format, st.integers(-9, 40), st.integers(0, 12)), ints, junk)
+trees = st.recursive(st.just("."), lambda t: st.builds("({}{})".format, t, t), max_leaves=8)
+elements = st.one_of(
+    st.text(alphabet="ABCabc", max_size=10),
+    st.builds("{}|{}@{}".format, trees, trees, st.integers(-1, 8)),
+    junk,
+)
+floats = st.floats(width=32).map(repr)
+lines = st.one_of(junk, st.lists(st.one_of(ints, floats), max_size=6).map(" ".join))
+tensor_text = st.one_of(
+    st.just("dims: 1\n0 1.0 0.0"),
+    st.builds(
+        lambda dims, body: "dims: " + " ".join(map(str, dims)) + "\n" + "\n".join(body),
+        st.lists(st.integers(0, 4), max_size=4),
+        st.lists(lines, max_size=6),
+    ),
+    st.lists(lines, max_size=4).map("\n".join),
+)
+tensors = st.one_of(
+    st.sampled_from(["four-colour", "singlet", "qutrit-code", "no-such-tensor"]),
+    tensor_text.map(lambda text: File(text, ".txt")),
+)
+tabulated = st.lists(st.one_of(lines, st.builds("{} {}".format, floats, floats)), max_size=8)
+maps = st.one_of(
+    st.just("identity"),
+    dyadic_text.map("rotation:{}".format),
+    st.builds("mobius:{},{}".format, floats, floats),
+    tabulated.map(lambda rows: File("\n".join(rows), ".txt")),
+    junk,
+)
+pair = st.one_of(st.lists(dyadic_text, min_size=2, max_size=2), st.lists(ints, max_size=3), junk)
+tessellation_json = st.one_of(
+    st.fixed_dictionaries(
+        {"depth": st.one_of(st.integers(-2, 8), junk), "doe": pair, "flips": st.lists(pair, max_size=4)}
+    ).map(json.dumps),
+    junk,
+)
+renderables = st.one_of(
+    elements,
+    st.integers(-2, 8).map("tessellation:{}".format),
+    st.lists(dyadic_text, max_size=5).map(lambda pts: "cutoff:" + ",".join(pts)),
+    tessellation_json.map(lambda text: File(text, ".json")),
+)
+
+
+def command(name, *positional, **options):
+    """argv for `name`: its positional arguments, then its options; an
+    option whose value is drawn as None is left out."""
+    return st.builds(
+        lambda pos, values, as_json: [name, *pos]
+        + [arg for flag, v in zip(options, values) if v is not None for arg in (flag, v)]
+        + ["--json"] * as_json,
+        st.tuples(*positional),
+        st.tuples(*options.values()),
+        st.booleans(),
+    )
+
+
+argvs = st.one_of(
+    command("verify-tensor", tensors),
+    command("compose", elements, elements),
+    command("reduce", elements),
+    command("eval", elements, dyadic_text),
+    command(
+        "matrix-element",
+        elements,
+        **{
+            "--tensor": st.none() | tensors,
+            "--route": st.none() | st.sampled_from(["action", "diagram", "both", "x"]),
+        },
+    ),
+    command("approximate", maps, **{"--level": st.integers(-1, 10).map(str) | junk}),
+    command("flips", elements, **{"--depth": st.none() | st.integers(-2, 8).map(str) | junk}),
+    command("btz-entropy", **{"--halfwidth": st.integers(-1, 2).map(str), "--tensor": st.none() | tensors}),
+    command("render", renderables, **{"--out": st.sampled_from([Out("out.svg"), Out("no-dir/out.svg")])}),
+    st.lists(st.one_of(junk, st.sampled_from(["--json", "--level", "render", "eval"])), max_size=4),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argvs)
+    def test_generated_command_lines(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            args = []
+            for k, arg in enumerate(argv):
+                if isinstance(arg, Out):
+                    arg = os.path.join(tmp, arg)
+                elif isinstance(arg, File):
+                    path = os.path.join(tmp, f"{k}{arg.suffix}")
+                    with open(path, "w") as fh:
+                        fh.write(arg)
+                    arg = path
+                args.append(arg)
+            out, err = io.StringIO(), io.StringIO()
+            with (
+                mock.patch.dict(os.environ, {"THOMPSON_HOLO_MAX_AMPLITUDES": "512"}),
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+            ):
+                code = main(args)
+        err = err.getvalue()
+        assert code in (0, 1, 2), (args, err)
+        if code == 1:
+            assert err.split(": ", 1)[0] in ERROR_PREFIXES, (args, err)
