@@ -35,17 +35,14 @@ from .tensor import (
 )
 from .tessellation import (
     Chord,
-    Cutoff,
     Tessellation,
     apply_element,
     apply_flips,
     characteristic_map,
     chord,
-    cutoff_to_partition,
     farey_labels,
     flips_realizing,
     pachner_flip,
-    partition_to_cutoff,
     render_svg,
     standard_tessellation,
 )

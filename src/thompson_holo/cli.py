@@ -173,8 +173,7 @@ def _parse_renderable(text: str):
     if text.startswith("tessellation:"):
         return tessellation.standard_tessellation(int(text.split(":", 1)[1]))
     if text.startswith("cutoff:"):
-        part = DyadicPartition.parse(text.split(":", 1)[1])
-        return tessellation.partition_to_cutoff(part)
+        return DyadicPartition.parse(text.split(":", 1)[1])
     if text.endswith(".json"):
         with open(text) as fh:
             return tessellation.Tessellation.from_json(fh.read())

@@ -33,9 +33,10 @@ class TheoryMismatch(ThompsonHoloError):
 
 class ResourceLimit(ThompsonHoloError):
     """A requested size exceeds the configured amplitude cap: an amplitude
-    vector, the image points of an approximation level, the chords or
-    points of a tessellation's window, or the entries of a tensor file's
-    dims.  The message names the input, the size and the cap."""
+    vector, an intermediate of a tensor-network contraction, the image
+    points of an approximation level, the chords or points of a
+    tessellation's window, or the entries of a tensor file's dims.  The
+    message names the input, the size and the cap."""
 
 
 class EdgeNotFound(ThompsonHoloError):

@@ -21,7 +21,6 @@ from .dyadic import (
     ONE,
     ZERO,
     DyadicPartition,
-    DyadicRational,
     StdDyadicInterval,
     TTree,
     _leaf_subtrees,
@@ -120,18 +119,38 @@ class CutoffState:
 
     @classmethod
     def from_text(cls, text: str, tensor: DenseTensor) -> "CutoffState":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = dict(
-            part.strip().split(":", 1) for part in lines[0].split(";")
-        )
-        cutoff = DyadicPartition.parse(head["cutoff"].strip())
-        d = int(head["d"].strip())
+        lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError("state text must start with a 'cutoff: ...; d: ...' header")
+        head = {}
+        for part in lines[0][1].split(";"):
+            key, _, value = part.partition(":")
+            head[key.strip()] = value.strip()
+        for key in ("cutoff", "d"):
+            if key not in head:
+                raise ValueError(f"state header has no {key!r} field")
+        cutoff = DyadicPartition.parse(head["cutoff"])
+        try:
+            d = int(head["d"])
+        except ValueError:
+            raise ValueError(f"state header 'd' is not an integer: {head['d']!r}") from None
         if d != tensor.leg_dims[0]:
             raise TheoryMismatch("header dimension does not match tensor")
+        _check_cap(len(cutoff), d)
         flat = np.zeros(d ** len(cutoff), dtype=complex)
-        for ln in lines[1:]:
-            idx, re, im = ln.split()
-            flat[int(idx)] = complex(float(re), float(im))
+        for num, ln in lines[1:]:
+            toks = ln.split()
+            try:
+                if len(toks) != 3:
+                    raise ValueError(
+                        f"expected an index, a real and an imaginary part, got {len(toks)} fields"
+                    )
+                idx = int(toks[0])
+                if not 0 <= idx < flat.size:
+                    raise ValueError(f"index {idx} is outside 0..{flat.size - 1}")
+                flat[idx] = complex(float(toks[1]), float(toks[2]))
+            except ValueError as exc:
+                raise ValueError(f"state text line {num}: {exc}") from None
         return cls(cutoff, flat, tensor)
 
 
@@ -180,32 +199,25 @@ class FineGrainer:
         return self._grain(basis).reshape(d**m, d**n)
 
     def _grain(self, amps: np.ndarray) -> np.ndarray:
-        """Expand the leading source-leg axes of `amps` into the target legs.
+        """Expand the leading source-leg axes of `amps` into the target legs,
+        one splitter W per caret on one leg.
 
-        Source leaves are taken right to left so that the axes of the legs
-        not yet expanded stay put; trailing axes ride along untouched.
+        Source leaves are taken right to left, and below each the right
+        child before the left one, so that the axes of the legs not yet
+        expanded stay put; trailing axes ride along untouched.
         """
         W = _normalized_splitter(self.tensor)
-        subtrees = _leaf_subtrees(self.source.tree, self.target.tree)
-        for axis in reversed(range(len(subtrees))):
-            amps = _split_leg(amps, axis, subtrees[axis], W)
+        d = W.shape[1]
+        stack = list(enumerate(_leaf_subtrees(self.source.tree, self.target.tree)))
+        while stack:
+            axis, tree = stack.pop()
+            if tree.is_leaf:
+                continue
+            shape = amps.shape
+            block = amps.reshape(math.prod(shape[:axis]), d, -1)
+            amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
+            stack += [(axis, tree.left), (axis + 1, tree.right)]
         return amps
-
-
-def _split_leg(amps: np.ndarray, axis: int, tree: TTree, W: np.ndarray) -> np.ndarray:
-    """Apply one splitter W per caret of `tree` to the leg at `axis`.
-
-    The right child is expanded before the left one, so the left child's
-    axis is still `axis` when its turn comes.
-    """
-    if tree.is_leaf:
-        return amps
-    d = W.shape[1]
-    shape = amps.shape
-    block = amps.reshape(math.prod(shape[:axis]), d, -1)
-    amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
-    amps = _split_leg(amps, axis + 1, tree.right, W)
-    return _split_leg(amps, axis, tree.left, W)
 
 
 def fine_grainer(
@@ -367,8 +379,6 @@ class BTZState:
     """
 
     halfwidth: int
-    left_cutoff: DyadicPartition
-    right_cutoff: DyadicPartition
     amplitudes: np.ndarray
     tensor: DenseTensor
 
@@ -411,17 +421,7 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    amps = amps / norm
-    cutoff = _staircase_partition(2 * halfwidth)
-    return BTZState(halfwidth, cutoff, cutoff, amps, V)
-
-
-def _staircase_partition(count: int) -> DyadicPartition:
-    """A standard dyadic partition with `count` intervals, halving rightward."""
-    breaks = [ZERO] + [
-        ONE - DyadicRational(1, k) for k in range(1, count)
-    ]
-    return DyadicPartition(breaks + [ONE])
+    return BTZState(halfwidth, amps / norm, V)
 
 
 def entanglement_entropy(state, subsystem) -> float:

@@ -287,8 +287,18 @@ def contract(net: TensorNetwork) -> DenseTensor:
     Greedy: merge the bonded pair with the smallest result, ties going to
     the pair made earliest; then outer-product the disconnected components,
     first two at a time with the product going to the back.  Deterministic.
+    Each result's size is checked against the amplitude cap before it is
+    allocated.
     """
     net.validate()
+    cap = amplitude_cap()
+
+    def check(size: int):
+        if size > cap:
+            raise ResourceLimit(
+                f"a contraction intermediate of {size} entries exceeds the cap of {cap}"
+            )
+
     # label every leg with a bond id or an open id
     labels: dict[tuple[int, int], int] = {}
     for b, (end1, end2) in enumerate(net.bonds):
@@ -322,9 +332,10 @@ def contract(net: TensorNetwork) -> DenseTensor:
     for node, t in enumerate(net.tensors):
         enter(t.array, [labels[(node, leg)] for leg in range(t.num_legs)])
     while heap:
-        _, i, j = heapq.heappop(heap)
+        size, i, j = heapq.heappop(heap)
         if pool[i] is None or pool[j] is None:
             continue
+        check(size)
         (arr_a, lab_a), (arr_b, lab_b) = pool[i], pool[j]
         pool[i] = pool[j] = None
         for l in lab_a + lab_b:
@@ -337,6 +348,7 @@ def contract(net: TensorNetwork) -> DenseTensor:
     rest = [item for item in pool if item is not None]
     while len(rest) > 1:
         (arr_a, lab_a), (arr_b, lab_b), *rest = rest
+        check(arr_a.size * arr_b.size)
         rest.append((np.multiply.outer(arr_a, arr_b), lab_a + lab_b))
     arr, lab = rest[0]
     order = sorted(range(len(lab)), key=lambda k: open_ids[lab[k]])

@@ -11,6 +11,7 @@ are derived from f; a flip or the group action composes f with one element.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -43,7 +44,6 @@ __all__ = [
     "Chord",
     "Tessellation",
     "FareyLabeling",
-    "Cutoff",
     "chord",
     "interval_chord",
     "in_standard_set",
@@ -54,8 +54,6 @@ __all__ = [
     "characteristic_map",
     "apply_element",
     "flips_realizing",
-    "cutoff_to_partition",
-    "partition_to_cutoff",
     "render_svg",
 ]
 
@@ -105,13 +103,6 @@ def in_standard_set(c: Chord) -> bool:
 
 
 E0 = chord(ZERO, HALF)
-
-
-def _in_open_arc(x: DyadicRational, start: DyadicRational, end: DyadicRational) -> bool:
-    """x strictly inside the counterclockwise arc from start to end."""
-    if start < end:
-        return start < x < end
-    return x > start or x < end
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,8 +387,11 @@ def _normalize_label(label) -> tuple[int, int]:
 def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabeling:
     """Mediant labelling seeded by the doe: start 0/1, end 1/0, right face 1/1.
 
-    Vertices are explored while their dyadic exponent stays within the
-    window (depth + 2 by default) or they touch a modified chord.
+    These are tau_0's labels carried by f, for t = f(tau_0); f keeps
+    orientation.  Off e0 the faces of tau_0 are the standard intervals, each
+    entered across its chord, with its apex at its midpoint and its halves as
+    its other two sides.  A vertex is labelled while its dyadic exponent stays
+    within the window (depth + 2 by default) or it touches a modified chord.
     """
     if max_exponent is None:
         max_exponent = t.depth + 2
@@ -405,29 +399,24 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     special = {x for m in t.removed | t.added for x in m.endpoints()}
 
     u, v = t.doe
-    labels: dict[DyadicRational, tuple[int, int]] = {u: (0, 1), v: (1, 0)}
     out = [(u, (0, 1)), (v, (1, 0))]
-    # (edge endpoints with labels, side to explore); the left face of the doe
-    # sees the seed 1/0 as -1/0 so its labels come out negative.
-    queue = [((u, (0, 1)), (v, (1, 0)), True), ((u, (0, 1)), (v, (-1, 0)), False)]
+    # (interval, labels of its left and right ends, whether the walk meets
+    # them clockwise); the left face of e0 sees 1/0 as -1/0, so its labels
+    # come out negative.
+    queue = collections.deque([
+        (StdDyadicInterval(0, 1), (0, 1), (1, 0), False),
+        (StdDyadicInterval(1, 1), (-1, 0), (0, 1), True),
+    ])
     while queue:
-        (p, lp), (q, lq), ccw_from_first = queue.pop(0)
-        c = chord(p, q)
-        ccw = ccw_from_first == ((p, q) == (c.a, c.b))
-        try:
-            x = t.face_apex(c, ccw)
-        except EdgeNotFound:
-            continue
-        if x in labels:
-            continue
+        iv, la, lb, clockwise = queue.popleft()
+        lo, hi = iv.halves()
+        x = evaluate(t.element, lo.right)
         if x.exp > max_exponent and x not in special:
             continue
-        lx = _normalize_label((lp[0] + lq[0], lp[1] + lq[1]))
-        labels[x] = lx
+        lx = _normalize_label((la[0] + lb[0], la[1] + lb[1]))
         out.append((x, lx))
-        # recurse across the two new edges, away from the current face
-        queue.append(((p, lp), (x, lx), not _in_open_arc(q, p, x)))
-        queue.append(((x, lx), (q, lq), not _in_open_arc(p, x, q)))
+        sides = [(lo, la, lx, clockwise), (hi, lx, lb, clockwise)]
+        queue.extend(sides[::-1] if clockwise else sides)
     return FareyLabeling(tuple(out))
 
 
@@ -445,10 +434,6 @@ def characteristic_map(t: Tessellation, label, max_exponent: int | None = None):
 # triangulation turned by the marker m, with doe (m, m + k_R).  Tree rotations
 # are diagonal flips (Sleator-Tarjan-Thurston), so the flip sequence is built
 # from the tree pair instead of searched for.
-
-
-def _chord_key(c: Chord):
-    return (c.a.as_fraction(), c.b.as_fraction())
 
 
 def _between(x: int, a: int, b: int, n: int) -> bool:
@@ -570,32 +555,6 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
 
 
 # ---------------------------------------------------------------------------
-# cutoffs
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    """Cycle of geodesics bounding a finite convex region around the doe."""
-
-    edges: tuple[Chord, ...]
-
-    def __post_init__(self):
-        if len(self.edges) < 2:
-            raise ValueError("a cutoff needs at least two geodesics")
-
-
-def cutoff_to_partition(c: Cutoff) -> DyadicPartition:
-    points = sorted({p for e in c.edges for p in e.endpoints()})
-    if len(points) != len(c.edges):
-        raise ValueError("cutoff edges do not form a single cycle")
-    return DyadicPartition(points + [DyadicRational(1, 0)])
-
-
-def partition_to_cutoff(p: DyadicPartition) -> Cutoff:
-    return Cutoff(tuple(interval_chord(iv) for iv in p.intervals))
-
-
-# ---------------------------------------------------------------------------
 # rendering
 
 
@@ -621,7 +580,7 @@ def _arc_path(p: DyadicRational, q: DyadicRational) -> str:
 
 def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
     parts = []
-    for c in sorted(set(t.window_edges()) - {t.doe_chord()}, key=_chord_key):
+    for c in sorted(set(t.window_edges()) - {t.doe_chord()}):
         parts.append(
             f'<path d="{_arc_path(c.a, c.b)}" fill="none" '
             'stroke="black" stroke-width="1"/>'
@@ -666,7 +625,7 @@ _DISC = '<circle cx="500" cy="500" r="480" fill="none" stroke="gray" stroke-widt
 
 
 def render_svg(obj, labels: bool = False) -> str:
-    """Deterministic SVG for a Tessellation, TreeDiagram or Cutoff."""
+    """Deterministic SVG for a Tessellation, TreeDiagram or DyadicPartition."""
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">'
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
@@ -684,9 +643,9 @@ def render_svg(obj, labels: bool = False) -> str:
             f'<text x="500" y="60" font-size="20" text-anchor="middle">'
             f"marker {obj.marker}</text>"
         )
-    elif isinstance(obj, Cutoff):
+    elif isinstance(obj, DyadicPartition):
         parts.append(_DISC)
-        for c in sorted(obj.edges, key=_chord_key):
+        for c in sorted(interval_chord(iv) for iv in obj.intervals):
             parts.append(
                 f'<path d="{_arc_path(c.a, c.b)}" fill="none" '
                 'stroke="blue" stroke-width="2"/>'

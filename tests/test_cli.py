@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from thompson_holo import errors
 from thompson_holo.cli import main
-from thompson_holo.dyadic import HALF, DyadicRational, StdDyadicInterval
+from thompson_holo.dyadic import HALF, DyadicPartition, DyadicRational, StdDyadicInterval
 from thompson_holo.errors import ResourceLimit
 from thompson_holo.tessellation import (
-    Cutoff,
     apply_flips,
     chord,
     farey_labels,
-    interval_chord,
     render_svg,
     standard_tessellation,
 )
@@ -193,15 +191,16 @@ class TestOtherCommands:
 
     def test_render_deep_cutoff(self, capsys, tmp_path):
         """A staircase of 1200 intervals, nested deeper than the recursion
-        limit, renders the same chords as its intervals listed directly."""
+        limit, renders as the partition of its intervals listed directly."""
         count = 1200
-        points = ["0"] + [f"{2**k - 1}/2^{k}" for k in range(1, count)] + ["1"]
+        text = ", ".join(["0"] + [f"{2**k - 1}/2^{k}" for k in range(1, count)] + ["1"])
         out = tmp_path / "stair.svg"
-        code, _, err = run(capsys, "render", "cutoff:" + ", ".join(points), "--out", str(out))
+        code, _, err = run(capsys, "render", "cutoff:" + text, "--out", str(out))
         assert code == 0, err
         intervals = [StdDyadicInterval(2**k - 2, k) for k in range(1, count)]
         intervals.append(StdDyadicInterval(2 ** (count - 1) - 1, count - 1))
-        cutoff = Cutoff(tuple(interval_chord(iv) for iv in intervals))
+        cutoff = DyadicPartition.parse(text)
+        assert cutoff.intervals == intervals
         assert out.read_text() == render_svg(cutoff)
         assert out.read_text().count("<path") == count + 1
 
@@ -220,6 +219,14 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "<svg" in out.read_text()
+
+    def test_render_one_interval_cutoff(self, capsys, tmp_path):
+        """[0, 1] has no chord: both of its ends are the circle point 0."""
+        out = tmp_path / "cut.svg"
+        code, stdout, err = run(capsys, "render", "cutoff:0, 1", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: a chord needs two distinct circle points\n"
+        assert not out.exists()
 
 
 class TestBadFiles:

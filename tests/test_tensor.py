@@ -162,6 +162,26 @@ class TestContraction:
             contract(net).array, np.multiply.outer(t.array, t.array)
         )
 
+    def test_intermediates_checked_against_the_cap(self, monkeypatch):
+        """Each tensordot and each outer product of disconnected parts is
+        checked before it is made; a result at the cap is allowed."""
+        t = four_colour_tensor()
+        pair = TensorNetwork([t, t], [((0, 0), (1, 0))], [(0, 1), (0, 2), (1, 1), (1, 2)])
+        leg = DenseTensor(np.arange(1.0, 5.0))
+        legs = TensorNetwork([leg] * 13, [], [(k, 0) for k in range(13)])
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "81")
+        assert contract(pair).leg_dims == (3, 3, 3, 3)
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "80")
+        with pytest.raises(
+            ResourceLimit, match="^a contraction intermediate of 81 entries exceeds the cap of 80$"
+        ):
+            contract(pair)
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", str(4**5))
+        with pytest.raises(
+            ResourceLimit, match="^a contraction intermediate of 65536 entries exceeds the cap of 1024$"
+        ):
+            contract(legs)
+
     def test_dimension_mismatch(self):
         net = TensorNetwork(
             [four_colour_tensor(), singlet_tensor()], [((0, 0), (1, 0))], []

@@ -9,29 +9,31 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import thompson_holo
+from thompson_holo import tessellation
 from thompson_holo.dyadic import LEAF, ZERO, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
 from thompson_holo.errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic
+from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
     E0,
     Chord,
+    FareyLabeling,
     Tessellation,
-    _in_open_arc,
+    _normalize_label,
     _render_tessellation,
     _render_tree,
     apply_element,
     apply_flips,
     characteristic_map,
     chord,
-    cutoff_to_partition,
     farey_labels,
     flips_realizing,
     in_standard_set,
     pachner_flip,
-    partition_to_cutoff,
     render_svg,
     standard_tessellation,
 )
@@ -381,20 +383,6 @@ class TestFlipConstruction:
         assert fresh.stdout.split() == [str(c) for c in first]
 
 
-class TestCutoff:
-    def test_three_edge_example(self):
-        part = DyadicPartition.parse("0, 1/2^1, 3/2^2, 1")
-        c = partition_to_cutoff(part)
-        assert len(c.edges) == 3
-        assert cutoff_to_partition(c) == part
-
-    def test_non_cycle_rejected(self):
-        c = partition_to_cutoff(DyadicPartition.parse("0, 1/2^1, 1"))
-        bad = type(c)(c.edges + (ch("1/2^2", "3/2^3"),))
-        with pytest.raises(ValueError):
-            cutoff_to_partition(bad)
-
-
 class TestRendering:
     def test_vertices_per_side_count(self):
         t = standard_tessellation(3)
@@ -415,8 +403,86 @@ class TestRendering:
 
     def test_renders_other_objects(self):
         assert "<svg" in render_svg(parse_word("B"))
-        cut = partition_to_cutoff(DyadicPartition.parse("0, 1/2^1, 3/2^2, 1"))
-        assert "<svg" in render_svg(cut)
+        svg = render_svg(DyadicPartition.parse("0, 1/2^1, 3/2^2, 1"))
+        assert svg.startswith("<svg") and svg.count('stroke="blue"') == 3
+
+
+# Reference: the Farey labelling as a walk over the faces of t itself, which
+# reading tau_0's labels through f replaced.  Each face is found with
+# face_apex, the side to explore next is told by _in_open_arc, and a vertex
+# already labelled is skipped.  Duck-typed: it reads depth, removed, added,
+# doe and face_apex, so it labels a RefTessellation too.
+
+
+def _in_open_arc(x: DyadicRational, start: DyadicRational, end: DyadicRational) -> bool:
+    """x strictly inside the counterclockwise arc from start to end."""
+    if start < end:
+        return start < x < end
+    return x > start or x < end
+
+
+def face_walk_farey_labels(t, max_exponent: int | None = None) -> FareyLabeling:
+    """Mediant labelling seeded by the doe: start 0/1, end 1/0, right face 1/1.
+
+    Vertices are explored while their dyadic exponent stays within the
+    window (depth + 2 by default) or they touch a modified chord.
+    """
+    if max_exponent is None:
+        max_exponent = t.depth + 2
+    _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
+    special = {x for m in t.removed | t.added for x in m.endpoints()}
+
+    u, v = t.doe
+    labels: dict[DyadicRational, tuple[int, int]] = {u: (0, 1), v: (1, 0)}
+    out = [(u, (0, 1)), (v, (1, 0))]
+    # (edge endpoints with labels, side to explore); the left face of the doe
+    # sees the seed 1/0 as -1/0 so its labels come out negative.
+    queue = [((u, (0, 1)), (v, (1, 0)), True), ((u, (0, 1)), (v, (-1, 0)), False)]
+    while queue:
+        (p, lp), (q, lq), ccw_from_first = queue.pop(0)
+        c = chord(p, q)
+        ccw = ccw_from_first == ((p, q) == (c.a, c.b))
+        try:
+            x = t.face_apex(c, ccw)
+        except EdgeNotFound:
+            continue
+        if x in labels:
+            continue
+        if x.exp > max_exponent and x not in special:
+            continue
+        lx = _normalize_label((lp[0] + lq[0], lp[1] + lq[1]))
+        labels[x] = lx
+        out.append((x, lx))
+        # recurse across the two new edges, away from the current face
+        queue.append(((p, lp), (x, lx), not _in_open_arc(q, p, x)))
+        queue.append(((x, lx), (q, lq), not _in_open_arc(p, x, q)))
+    return FareyLabeling(tuple(out))
+
+
+class TestAgainstFaceWalk:
+    """Labels read off tau_0's dyadic intervals against the face walk of t:
+    the same vertices, labels and order, at every window size."""
+
+    @staticmethod
+    def assert_same_labels(t: Tessellation):
+        for max_exponent in (None, 0, 1, t.depth + 1, t.depth + 4):
+            got = farey_labels(t, max_exponent).vertex_to_label
+            want = face_walk_farey_labels(t, max_exponent).vertex_to_label
+            assert got == want, (str(t.element), t.depth, max_exponent)
+
+    def test_all_words_up_to_three_letters(self):
+        t0 = standard_tessellation(3)
+        for f in reduced_words(3):
+            self.assert_same_labels(apply_element(t0, f))
+
+    def test_seeded_flip_walks(self):
+        rng = random.Random(1010)
+        for _ in range(40):
+            t = standard_tessellation(rng.randint(2, 6))
+            for _ in range(rng.randint(1, 30)):
+                e = t.doe_chord() if rng.random() < 0.2 else rng.choice(t.window_edges())
+                t = pachner_flip(t, e)
+            self.assert_same_labels(t)
 
 
 # Reference: the tessellation as a diff against tau_0, kept up by hand, which
@@ -589,11 +655,15 @@ def assert_matches_reference(t: Tessellation, ref: RefTessellation, outputs: boo
         return
     assert t.flips == ref.flips
     assert t.window_edges() == ref.window_edges()
-    assert farey_labels(t).vertex_to_label == farey_labels(ref).vertex_to_label
+    assert farey_labels(t).vertex_to_label == face_walk_farey_labels(ref).vertex_to_label
+    # a RefTessellation has no element, so its labelled parts come from the
+    # face walk
+    with mock.patch.object(tessellation, "farey_labels", face_walk_farey_labels):
+        want = [_render_tessellation(ref, labels) for labels in (False, True)]
     for labels in (False, True):
         # render_svg is the header, the boundary circle, the disc's parts and
         # the closing tag, one per line
-        assert render_svg(t, labels).split("\n")[2:-1] == _render_tessellation(ref, labels)
+        assert render_svg(t, labels).split("\n")[2:-1] == want[labels]
     if t.flips is not None:
         assert t.to_json() == ref.to_json()
 
