@@ -424,6 +424,34 @@ def _leaf_subtrees(src: TTree, tgt: TTree) -> list[TTree]:
     return out
 
 
+# Local edits: one descent on the cached leaf counts finds a node, and a path
+# copy replaces it, sharing every subtree off the path.
+def _find_node(tree: TTree, start: int, count: int) -> tuple[TTree | None, list]:
+    """The node of `tree` whose leaves are start .. start+count-1 (None if no
+    node has exactly those), and the path down to where it would be, as
+    (ancestor, whether the path goes right) pairs."""
+    path: list[tuple[TTree, bool]] = []
+    node = tree
+    if start + count > node.num_leaves:
+        return None, path
+    while node.num_leaves > count:
+        k = node.left.num_leaves
+        right = start >= k
+        path.append((node, right))
+        node, start = (node.right, start - k) if right else (node.left, start)
+        if start + count > node.num_leaves:
+            return None, path
+    return node, path
+
+
+def _splice(path: list, node: TTree) -> TTree:
+    """The tree that `path` (from _find_node) descends, with `node` in place
+    of the node at its end; the new nodes are the path's copies."""
+    for parent, right in reversed(path):
+        node = TTree(parent.left, node) if right else TTree(node, parent.right)
+    return node
+
+
 def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartition:
     """Coarsest standard dyadic partition refining both inputs."""
     return tree_to_partition(_tree_union(p1.tree, p2.tree))

@@ -32,6 +32,7 @@ from .errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic, Search
 from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
+    _right_multiply,
     adjoin_caret,
     compose,
     evaluate,
@@ -321,13 +322,14 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     Flipping the doe carries it to the new diagonal rotated clockwise, so
     four doe flips restore the original tessellation-with-doe.  A flip
     commutes with the action, so with t = f(tau_0) the result is f r(tau_0),
-    for the r that makes the same flip at f^-1(edge) in tau_0.
+    for the r that makes the same flip at f^-1(edge) in tau_0; f is reduced,
+    so f r is one path-copying edit of f's trees.
     """
     iv = _standard_interval_of(chord(*t._preimage(edge)))
     if iv is None:
         raise EdgeNotFound(f"{edge} is not an edge of this tessellation")
     flips = None if t.flips is None else t.flips + (edge,)
-    return Tessellation(t.depth, compose(t.element, _flip_element(iv)), flips)
+    return Tessellation(t.depth, _right_multiply(t.element, _flip_element(iv)), flips)
 
 
 def apply_flips(t: Tessellation, edges) -> Tessellation:
@@ -442,28 +444,32 @@ def _between(x: int, a: int, b: int, n: int) -> bool:
 
 
 class _Triangulation:
-    """Triangulated convex n-gon with an oriented doe, recording its flips."""
+    """Triangulated convex n-gon with an oriented doe, recording its flips.
+    `adjacent[v]` holds every vertex joined to v, by a side or a diagonal."""
 
     def __init__(self, n: int, diagonals: set, doe: tuple[int, int]):
-        self.n, self.diagonals, self.doe = n, diagonals, doe
+        self.n, self.doe = n, doe
+        self.adjacent = [{(v - 1) % n, (v + 1) % n} for v in range(n)]
+        for i, j in diagonals:
+            self.adjacent[i].add(j)
+            self.adjacent[j].add(i)
         self.flipped: list[tuple[tuple[int, int], tuple[int, int]]] = []
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (j - i) % self.n in (1, self.n - 1) or _pair(i, j) in self.diagonals
-
     def apex(self, i: int, j: int) -> int:
-        """Third vertex of the triangle on edge (i, j), ccw from i to j."""
-        k = (i + 1) % self.n
-        while not (self.has_edge(i, k) and self.has_edge(k, j)):
-            k = (k + 1) % self.n
+        """Third vertex of the triangle on edge (i, j), ccw from i to j: the
+        one common neighbour of i and j strictly inside that arc."""
+        small, large = sorted((self.adjacent[i], self.adjacent[j]), key=len)
+        [k] = [k for k in small if k in large and _between(k, i, j, self.n)]
         return k
 
     def flip(self, edge: tuple[int, int]) -> None:
         """The pachner_flip rule: quad (u, a, v, b) with doe u->v gets b->a."""
         i, j = edge
         a, b = self.apex(i, j), self.apex(j, i)
-        self.diagonals.remove(_pair(i, j))
-        self.diagonals.add(_pair(a, b))
+        self.adjacent[i].remove(j)
+        self.adjacent[j].remove(i)
+        self.adjacent[a].add(b)
+        self.adjacent[b].add(a)
         if self.doe == (i, j):
             self.doe = (b, a)
         elif self.doe == (j, i):
@@ -471,20 +477,20 @@ class _Triangulation:
         self.flipped.append((_pair(i, j), _pair(a, b)))
 
     def fan(self, p: int) -> None:
-        """Flip until p is joined to every vertex on its side of the doe."""
+        """Flip until p is joined to every vertex on its side of the doe:
+        walk p's neighbours ccw, flipping the far side of each triangle at p
+        that is a diagonal other than the doe; the flip joins p to the apex
+        beyond it, which is walked next."""
         n = self.n
-        while True:
-            around = {(p - 1) % n, (p + 1) % n}
-            around.update(q for d in self.diagonals if p in d for q in d)
-            around = sorted(around - {p}, key=lambda q: (q - p) % n)
-            edges = [
-                (a, b)
-                for a, b in zip(around, around[1:])
-                if (b - a) % n > 1 and _pair(a, b) != _pair(*self.doe)
-            ]
-            if not edges:
-                return
-            self.flip(edges[0])
+        ahead = sorted(self.adjacent[p], key=lambda q: (p - q) % n)  # next ccw on top
+        a = ahead.pop()
+        while ahead:
+            b = ahead[-1]
+            if (b - a) % n > 1 and _pair(a, b) != _pair(*self.doe):
+                self.flip((a, b))
+                ahead.append(sum(self.flipped[-1][1]) - p)
+            else:
+                a = ahead.pop()
 
     def move_doe(self, target: tuple[int, int]) -> None:
         """Flip the doe onto `target`, a diagonal crossing it."""
@@ -520,7 +526,9 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     and on to the target triangulation, then flip the doe twice if it points
     the wrong way.  That is at most about 4n flips, and the same f always gets
     the same sequence.  Every returned sequence is checked against the
-    apply_element oracle.
+    apply_element oracle, replaying each flip as a path-copying edit of the
+    element; so the whole costs O(n * depth) for the trees' depth, which is
+    quadratic only for combs.
     """
     f = reduce_diagram(f)
     g = _split_root_children(f)

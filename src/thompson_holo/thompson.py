@@ -18,8 +18,10 @@ from .dyadic import (
     DyadicRational,
     TTree,
     _build,
+    _find_node,
     _graft,
     _leaf_subtrees,
+    _splice,
     _tree_union,
     tree_to_partition,
 )
@@ -223,11 +225,15 @@ def _expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
     domain leaf j is grafted under its image, range leaf (marker + j) mod n,
     and the new marker counts the leaves grafted under range leaves before
     the old marker."""
-    below = _leaf_subtrees(f.domain_tree, target)
+    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)))
+
+
+def _graft_images(f: TreeDiagram, below: list[TTree]) -> tuple[TTree, int]:
+    """f's range tree with below[j] grafted under the image of domain leaf j,
+    and the marker that then sends the first new domain leaf to its image."""
     n, m = f.num_leaves, f.marker
     image = below[n - m :] + below[: n - m]  # image[k] is below[(k - m) mod n]
-    marker = sum(t.num_leaves for t in image[:m])
-    return TreeDiagram(target, _graft(f.range_tree, image), marker)
+    return _graft(f.range_tree, image), sum(t.num_leaves for t in image[:m])
 
 
 def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
@@ -239,6 +245,62 @@ def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     return reduce_diagram(
         TreeDiagram(g.domain_tree, f.range_tree, (f.marker + g.marker) % n)
     )
+
+
+def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
+    """compose(f, g) for a reduced f, by path copies in f's trees instead of
+    walks over them whole: O(|g| * depth) for g of |g| nodes, and everything
+    off the copied paths is shared with f.
+
+    f must be reduced; the result is then the reduced f o g that compose
+    gives.  Each range caret of g below a domain leaf j of f is grafted, by
+    one path copy, under f's range leaf (marker + j) mod n, and g's domain
+    tree gets the subtree of f's domain tree below each range leaf of g.  A
+    domain node of f o g holding a node of f's domain tree cannot match its
+    image, or that node would match under f already; so the only candidates
+    for reduction are g's domain carets whose leaves each kept one leaf, each
+    looked up by one descent and collapsed by a path copy.
+    """
+    n, m = f.num_leaves, f.marker
+    below = []  # the subtree of f's domain tree below each range leaf of g
+    grafts = []  # (range leaf of f, the range subtree of g grafted under it)
+    stack = [(g.range_tree, f.domain_tree, 0)]
+    while stack:
+        s, r, j = stack.pop()
+        if s.is_leaf:
+            below.append(r)
+        elif r.is_leaf:
+            grafts.append(((m + j) % n, s))
+            below += [LEAF] * s.num_leaves
+        else:
+            stack += [(s.right, r.right, j + r.left.num_leaves), (s.left, r.left, j)]
+    range_tree = f.range_tree
+    for k, s in sorted(grafts, key=lambda ks: -ks[0]):  # later leaves first
+        range_tree = _splice(_find_node(range_tree, k, 1)[1], s)
+    m += sum(s.num_leaves - 1 for k, s in grafts if k < m)
+    domain_tree, mg = _graft_images(inverse(g), below)
+    n = domain_tree.num_leaves
+    m = (m - mg) % n
+    blocks = []  # (domain start, range start, leaf count) of each maximal match
+    stack = [(g.domain_tree, domain_tree, 0)]
+    while stack:
+        node, grown, a = stack.pop()
+        if node.is_leaf:
+            continue
+        k = grown.num_leaves
+        if k == node.num_leaves:
+            b = (m + a) % n
+            image = _find_node(range_tree, b, k)[0]
+            if image is not None and image == grown:
+                blocks.append((a, b, k))
+                continue
+        stack += [(node.left, grown.left, a), (node.right, grown.right, a + grown.left.num_leaves)]
+    for a, _, k in sorted(blocks, reverse=True):
+        domain_tree = _splice(_find_node(domain_tree, a, k)[1], LEAF)
+    for _, b, k in sorted(blocks, key=lambda block: -block[1]):
+        range_tree = _splice(_find_node(range_tree, b, k)[1], LEAF)
+    m -= sum(k - 1 for _, b, k in blocks if b < m)
+    return TreeDiagram(domain_tree, range_tree, m)
 
 
 def inverse(f: TreeDiagram) -> TreeDiagram:
@@ -263,10 +325,15 @@ def _letter_element(letter: str) -> TreeDiagram:
 
 
 def parse_word(word: str) -> TreeDiagram:
-    """Word over {A,B,C,a,b,c}, lowercase = inverse, applied right to left."""
+    """Word over {A,B,C,a,b,c}, lowercase = inverse, applied right to left.
+
+    Each letter edits a few root-to-leaf paths of the running product
+    (`_right_multiply`), so L letters cost O(L * depth) for the product's
+    tree depth; products whose trees are combs have depth about n and stay
+    quadratic."""
     element = identity()
     for letter in word.strip():
-        element = compose(element, _letter_element(letter))
+        element = _right_multiply(element, _letter_element(letter))
     return element
 
 

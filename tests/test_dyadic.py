@@ -15,6 +15,8 @@ from thompson_holo.dyadic import (
     StdDyadicInterval,
     TTree,
     ZERO,
+    _find_node,
+    _splice,
     common_refinement,
     partition_to_tree,
     refines,
@@ -302,3 +304,59 @@ class TestTreeText:
         with pytest.raises(ValueError) as err:
             TTree.parse(text)
         assert str(err.value) == message
+
+
+def node_spans(t: TTree) -> dict[tuple[int, int], TTree]:
+    """Every node of t by (first leaf index, leaf count)."""
+    out, stack = {}, [(t, 0)]
+    while stack:
+        node, a = stack.pop()
+        out[a, node.num_leaves] = node
+        if not node.is_leaf:
+            stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
+    return out
+
+
+def ref_replace(t: TTree, start: int, count: int, new: TTree) -> TTree:
+    """t with its node spanning leaves start .. start+count-1 replaced by `new`."""
+    if start == 0 and t.num_leaves == count:
+        return new
+    k = t.left.num_leaves
+    if start < k:
+        return TTree(ref_replace(t.left, start, count, new), t.right)
+    return TTree(t.left, ref_replace(t.right, start - k, count, new))
+
+
+class TestLocalEdits:
+    """_find_node and _splice against every (start, count) of random trees."""
+
+    @given(trees)
+    def test_find_node_finds_exactly_the_nodes(self, t):
+        spans = node_spans(t)
+        n = t.num_leaves
+        for start in range(n + 1):
+            for count in range(1, n + 2):
+                assert _find_node(t, start, count)[0] is spans.get((start, count))
+
+    @given(trees, trees)
+    def test_splice_copies_only_the_path(self, t, new):
+        for start, count in node_spans(t):
+            node, path = _find_node(t, start, count)
+            out = _splice(path, new)
+            assert out == ref_replace(t, start, count, new)
+            assert node_spans(out)[start, new.num_leaves] is new
+            assert _splice(path, node) == t
+            # the path is the node's proper ancestors, and every subtree
+            # hanging off it is kept by identity
+            assert len(path) == sum(a <= start and start + count <= a + k for a, k in node_spans(t)) - 1
+            kept = {id(x) for x in node_spans(out).values()}
+            assert all(id(p.left if right else p.right) in kept for p, right in path)
+
+    def test_deep_comb(self):
+        """A path copy at the bottom of a 1200-deep comb stays iterative."""
+        comb = TTree.parse("(." * 1200 + "." + ")" * 1200)
+        node, path = _find_node(comb, 1199, 2)
+        assert node == TTree(LEAF, LEAF) and len(path) == 1199
+        out = _splice(path, LEAF)
+        assert out == TTree.parse("(." * 1199 + "." + ")" * 1199)
+        assert _find_node(comb, 1199, 3)[0] is None

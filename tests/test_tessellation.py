@@ -23,6 +23,9 @@ from thompson_holo.tessellation import (
     Chord,
     FareyLabeling,
     Tessellation,
+    _flip_element,
+    _standard_interval_of,
+    _Triangulation,
     _normalize_label,
     _render_tessellation,
     _render_tree,
@@ -39,6 +42,7 @@ from thompson_holo.tessellation import (
 )
 from thompson_holo.thompson import (
     TreeDiagram,
+    compose,
     evaluate,
     generator,
     identity,
@@ -311,6 +315,83 @@ class TestFlipsRealizing:
     def test_deterministic(self):
         f = parse_word("aC")
         assert flips_realizing(f, 5) == flips_realizing(f, 5)
+
+
+class ScanTriangulation:
+    """The polygon triangulation as first written: a diagonal set, apexes
+    found by scanning the vertices, fans by rescanning every diagonal."""
+
+    def __init__(self, n, diagonals, doe):
+        self.n, self.diagonals, self.doe = n, set(diagonals), doe
+        self.flipped = []
+
+    def has_edge(self, i, j):
+        return (j - i) % self.n in (1, self.n - 1) or (min(i, j), max(i, j)) in self.diagonals
+
+    def apex(self, i, j):
+        k = (i + 1) % self.n
+        while not (self.has_edge(i, k) and self.has_edge(k, j)):
+            k = (k + 1) % self.n
+        return k
+
+    def flip(self, edge):
+        i, j = edge
+        a, b = self.apex(i, j), self.apex(j, i)
+        self.diagonals.remove((min(i, j), max(i, j)))
+        self.diagonals.add((min(a, b), max(a, b)))
+        if self.doe == (i, j):
+            self.doe = (b, a)
+        elif self.doe == (j, i):
+            self.doe = (a, b)
+        self.flipped.append(((min(i, j), max(i, j)), (min(a, b), max(a, b))))
+
+    def fan(self, p):
+        n = self.n
+        while True:
+            around = {(p - 1) % n, (p + 1) % n}
+            around.update(q for d in self.diagonals if p in d for q in d)
+            around = sorted(around - {p}, key=lambda q: (q - p) % n)
+            edges = [
+                (a, b)
+                for a, b in zip(around, around[1:])
+                if (b - a) % n > 1 and (min(a, b), max(a, b)) != tuple(sorted(self.doe))
+            ]
+            if not edges:
+                return
+            self.flip(edges[0])
+
+
+def random_triangulation(rng: random.Random, n: int) -> set:
+    """The diagonals of a random triangulation of the n-gon, by ear cutting."""
+    out, polygon = set(), list(range(n))
+    while len(polygon) > 3:
+        k = rng.randrange(len(polygon))
+        a, b = polygon[k - 1], polygon[(k + 1) % len(polygon)]
+        out.add((min(a, b), max(a, b)))
+        del polygon[k]
+    return out
+
+
+class TestTriangulation:
+    """Adjacency sets against the scanning version they replaced: the same
+    apexes, and fans that flip the same diagonals in the same order."""
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 13, 40])
+    def test_matches_scan(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            diagonals = random_triangulation(rng, n)
+            doe = rng.choice(sorted(diagonals))[:: rng.choice((1, -1))]
+            fast, scan = _Triangulation(n, set(diagonals), doe), ScanTriangulation(n, diagonals, doe)
+            for i, j in diagonals:
+                assert fast.apex(i, j) == scan.apex(i, j) and fast.apex(j, i) == scan.apex(j, i)
+            for p in rng.sample(range(n), min(n, 4)):
+                fast.fan(p)
+                scan.fan(p)
+                assert fast.flipped == scan.flipped and fast.doe == scan.doe
+            fast.flip(fast.doe)
+            scan.flip(scan.doe)
+            assert fast.flipped == scan.flipped and fast.doe == scan.doe
 
 
 def reduced_words(max_len: int, alphabet: str = "ABCabc") -> list[TreeDiagram]:
@@ -698,7 +779,9 @@ class TestAgainstDiffReference:
             for _ in range(rng.randint(1, 40)):
                 edges = t.window_edges()
                 e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
+                composed = compose(t.element, _flip_element(_standard_interval_of(chord(*t._preimage(e)))))
                 t, r = pachner_flip(t, e), ref_flip(r, e)
+                assert t.element == composed
                 assert_matches_reference(t, r, outputs=False)
             assert_matches_reference(t, r, outputs=depth == 3)
             assert t.flips == r.flips

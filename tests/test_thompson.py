@@ -1,5 +1,7 @@
 """Tree-diagram algebra for the circle groups F and T."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ from thompson_holo.thompson import (
     PLMap,
     TreeDiagram,
     _expand_domain,
+    _letter_element,
+    _right_multiply,
     adjoin_caret,
     compose,
     equals,
@@ -379,3 +383,118 @@ class TestDeepTrees:
         assert reduce_diagram(f) == identity()
         assert compose(f, f) == identity()
         assert reduce_diagram(adjoin_caret(f, 1100)) == identity()
+
+
+LETTERS = [_letter_element(c) for c in "ABCabc"]
+_CARET = TTree(LEAF, LEAF)
+
+
+def reference_word(word: str) -> TreeDiagram:
+    """The word's element by general compose, one letter at a time."""
+    return functools.reduce(compose, map(_letter_element, word), identity())
+
+
+def nodes(tree: TTree) -> list[TTree]:
+    """Every node of `tree`, each once."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+    return out
+
+
+def depth(tree: TTree) -> int:
+    out, stack = 0, [(tree, 0)]
+    while stack:
+        node, d = stack.pop()
+        out = max(out, d)
+        if not node.is_leaf:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return out
+
+
+def random_reduced(rng: random.Random, leaves: int) -> TreeDiagram:
+    return reduce_diagram(
+        TreeDiagram(random_tree(rng, leaves), random_tree(rng, leaves), rng.randrange(leaves))
+    )
+
+
+class TestRightMultiply:
+    """The path-copying product against general compose, exactly."""
+
+    def test_short_words_times_each_letter(self):
+        elements = {
+            reference_word("".join(w))
+            for k in range(4)
+            for w in itertools.product("ABCabc", repeat=k)
+        }
+        assert len(elements) == 128
+        for f in elements:
+            for g in LETTERS:
+                assert _right_multiply(f, g) == compose(f, g)
+
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 7, 30, 120, 400, 700])
+    def test_random_elements_times_each_letter(self, leaves):
+        rng = random.Random(leaves)
+        for _ in range(3):
+            f = random_reduced(rng, leaves)
+            for g in LETTERS + [random_reduced(rng, rng.randint(1, 6))]:
+                assert _right_multiply(f, g) == compose(f, g)
+
+    def test_parse_word_matches_compose(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            w = "".join(rng.choice("ABCabc") for _ in range(rng.randint(0, 120)))
+            assert parse_word(w) == reference_word(w)
+
+    def test_long_word_then_its_inverse(self):
+        """After the word, each letter of its inverse undoes one letter: the
+        products retrace the word's prefixes exactly, down to the identity."""
+        rng = random.Random(3200)
+        word = "".join(rng.choice("ABCabc") for _ in range(3200))
+        prefixes = [identity()]
+        for letter in word:
+            prefixes.append(_right_multiply(prefixes[-1], _letter_element(letter)))
+        assert prefixes[-1].num_leaves > 500
+        f = prefixes.pop()
+        for letter in word[::-1].swapcase():
+            f = _right_multiply(f, _letter_element(letter))
+            assert f == prefixes.pop()
+        assert str(f) == ".|.@0"
+        assert str(parse_word(word + word[::-1].swapcase())) == ".|.@0"
+
+    def test_deep_comb_times_each_letter(self):
+        right = TTree.parse("(." * 1100 + "." + ")" * 1100)
+        left = TTree.parse("(" * 1100 + "." + ".)" * 1100)
+        for f in (TreeDiagram(right, left, 0), TreeDiagram(left, right, 0), TreeDiagram(right, left, 700)):
+            assert reduce_diagram(f) == f
+            for g in LETTERS:
+                assert _right_multiply(f, g) == compose(f, g)
+
+    def test_shares_all_but_a_few_paths(self):
+        """Nodes of the product that are not nodes of f (by identity) are a
+        few root-to-leaf paths and g's own nodes: no silent rebuild.  f's
+        shallow domain leaves make the letters graft, and f = f0 g^-1 makes
+        the product collapse back to f0."""
+        rng = random.Random(41)
+        for leaves in (200, 700):
+            t = random_tree(rng, leaves - 2)
+            for dom in (TTree(LEAF, TTree(LEAF, t)), TTree(TTree(t, LEAF), LEAF), TTree(_CARET, t)):
+                f0 = reduce_diagram(
+                    TreeDiagram(dom, random_tree(rng, leaves), rng.randrange(leaves))
+                )
+                for g in LETTERS:
+                    for f in (f0, compose(f0, inverse(g))):
+                        old = {id(x) for tree in (f.domain_tree, f.range_tree) for x in nodes(tree)}
+                        h = _right_multiply(f, g)
+                        new = {
+                            id(x)
+                            for tree in (h.domain_tree, h.range_tree)
+                            for x in nodes(tree)
+                            if id(x) not in old
+                        }
+                        paths = depth(f.domain_tree) + depth(f.range_tree)
+                        size = len(nodes(g.domain_tree)) + len(nodes(g.range_tree))
+                        assert len(new) <= 2 * (paths + size) < f.num_leaves
