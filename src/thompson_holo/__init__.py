@@ -6,12 +6,10 @@ from .dyadic import (
     StdDyadicInterval,
     TTree,
     common_refinement,
-    partition_to_tree,
     refines,
     tree_to_partition,
 )
 from .thompson import (
-    PLMap,
     TreeDiagram,
     compose,
     evaluate,
@@ -38,7 +36,6 @@ from .tessellation import (
     Tessellation,
     apply_element,
     apply_flips,
-    characteristic_map,
     chord,
     farey_labels,
     flips_realizing,
@@ -69,7 +66,6 @@ from .approximation import (
     parse_map,
     rotation_map,
     sup_norm_error,
-    tie_break_report,
 )
 from . import errors
 

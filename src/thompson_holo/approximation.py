@@ -38,7 +38,6 @@ __all__ = [
     "TieEvent",
     "approximate",
     "sup_norm_error",
-    "tie_break_report",
     "identity_map",
     "rotation_map",
     "mobius_map",
@@ -284,8 +283,3 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
         gx = ((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp)
         worst = max(worst, circle_distance(f(x), gx))
     return worst
-
-
-def tie_break_report(f: CircleMap, n: int) -> list[TieEvent]:
-    """The tie events the greedy subdivision for (f, n) resolves leftmost."""
-    return list(approximate(f, n).ties)

@@ -20,7 +20,6 @@ __all__ = [
     "TTree",
     "LEAF",
     "tree_to_partition",
-    "partition_to_tree",
     "common_refinement",
     "refines",
 ]
@@ -350,21 +349,12 @@ class DyadicPartition:
         """Parse the comma-separated breakpoint form, e.g. "0, 1/2^1, 3/2^2, 1"."""
         return cls(DyadicRational.parse(part) for part in text.split(","))
 
-    def interval_index(self, x: DyadicRational) -> int:
-        """Index of the half-open interval [b_j, b_{j+1}) containing x in [0,1)."""
-        return self.tree.leaf_containing(x.mod1())[0]
-
 
 def tree_to_partition(t: TTree) -> DyadicPartition:
     """Partition whose j-th interval is the j-th leaf interval of t."""
     p = object.__new__(DyadicPartition)
     p.tree = t
     return p
-
-
-def partition_to_tree(p: DyadicPartition) -> TTree:
-    """Inverse of tree_to_partition."""
-    return p.tree
 
 
 # Whole-tree walks shared by the partition algebra, the group law and

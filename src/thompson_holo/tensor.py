@@ -43,9 +43,18 @@ DEFAULT_AMPLITUDE_CAP = 2**24
 
 
 def amplitude_cap() -> int:
-    """Largest permitted amplitude-vector length, overridable by env var."""
+    """Largest permitted amplitude-vector length, overridable by env var;
+    ValueError unless the override is a positive integer."""
     raw = os.environ.get("THOMPSON_HOLO_MAX_AMPLITUDES")
-    return int(raw) if raw else DEFAULT_AMPLITUDE_CAP
+    if not raw:
+        return DEFAULT_AMPLITUDE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"THOMPSON_HOLO_MAX_AMPLITUDES={raw!r} is not a positive integer")
+    return cap
 
 
 def _check_cap(exponent: int, base: int, what: str = "amplitudes", subject: str = ""):

@@ -47,12 +47,10 @@ __all__ = [
     "FareyLabeling",
     "chord",
     "interval_chord",
-    "in_standard_set",
     "standard_tessellation",
     "pachner_flip",
     "apply_flips",
     "farey_labels",
-    "characteristic_map",
     "apply_element",
     "flips_realizing",
     "render_svg",
@@ -84,7 +82,6 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
     return chord(iv.left, iv.right)
 
 
-@functools.lru_cache(maxsize=None)
 def _standard_interval_of(c: Chord) -> StdDyadicInterval | None:
     """The standard dyadic interval (level >= 1) subtended by c, if any:
     [a, b], or the complementary arc [b, 1] when a is 0."""
@@ -98,15 +95,9 @@ def _standard_interval_of(c: Chord) -> StdDyadicInterval | None:
     return None
 
 
-def in_standard_set(c: Chord) -> bool:
-    """Whether c belongs to the standard dyadic tessellation tau_0."""
-    return _standard_interval_of(c) is not None
-
-
 E0 = chord(ZERO, HALF)
 
 
-@functools.lru_cache(maxsize=None)
 def _default_apex(c: Chord, ccw_from_a: bool) -> DyadicRational | None:
     """Third vertex of the tau_0 face of c on the given side.
 
@@ -208,9 +199,6 @@ class Tessellation:
         """f^-1 of c's endpoints, in c's order."""
         g = inverse(self.element)
         return evaluate(g, c.a), evaluate(g, c.b)
-
-    def has_edge(self, c: Chord) -> bool:
-        return in_standard_set(chord(*self._preimage(c)))
 
     def doe_chord(self) -> Chord:
         return chord(*self.doe)
@@ -344,7 +332,7 @@ def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
 
 
 # ---------------------------------------------------------------------------
-# Farey labels and characteristic maps
+# Farey labels
 
 
 @dataclass(frozen=True)
@@ -420,11 +408,6 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
         sides = [(lo, la, lx, clockwise), (hi, lx, lb, clockwise)]
         queue.extend(sides[::-1] if clockwise else sides)
     return FareyLabeling(tuple(out))
-
-
-def characteristic_map(t: Tessellation, label, max_exponent: int | None = None):
-    """Vertex of t carrying the given Farey label."""
-    return farey_labels(t, max_exponent).vertex_of(label)
 
 
 # ---------------------------------------------------------------------------

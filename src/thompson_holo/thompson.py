@@ -28,16 +28,13 @@ from .dyadic import (
 
 __all__ = [
     "TreeDiagram",
-    "PLMap",
     "identity",
     "generator",
-    "to_pl_map",
     "evaluate",
     "compose",
     "inverse",
     "reduce_diagram",
     "adjoin_caret",
-    "equals",
     "random_element",
     "parse_word",
 ]
@@ -97,7 +94,6 @@ _LEFT2 = TTree(_CARET, LEAF)  # leaves [0,1/4], [1/4,1/2], [1/2,1]
 
 def generator(name: str) -> TreeDiagram:
     """Reduced tree diagrams of the standard generators A, B of F and C of T."""
-    name = name.upper()
     if name == "A":
         return TreeDiagram(_RIGHT2, _LEFT2, 0)
     if name == "B":
@@ -109,36 +105,6 @@ def generator(name: str) -> TreeDiagram:
     if name == "C":
         return TreeDiagram(_RIGHT2, _RIGHT2, 2)
     raise ValueError(f"unknown generator {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear view
-
-
-@dataclass(frozen=True)
-class PLMap:
-    """Exact PL circle map: pieces (x0, x1, y0, slope_exp) with slope 2^slope_exp.
-
-    Each piece maps [x0, x1) affinely onto [y0, y0 + (x1-x0)*2^slope_exp),
-    values taken mod 1.
-    """
-
-    pieces: tuple[tuple[DyadicRational, DyadicRational, DyadicRational, int], ...]
-
-    @property
-    def breakpoints(self) -> list[tuple[DyadicRational, DyadicRational]]:
-        return [(x0, y0) for x0, _, y0, _ in self.pieces]
-
-
-def to_pl_map(f: TreeDiagram) -> PLMap:
-    dom = f.domain_tree.leaf_intervals()
-    rng = f.range_tree.leaf_intervals()
-    n = f.num_leaves
-    pieces = []
-    for j, d in enumerate(dom):
-        r = rng[(f.marker + j) % n]
-        pieces.append((d.left, d.right, r.left, d.n - r.n))
-    return PLMap(tuple(pieces))
 
 
 def evaluate(f: TreeDiagram, x: DyadicRational) -> DyadicRational:
@@ -306,11 +272,6 @@ def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
 def inverse(f: TreeDiagram) -> TreeDiagram:
     n = f.num_leaves
     return TreeDiagram(f.range_tree, f.domain_tree, (-f.marker) % n)
-
-
-def equals(f: TreeDiagram, g: TreeDiagram) -> bool:
-    """Structural equality of reduced forms, i.e. equality as PL maps."""
-    return reduce_diagram(f) == reduce_diagram(g)
 
 
 _LETTERS = ["A", "B", "C", "a", "b", "c"]

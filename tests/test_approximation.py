@@ -19,7 +19,6 @@ from thompson_holo.approximation import (
     rotation_map,
     sup_norm_error,
     tabulated_map,
-    tie_break_report,
 )
 from thompson_holo.dyadic import DyadicRational, StdDyadicInterval
 from thompson_holo.errors import DegenerateImage, NotMonotone
@@ -29,7 +28,7 @@ from thompson_holo.thompson import (
     identity,
     parse_word,
     random_element,
-    to_pl_map,
+    reduce_diagram,
 )
 
 
@@ -100,7 +99,7 @@ def float_marker(intervals, image):
 def evaluate_sup_norm_error(f, g, samples=1024):
     """The sup norm with each value of g from the tree-walking `evaluate`."""
     xs = [i / samples for i in range(samples)]
-    xs.extend(float(x) for x, _ in to_pl_map(g).breakpoints)
+    xs.extend(float(iv.left) for iv in g.domain_tree.leaf_intervals())
     worst = 0.0
     for x in xs:
         num, den = float(x % 1.0).as_integer_ratio()
@@ -174,12 +173,10 @@ class TestCircleMap:
 
 class TestApproximate:
     def test_identity_exact(self):
-        from thompson_holo.thompson import equals
-
         for n in (1, 2, 4):
             res = approximate(identity_map(), n)
             assert res.sup_error == 0.0
-            assert equals(res.element, identity())
+            assert reduce_diagram(res.element) == identity()
             assert res.marker_interval == 0
 
     def test_dyadic_rotation_exact(self):
@@ -189,12 +186,10 @@ class TestApproximate:
         assert res.element.marker == 2
 
     def test_rotation_matches_group_element(self):
-        from thompson_holo.thompson import TreeDiagram, equals
-
         res = approximate(rotation_map(DyadicRational.parse("3/2^2")), 2)
         assert res.sup_error == pytest.approx(0.0, abs=1e-12)
         rot = TreeDiagram.parse("((..)(..))|((..)(..))@3")
-        assert equals(res.element, rot)
+        assert reduce_diagram(res.element) == reduce_diagram(rot)
 
     def test_mobius_errors_decrease(self):
         f = mobius_map(0.3, 0.1)
@@ -236,13 +231,13 @@ class TestApproximate:
 
 class TestTies:
     def test_identity_ties_resolved_leftmost(self):
-        events = tie_break_report(identity_map(), 3)
+        events = approximate(identity_map(), 3).ties
         assert events  # uniform points tie at every full level
         for ev in events:
             assert ev.chosen == min(ev.tied, key=lambda iv: iv.left.as_fraction())
 
     def test_tie_count_bounded(self):
-        events = tie_break_report(mobius_map(0.1, 0.0), 4)
+        events = approximate(mobius_map(0.1, 0.0), 4).ties
         assert len(events) <= 2**4 - 1  # one event max per split
 
 

@@ -331,6 +331,13 @@ class TestSizeChecks:
         assert run(capsys, "render", "tessellation:3", "--out", out)[0] == 0
         assert run(capsys, "render", "tessellation:4", "--out", out)[0] == 1
 
+    def test_cap_override_is_validated(self, capsys, monkeypatch):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "abc")
+        code, out, err = run(capsys, "approximate", "identity", "--level", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: THOMPSON_HOLO_MAX_AMPLITUDES='abc' is not a positive integer\n"
+
     def test_farey_labels_window(self, monkeypatch):
         monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
         t = standard_tessellation(2)

@@ -18,7 +18,6 @@ from thompson_holo.dyadic import (
     _find_node,
     _splice,
     common_refinement,
-    partition_to_tree,
     refines,
     tree_to_partition,
 )
@@ -111,13 +110,13 @@ class TestDyadicPartition:
     def test_tree_bijection(self):
         for text in ["(..)", "((..).)", "((..)(.(..)))"]:
             t = TTree.parse(text)
-            assert partition_to_tree(tree_to_partition(t)) == t
+            assert tree_to_partition(t).tree == t
 
-    def test_interval_index(self):
+    def test_leaf_containing(self):
         p = DyadicPartition.parse("0, 1/2^1, 3/2^2, 1")
-        assert p.interval_index(ZERO) == 0
-        assert p.interval_index(HALF) == 1
-        assert p.interval_index(DyadicRational(7, 3)) == 2
+        assert p.tree.leaf_containing(ZERO)[0] == 0
+        assert p.tree.leaf_containing(HALF)[0] == 1
+        assert p.tree.leaf_containing(DyadicRational(7, 3))[0] == 2
 
 
 def random_partition(draw_tree) -> DyadicPartition:
@@ -230,9 +229,9 @@ class TestTreeOperationsAgainstBreakpoints:
         assert DyadicPartition(reversed(p.breakpoints)).tree == t
 
     @given(trees, dyadics)
-    def test_interval_index_is_bisection(self, t, x):
+    def test_leaf_containing_is_bisection(self, t, x):
         p = tree_to_partition(t)
-        assert p.interval_index(x) == bisect.bisect_right(p.breakpoints, x.mod1()) - 1
+        assert t.leaf_containing(x.mod1())[0] == bisect.bisect_right(p.breakpoints, x.mod1()) - 1
 
     @given(sixteenths)
     def test_constructor_accepts_exactly_the_standard_sets(self, points):
@@ -262,7 +261,7 @@ class TestTreeOperationsAgainstBreakpoints:
         points = [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
         p = DyadicPartition(points)
         assert len(p) == count
-        assert partition_to_tree(p).num_leaves == count
+        assert p.tree.num_leaves == count
         assert p.breakpoints == tuple(points)
         assert DyadicPartition(reversed(points)) == p
         assert hash(DyadicPartition(points)) == hash(p)

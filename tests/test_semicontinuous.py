@@ -12,7 +12,6 @@ from thompson_holo.dyadic import (
     ONE,
     DyadicPartition,
     common_refinement,
-    partition_to_tree,
     refines,
     tree_to_partition,
     TTree,
@@ -192,7 +191,7 @@ def kronecker_matrix(fg) -> np.ndarray:
         return leaf_subtrees(src.left, tgt.left) + leaf_subtrees(src.right, tgt.right)
 
     out = np.eye(1, dtype=complex)
-    src, tgt = partition_to_tree(fg.source), partition_to_tree(fg.target)
+    src, tgt = fg.source.tree, fg.target.tree
     for sub in leaf_subtrees(src, tgt):
         out = np.kron(out, block(sub))
     return out

@@ -11,6 +11,7 @@ from thompson_holo.errors import DimensionMismatch, NotPerfect, ResourceLimit
 from thompson_holo.tensor import (
     DenseTensor,
     TensorNetwork,
+    amplitude_cap,
     builtin_tensor,
     contract,
     four_colour_tensor,
@@ -133,6 +134,16 @@ class TestBuiltins:
             ResourceLimit, match=r"^tensor dims \(4, 4, 5\): 80 entries exceed the cap of 64$"
         ):
             DenseTensor.from_text("dims: 4 4 5\n0 1 2  1.0 0.0\n")
+
+    def test_cap_override_must_be_a_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
+        assert amplitude_cap() == 64
+        for raw in ["abc", "-5", "0", "1.5"]:
+            monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", raw)
+            with pytest.raises(
+                ValueError, match=f"^THOMPSON_HOLO_MAX_AMPLITUDES='{raw}' is not a positive integer$"
+            ):
+                amplitude_cap()
 
 class TestContraction:
     def test_pair_matches_einsum(self):

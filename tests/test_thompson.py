@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO
 from thompson_holo.thompson import (
-    PLMap,
     TreeDiagram,
     _expand_domain,
     _letter_element,
     _right_multiply,
     adjoin_caret,
     compose,
-    equals,
     evaluate,
     generator,
     identity,
@@ -25,7 +24,6 @@ from thompson_holo.thompson import (
     parse_word,
     random_element,
     reduce_diagram,
-    to_pl_map,
 )
 
 
@@ -77,7 +75,7 @@ class TestGenerators:
 
     def test_c_has_order_three(self):
         c = generator("C")
-        assert equals(compose(c, compose(c, c)), identity())
+        assert compose(c, compose(c, c)) == identity()
 
     def test_markers(self):
         assert generator("A").marker == 0
@@ -85,8 +83,9 @@ class TestGenerators:
         assert generator("C").marker == 2
 
     def test_unknown_generator(self):
-        with pytest.raises(ValueError):
-            generator("Q")
+        for name in ["Q", "a"]:  # a lowercase letter is an inverse, not a generator
+            with pytest.raises(ValueError):
+                generator(name)
 
 
 words = st.text(alphabet="ABCabc", min_size=0, max_size=5)
@@ -105,8 +104,8 @@ class TestGroupLaws:
         f = parse_word(w)
         assert compose(f, identity()) == reduce_diagram(f)
         assert compose(identity(), f) == reduce_diagram(f)
-        assert equals(compose(f, inverse(f)), identity())
-        assert equals(compose(inverse(f), f), identity())
+        assert compose(f, inverse(f)) == identity()
+        assert compose(inverse(f), f) == identity()
 
     @given(words, words)
     @settings(max_examples=30, deadline=None)
@@ -122,7 +121,7 @@ class TestGroupLaws:
             assert reduce_diagram(parse_word(w)).marker == 0
 
     def test_word_letter_case(self):
-        assert equals(compose(parse_word("A"), parse_word("a")), identity())
+        assert compose(parse_word("A"), parse_word("a")) == identity()
 
 
 class TestReduction:
@@ -169,6 +168,32 @@ class TestSerialization:
     def test_marker_out_of_range(self):
         with pytest.raises(ValueError):
             TreeDiagram.parse("(..)|(..)@5")
+
+
+# Reference PL view: f as its affine pieces, the form evaluation took before
+# it descended the two trees.
+
+
+@dataclass(frozen=True)
+class PLMap:
+    """Exact PL circle map: pieces (x0, x1, y0, slope_exp) with slope 2^slope_exp.
+
+    Each piece maps [x0, x1) affinely onto [y0, y0 + (x1-x0)*2^slope_exp),
+    values taken mod 1.
+    """
+
+    pieces: tuple[tuple[DyadicRational, DyadicRational, DyadicRational, int], ...]
+
+
+def to_pl_map(f: TreeDiagram) -> PLMap:
+    dom = f.domain_tree.leaf_intervals()
+    rng = f.range_tree.leaf_intervals()
+    n = f.num_leaves
+    pieces = []
+    for j, d in enumerate(dom):
+        r = rng[(f.marker + j) % n]
+        pieces.append((d.left, d.right, r.left, d.n - r.n))
+    return PLMap(tuple(pieces))
 
 
 def pl_scan(pl: PLMap, x: DyadicRational) -> DyadicRational:
