@@ -125,6 +125,18 @@ def _standard_window(depth: int) -> tuple[Chord, ...]:
     )
 
 
+def _window_index(c: Chord) -> int:
+    """Position in _standard_window of the chord of [a/2^k, (a+1)/2^k]."""
+    k = max(c.a.exp, c.b.exp)
+    a = c.b.num if c.a.num == 0 and c.b.num > 1 else c.a.num << (k - c.a.exp)  # [b, 1] or [a, b]
+    return 2**k - 3 + a if k > 1 else 0
+
+
+def _leaf_ends(tree: TTree) -> list[tuple[int, int]]:
+    """Left end a/2^k of each leaf interval, as (a, k), left to right."""
+    return [(a, k) for node, a, k in tree._walk() if node.left is None]
+
+
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
@@ -168,28 +180,28 @@ class Tessellation:
             raise ValueError("depth must be non-negative")
 
     @functools.cached_property
-    def _diff(self) -> tuple[frozenset[Chord], frozenset[Chord]]:
+    def _diff(self) -> tuple[tuple[Chord, ...], tuple[Chord, ...]]:
         # Both trees' chords as diagonals of the polygon on the range tree's
         # leaf points, which increase with the index: f(tau_0) keeps tau_0
         # outside the range tree, and inside it has the domain tree's chords
-        # turned by the marker.
+        # turned by the marker.  So sorted index pairs give sorted chords.
         f = self.element
         n = f.num_leaves
-        points = [iv.left for iv in f.range_tree.leaf_intervals()]
+        ends = _leaf_ends(f.range_tree)
         old = _chord_pairs(f.range_tree, 0, n)
         new = _chord_pairs(f.domain_tree, f.marker, n)
         return tuple(
-            frozenset(Chord(points[i], points[j]) for i, j in pairs)
-            for pairs in (old - new, new - old)
+            tuple(Chord(DyadicRational(*ends[i]), DyadicRational(*ends[j])) for i, j in sorted(s))
+            for s in (old - new, new - old)
         )
 
     @property
     def removed(self) -> frozenset[Chord]:
-        return self._diff[0]
+        return frozenset(self._diff[0])
 
     @property
     def added(self) -> frozenset[Chord]:
-        return self._diff[1]
+        return frozenset(self._diff[1])
 
     @functools.cached_property
     def doe(self) -> tuple[DyadicRational, DyadicRational]:
@@ -213,9 +225,11 @@ class Tessellation:
         """Edges of the depth window: tau_0 levels <= depth+2, minus removed,
         plus every added chord."""
         _check_cap(self.depth + 3, 2, "window chords", f"depth {self.depth}: ")
-        removed = self.removed
-        out = [c for c in _standard_window(self.depth) if c not in removed]
-        out.extend(sorted(self.added))
+        window, out, start = _standard_window(self.depth), [], 0
+        for i in sorted(i for i in map(_window_index, self._diff[0]) if i < len(window)):
+            out += window[start:i]
+            start = i + 1
+        out += window[start:] + self._diff[1]
         return out
 
     def face_apex(self, c: Chord, ccw_from_a: bool) -> DyadicRational:
@@ -350,7 +364,9 @@ class FareyLabeling:
         )
 
     def label_of(self, vertex: DyadicRational) -> tuple[int, int]:
-        return self._by_vertex[vertex.mod1()]
+        if (label := self._by_vertex.get(vertex.mod1())) is None:
+            raise LabelNotRepresented(f"vertex {vertex.mod1()} not represented")
+        return label
 
     def vertex_of(self, label) -> DyadicRational:
         label = _normalize_label(label)
@@ -386,27 +402,35 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     if max_exponent is None:
         max_exponent = t.depth + 2
     _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
-    special = {x for m in t.removed | t.added for x in m.endpoints()}
+    special = {x for m in t._diff[0] + t._diff[1] for x in m.endpoints()}
+    f = t.element
+    n, m, ends = f.num_leaves, f.marker, _leaf_ends(f.range_tree)
 
     u, v = t.doe
     out = [(u, (0, 1)), (v, (1, 0))]
-    # (interval, labels of its left and right ends, whether the walk meets
-    # them clockwise); the left face of e0 sees 1/0 as -1/0, so its labels
-    # come out negative.
+    # (interval [a/2^k, (a+1)/2^k], its ends' labels, whether the walk meets
+    # them clockwise, the parent interval's domain node, first leaf and level);
+    # the left face of e0 sees 1/0 as -1/0, so its labels come out negative.
     queue = collections.deque([
-        (StdDyadicInterval(0, 1), (0, 1), (1, 0), False),
-        (StdDyadicInterval(1, 1), (-1, 0), (0, 1), True),
+        (0, 1, (0, 1), (1, 0), False, f.domain_tree, 0, 0),
+        (1, 1, (-1, 0), (0, 1), True, f.domain_tree, 0, 0),
     ])
     while queue:
-        iv, la, lb, clockwise = queue.popleft()
-        lo, hi = iv.halves()
-        x = evaluate(t.element, lo.right)
+        a, k, la, lb, clockwise, node, j, dn = queue.popleft()
+        if not node.is_leaf:  # the child holding this interval
+            node, j, dn = (node.right, j + node.left.num_leaves, k) if a % 2 else (node.left, j, k)
+        if node.is_leaf:  # inside one domain leaf: its affine piece, as in evaluate
+            ra, rn = ends[(m + j) % n]
+            num = ((2 * a + 1) << dn) + ((ra - (a >> (k - dn))) << (k + 1))
+            x = DyadicRational(num, k + 1 + rn)  # inside range leaf j + m, so in [0, 1)
+        else:  # a domain leaf's left end, sent to a range leaf's left end
+            x = DyadicRational(*ends[(m + j + node.left.num_leaves) % n])
         if x.exp > max_exponent and x not in special:
             continue
         lx = _normalize_label((la[0] + lb[0], la[1] + lb[1]))
         out.append((x, lx))
-        sides = [(lo, la, lx, clockwise), (hi, lx, lb, clockwise)]
-        queue.extend(sides[::-1] if clockwise else sides)
+        sides = [(2 * a, k + 1, la, lx), (2 * a + 1, k + 1, lx, lb)]
+        queue.extend(s + (clockwise, node, j, dn) for s in (sides[::-1] if clockwise else sides))
     return FareyLabeling(tuple(out))
 
 
@@ -570,8 +594,13 @@ def _arc_path(p: DyadicRational, q: DyadicRational) -> str:
 
 
 def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
+    chords, doe = t.window_edges(), t.doe_chord()
+    # each chord keyed by its ends' numerators over 2^e, to sort exactly
+    e = max(x.exp for c in chords + [doe] for x in c.endpoints())
+    keyed = {(c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)): c for c in chords}
+    keyed.pop((doe.a.num << (e - doe.a.exp), doe.b.num << (e - doe.b.exp)), None)
     parts = []
-    for c in sorted(set(t.window_edges()) - {t.doe_chord()}):
+    for _, c in sorted(keyed.items()):
         parts.append(
             f'<path d="{_arc_path(c.a, c.b)}" fill="none" '
             'stroke="black" stroke-width="1"/>'

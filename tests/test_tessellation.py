@@ -1,5 +1,6 @@
 """Dyadic tessellations of the disc, Pachner flips and the group action."""
 
+import collections
 import itertools
 import json
 import os
@@ -26,9 +27,11 @@ from thompson_holo.tessellation import (
     _flip_element,
     _standard_interval_of,
     _Triangulation,
+    _chord_pairs,
     _normalize_label,
     _render_tessellation,
     _render_tree,
+    _standard_window,
     apply_element,
     apply_flips,
     chord,
@@ -45,6 +48,7 @@ from thompson_holo.thompson import (
     generator,
     identity,
     parse_word,
+    random_element,
     reduce_diagram,
 )
 from test_thompson import to_pl_map
@@ -265,6 +269,13 @@ class TestFareyLabels:
         assert lab.vertex_of(Fraction(1, 2)) == lab.vertex_of((1, 2))
         with pytest.raises(LabelNotRepresented):
             lab.vertex_of((100, 1))
+
+    def test_unlabelled_vertex(self):
+        lab = farey_labels(standard_tessellation(2))
+        with pytest.raises(LabelNotRepresented, match=r"vertex 1/2\^9 not represented"):
+            lab.label_of(DyadicRational(1, 9))
+        with pytest.raises(LabelNotRepresented, match=r"vertex 1/2\^9 "):
+            lab.label_of(DyadicRational(513, 9))  # the same circle point
 
     def test_labels_move_with_action(self):
         """Acting by f carries the vertex with a given label to the image
@@ -794,6 +805,118 @@ class TestAgainstDiffReference:
                 assert_matches_reference(t, r)
             t, r = pachner_flip(t, t.window_edges()[3]), ref_flip(r, r.window_edges()[3])
             assert_matches_reference(t, r)
+
+
+# Reference: the views as read before they moved to integer coordinates.  The
+# diff hashes Chords built from every range leaf's interval, the window drops
+# the removed chords by hashing every tau_0 chord in it, Farey labels evaluate
+# f once per vertex, and the SVG sorts the chords by Chord order.
+
+
+def ref_diff(t: Tessellation) -> tuple[frozenset, frozenset]:
+    f = t.element
+    n = f.num_leaves
+    points = [iv.left for iv in f.range_tree.leaf_intervals()]
+    old = _chord_pairs(f.range_tree, 0, n)
+    new = _chord_pairs(f.domain_tree, f.marker, n)
+    return tuple(
+        frozenset(Chord(points[i], points[j]) for i, j in pairs)
+        for pairs in (old - new, new - old)
+    )
+
+
+def ref_window_edges(t: Tessellation) -> list[Chord]:
+    removed, added = ref_diff(t)
+    out = [c for c in _standard_window(t.depth) if c not in removed]
+    out.extend(sorted(added))
+    return out
+
+
+def ref_farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabeling:
+    if max_exponent is None:
+        max_exponent = t.depth + 2
+    removed, added = ref_diff(t)
+    special = {x for m in removed | added for x in m.endpoints()}
+    u, v = t.doe
+    out = [(u, (0, 1)), (v, (1, 0))]
+    queue = collections.deque([
+        (StdDyadicInterval(0, 1), (0, 1), (1, 0), False),
+        (StdDyadicInterval(1, 1), (-1, 0), (0, 1), True),
+    ])
+    while queue:
+        iv, la, lb, clockwise = queue.popleft()
+        lo, hi = iv.halves()
+        x = evaluate(t.element, lo.right)
+        if x.exp > max_exponent and x not in special:
+            continue
+        lx = _normalize_label((la[0] + lb[0], la[1] + lb[1]))
+        out.append((x, lx))
+        sides = [(lo, la, lx, clockwise), (hi, lx, lb, clockwise)]
+        queue.extend(sides[::-1] if clockwise else sides)
+    return FareyLabeling(tuple(out))
+
+
+def ref_render_svg(t: Tessellation, labels: bool) -> str:
+    parts = []
+    for c in sorted(set(ref_window_edges(t)) - {t.doe_chord()}):
+        parts.append(
+            f'<path d="{tessellation._arc_path(c.a, c.b)}" fill="none" '
+            'stroke="black" stroke-width="1"/>'
+        )
+    u, v = t.doe
+    parts.append(
+        f'<path d="{tessellation._arc_path(u, v)}" fill="none" stroke="red" '
+        'stroke-width="3" marker-end="url(#arrow)"/>'
+    )
+    if labels:
+        for vert, (p, q) in ref_farey_labels(t).vertex_to_label:
+            x, y = tessellation._circle_xy(vert, 455.0)
+            parts.append(
+                f'<text x="{x:.1f}" y="{y:.1f}" font-size="14" '
+                f'text-anchor="middle">{p}/{q}</text>'
+            )
+    # the header and the boundary circle are the same for every tessellation
+    head = render_svg(standard_tessellation(0)).split("\n")[:2]
+    return "\n".join(head + parts + ["</svg>"])
+
+
+def assert_views_match_reference(t: Tessellation):
+    removed, added = ref_diff(t)
+    assert (t.removed, t.added) == (removed, added), str(t.element)
+    assert t.window_edges() == ref_window_edges(t), str(t.element)
+    for max_exponent in (None, 0, 1, t.depth + 4):
+        got = farey_labels(t, max_exponent).vertex_to_label
+        assert got == ref_farey_labels(t, max_exponent).vertex_to_label, (str(t.element), max_exponent)
+    for labels in (False, True):
+        assert render_svg(t, labels) == ref_render_svg(t, labels), (str(t.element), labels)
+
+
+class TestAgainstViewReference:
+    """The diff, window, Farey labels and SVG read in integer coordinates
+    against the chord-hashing, per-vertex references, exactly."""
+
+    def test_seeded_depth_six_walks(self):
+        rng = random.Random(707)
+        for _ in range(12):
+            t = standard_tessellation(6)
+            for _ in range(rng.randint(30, 40)):
+                edges = t.window_edges()
+                e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
+                t = pachner_flip(t, e)
+            assert_views_match_reference(t)
+
+    def test_all_words_up_to_three_letters(self):
+        elements = reduced_words(3)
+        assert len(elements) == 128
+        for depth, f in zip(itertools.cycle((2, 3, 4)), elements):
+            assert_views_match_reference(apply_element(standard_tessellation(depth), f))
+
+    @pytest.mark.parametrize("word_length", [40, 150, 400, 1200])
+    def test_random_elements(self, word_length):
+        """Images of elements of about 10 to 300 leaves."""
+        for seed in range(2):
+            f = random_element(word_length, seed)
+            assert_views_match_reference(apply_element(standard_tessellation(4), f))
 
 
 class TestActionCommutesWithFlips:
