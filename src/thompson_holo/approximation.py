@@ -56,20 +56,20 @@ class CircleMap:
     construction; the map itself stays a black box afterwards.
     """
 
-    def __init__(self, func, name: str = "custom", samples: int = MONOTONE_SAMPLES):
+    def __init__(self, func, name: str = "custom"):
         self.func = func
         self.name = name
-        vals = [func(i / samples) % 1.0 for i in range(samples)]
+        vals = [func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
         if not all(map(math.isfinite, vals)):
             i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
-            raise NotMonotone(f"map {name!r} is not finite at x={i / samples}")
+            raise NotMonotone(f"map {name!r} is not finite at x={i / MONOTONE_SAMPLES}")
         total = 0.0
-        for i in range(samples):
-            step = (vals[(i + 1) % samples] - vals[i]) % 1.0
+        for i in range(MONOTONE_SAMPLES):
+            step = (vals[(i + 1) % MONOTONE_SAMPLES] - vals[i]) % 1.0
             if step == 0.0:
                 raise NotMonotone(
                     f"map {name!r} is not strictly increasing near x="
-                    f"{i / samples}"
+                    f"{i / MONOTONE_SAMPLES}"
                 )
             total += step
         if round(total) != 1:

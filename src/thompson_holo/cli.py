@@ -96,7 +96,7 @@ def _cmd_matrix_element(args) -> int:
     # The action route holds d^n amplitudes for the n leaves of the reduced
     # element, so above the cap "both" runs the diagram route alone.
     d, n = V.leg_dims[0], max(thompson.reduce_diagram(f).num_leaves, 2)
-    cap = semicontinuous.amplitude_cap()
+    cap = tensor.amplitude_cap()
     over_cap = args.route == "both" and d**n > cap
     if over_cap:
         routes = ["diagram"]

@@ -51,7 +51,8 @@ class SearchExhausted(ThompsonHoloError):
 
 
 class LabelNotRepresented(ThompsonHoloError):
-    """Characteristic-map lookup for a label outside the explored region."""
+    """A vertex or label outside the labelled window, raised by
+    `FareyLabeling.label_of` and `vertex_of`."""
 
 
 class NotMonotone(ThompsonHoloError):

@@ -52,7 +52,6 @@ __all__ = [
     "gram_matrix",
     "btz_state",
     "entanglement_entropy",
-    "amplitude_cap",
 ]
 
 BASE_PARTITION = DyadicPartition([ZERO, HALF, ONE])
@@ -99,59 +98,8 @@ class CutoffState:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.tensor.leg_dims[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    # -- text format --------------------------------------------------------
-
-    def to_text(self, tensor_name: str = "custom") -> str:
-        lines = [f"cutoff: {self.cutoff}; d: {self.dim}; tensor: {tensor_name}"]
-        flat = self.amplitudes.reshape(-1)
-        for i, v in enumerate(flat):
-            if v != 0:
-                v = complex(v)
-                lines.append(f"{i} {v.real!r} {v.imag!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, tensor: DenseTensor) -> "CutoffState":
-        lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        if not lines:
-            raise ValueError("state text must start with a 'cutoff: ...; d: ...' header")
-        head = {}
-        for part in lines[0][1].split(";"):
-            key, _, value = part.partition(":")
-            head[key.strip()] = value.strip()
-        for key in ("cutoff", "d"):
-            if key not in head:
-                raise ValueError(f"state header has no {key!r} field")
-        cutoff = DyadicPartition.parse(head["cutoff"])
-        try:
-            d = int(head["d"])
-        except ValueError:
-            raise ValueError(f"state header 'd' is not an integer: {head['d']!r}") from None
-        if d != tensor.leg_dims[0]:
-            raise TheoryMismatch("header dimension does not match tensor")
-        _check_cap(len(cutoff), d)
-        flat = np.zeros(d ** len(cutoff), dtype=complex)
-        for num, ln in lines[1:]:
-            toks = ln.split()
-            try:
-                if len(toks) != 3:
-                    raise ValueError(
-                        f"expected an index, a real and an imaginary part, got {len(toks)} fields"
-                    )
-                idx = int(toks[0])
-                if not 0 <= idx < flat.size:
-                    raise ValueError(f"index {idx} is outside 0..{flat.size - 1}")
-                flat[idx] = complex(float(toks[1]), float(toks[2]))
-            except ValueError as exc:
-                raise ValueError(f"state text line {num}: {exc}") from None
-        return cls(cutoff, flat, tensor)
 
 
 @dataclass(frozen=True)

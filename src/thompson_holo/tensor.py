@@ -35,6 +35,7 @@ __all__ = [
     "verify_perfect",
     "normalize_isometry",
     "contract",
+    "amplitude_cap",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -58,9 +59,12 @@ def amplitude_cap() -> int:
 
 
 def _check_cap(exponent: int, base: int, what: str = "amplitudes", subject: str = ""):
-    """Raise ResourceLimit if base^exponent `what` would exceed the cap."""
+    """Raise ResourceLimit if base^exponent `what` would exceed the cap.
+
+    For base > 1 an exponent of the cap's bit length or more is over the cap,
+    so the power is computed only when it is small."""
     cap = amplitude_cap()
-    if base**exponent > cap:
+    if (base > 1 and exponent >= cap.bit_length()) or base**exponent > cap:
         raise ResourceLimit(f"{subject}{base}^{exponent} {what} exceed the cap of {cap}")
 
 
@@ -120,16 +124,19 @@ class DenseTensor:
         lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or not lines[0][1].startswith("dims:"):
             raise ValueError("tensor text must start with a 'dims:' line")
-        dims = tuple(int(tok) for tok in lines[0][1].split(":", 1)[1].split())
+        num, head = lines[0]
         cap = amplitude_cap()
-        if math.prod(dims) > cap:
-            raise ResourceLimit(
-                f"tensor dims {dims}: {math.prod(dims)} entries exceed the cap of {cap}"
-            )
-        arr = np.zeros(dims, dtype=complex)
-        for num, ln in lines[1:]:
-            toks = ln.split()
-            try:
+        try:
+            dims = tuple(int(tok) for tok in head.split(":", 1)[1].split())
+            if min(dims, default=0) < 0:
+                raise ValueError(f"dimension {min(dims)} is negative")
+            if math.prod(dims) > cap:
+                raise ResourceLimit(
+                    f"tensor dims {dims}: {math.prod(dims)} entries exceed the cap of {cap}"
+                )
+            arr = np.zeros(dims, dtype=complex)
+            for num, ln in lines[1:]:
+                toks = ln.split()
                 if len(toks) != len(dims) + 2:
                     raise ValueError(
                         f"expected {len(dims)} indices, a real and an imaginary "
@@ -139,8 +146,8 @@ class DenseTensor:
                 if not all(0 <= i < d for i, d in zip(idx, dims)):
                     raise ValueError(f"index {idx} is outside the dims {dims}")
                 arr[idx] = complex(float(toks[-2]), float(toks[-1]))
-            except ValueError as exc:
-                raise ValueError(f"tensor text line {num}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"tensor text line {num}: {exc}") from None
         return cls(arr)
 
 
@@ -197,7 +204,6 @@ class PerfectTensorCertificate:
     tensor: DenseTensor
     normalization: dict  # frozenset of in-leg indices -> proportionality constant
     rotation_invariant: bool
-    tolerance: float
 
     def constant(self, in_legs) -> float:
         return self.normalization[frozenset(in_legs)]
@@ -210,7 +216,7 @@ def _bipartitions(n: int):
             yield combo
 
 
-def verify_perfect(t: DenseTensor, tol: float = DEFAULT_TOL) -> PerfectTensorCertificate:
+def verify_perfect(t: DenseTensor) -> PerfectTensorCertificate:
     """Check proportional-isometry across every bipartition; raises NotPerfect."""
     if t.num_legs < 2:
         raise DimensionMismatch(f"a perfect tensor needs at least two legs, got {t.num_legs}")
@@ -218,7 +224,7 @@ def verify_perfect(t: DenseTensor, tol: float = DEFAULT_TOL) -> PerfectTensorCer
     if len(dims) != 1:
         raise NotPerfect("all leg dimensions must be equal for perfectness")
     norm2 = float(np.vdot(t.array, t.array).real)
-    if norm2 <= tol:
+    if norm2 <= DEFAULT_TOL:
         raise NotPerfect("zero tensor is not perfect", bipartition=())
     constants = {frozenset(): norm2}
     for combo in _bipartitions(t.num_legs):
@@ -226,7 +232,7 @@ def verify_perfect(t: DenseTensor, tol: float = DEFAULT_TOL) -> PerfectTensorCer
         gram = m.conj().T @ m
         c = float(np.trace(gram).real) / gram.shape[0]
         deviation = float(np.max(np.abs(gram - c * np.eye(gram.shape[0]))))
-        if c <= tol or deviation > tol * max(1.0, c):
+        if c <= DEFAULT_TOL or deviation > DEFAULT_TOL * max(1.0, c):
             raise NotPerfect(
                 f"flattening onto legs {list(combo)} deviates from a scaled "
                 f"isometry by {deviation:.3e}",
@@ -238,10 +244,10 @@ def verify_perfect(t: DenseTensor, tol: float = DEFAULT_TOL) -> PerfectTensorCer
     rotation_invariant = True
     for _ in range(t.num_legs - 1):
         rotated = np.moveaxis(rotated, 0, -1)
-        if np.max(np.abs(rotated - t.array)) > tol:
+        if np.max(np.abs(rotated - t.array)) > DEFAULT_TOL:
             rotation_invariant = False
             break
-    return PerfectTensorCertificate(t, constants, rotation_invariant, tol)
+    return PerfectTensorCertificate(t, constants, rotation_invariant)
 
 
 def normalize_isometry(t: DenseTensor, split) -> DenseTensor:

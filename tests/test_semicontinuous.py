@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -436,47 +435,6 @@ class TestBulkKets:
         # this is <Omega|pi(rotation by half)|Omega>
         direct = vacuum_matrix_element(k.element(), V3)
         assert val == pytest.approx(direct, abs=1e-12)
-
-
-class TestStateText:
-    def test_round_trip(self):
-        s = vacuum(part("0, 1/2^1, 3/2^2, 1"), V3)
-        s2 = CutoffState.from_text(s.to_text("four-colour"), V3)
-        assert s2.cutoff == s.cutoff
-        assert np.allclose(s2.amplitudes, s.amplitudes)
-
-    def test_dimension_check(self):
-        s = vacuum(BASE_PARTITION, V3)
-        with pytest.raises(TheoryMismatch):
-            CutoffState.from_text(s.to_text(), singlet_tensor())
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("\n  \n", "state text must start with a 'cutoff: ...; d: ...' header"),
-            ("d: 3; tensor: four-colour\n", "state header has no 'cutoff' field"),
-            ("cutoff: 0, 1/2^1, 1\n0 1.0 0.0\n", "state header has no 'd' field"),
-            ("cutoff: 0, 1/2^1, 1; d: x\n", "state header 'd' is not an integer: 'x'"),
-            (
-                "cutoff: 0, 1/2^1, 1; d: 3\n\n0 1.0\n",
-                "state text line 3: expected an index, a real and an imaginary part, got 2 fields",
-            ),
-            ("cutoff: 0, 1/2^1, 1; d: 3\n0 1.0 0.0\n-1 1.0 0.0\n", "state text line 3: index -1 is outside 0..8"),
-            ("cutoff: 0, 1/2^1, 1; d: 3\n9 1.0 0.0\n", "state text line 2: index 9 is outside 0..8"),
-        ],
-        ids=["empty", "no-cutoff", "no-d", "d-not-integer", "two-fields", "index-minus-one", "index-nine"],
-    )
-    def test_bad_text(self, text, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            CutoffState.from_text(text, V3)
-
-    def test_cutoff_checked_against_the_cap(self, monkeypatch):
-        """40 intervals of d = 3 are 3^40 amplitudes, refused before allocation."""
-        monkeypatch.delenv("THOMPSON_HOLO_MAX_AMPLITUDES", raising=False)
-        points = ["0"] + [f"{2**k - 1}/2^{k}" for k in range(1, 40)] + ["1"]
-        text = f"cutoff: {', '.join(points)}; d: 3\n0 1.0 0.0\n"
-        with pytest.raises(ResourceLimit, match=r"^3\^40 amplitudes exceed the cap of 16777216$"):
-            CutoffState.from_text(text, V3)
 
 
 class TestBTZ:

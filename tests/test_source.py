@@ -140,3 +140,24 @@ def test_public_names_are_used():
         and name not in acceptance
     ]
     assert unused == []
+
+
+def test_package_surface_is_the_modules_all():
+    """`import thompson_holo` exposes exactly the modules' __all__, the
+    errors module and the submodules themselves."""
+    modules = {path.stem for path in SOURCES} - {"__init__"}
+    union = set().union(*(exported(ast.parse(path.read_text())) for path in SOURCES))
+    public = {name for name in vars(thompson_holo) if not name.startswith("_")}
+    assert public - modules == union
+    assert "errors" in public
+
+
+def test_readme_quick_tour_prints_its_comments(capsys):
+    """The README's Quick tour runs, and each print gives the value in its
+    trailing comment."""
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*#\s*(.+)$", code, re.M)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected == ["(0.5+0j)", "(0.5+0j)", "[0.5 1.5]"]

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from thompson_holo import semicontinuous
 from thompson_holo.errors import DimensionMismatch, NotPerfect, ResourceLimit
 from thompson_holo.tensor import (
     DenseTensor,
+    _check_cap,
     TensorNetwork,
     amplitude_cap,
     builtin_tensor,
@@ -126,6 +129,17 @@ class TestBuiltins:
         with pytest.raises(ValueError, match=f"^tensor text line {line}: .*{reason}"):
             DenseTensor.from_text("dims: 3 3 3\n" + body)
 
+    @pytest.mark.parametrize(
+        "dims, reason",
+        [
+            ("3 -3 3", "dimension -3 is negative"),
+            ("-4096 -4096 3", "dimension -4096 is negative"),
+            ("3 x 3", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_dims_line_names_its_number(self, dims, reason):
+        with pytest.raises(ValueError, match=f"^tensor text line 1: {re.escape(reason)}$"):
+            DenseTensor.from_text(f"dims: {dims}\n0 1 2  1.0 0.0\n")
 
     def test_dims_checked_against_the_cap(self, monkeypatch):
         monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
@@ -144,6 +158,29 @@ class TestBuiltins:
                 ValueError, match=f"^THOMPSON_HOLO_MAX_AMPLITUDES='{raw}' is not a positive integer$"
             ):
                 amplitude_cap()
+
+    def test_cap_check_makes_no_power_over_the_cap(self, monkeypatch):
+        """2^(10^8) is a 12.5 MB integer: the check refuses it without making
+        it, and agrees with the power wherever the power is small."""
+        monkeypatch.delenv("THOMPSON_HOLO_MAX_AMPLITUDES", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ResourceLimit, match=r"^2\^100000000 amplitudes exceed the cap of 16777216$"
+            ):
+                _check_cap(10**8, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for cap, base, exponent in itertools.product([1, 7, 8, 9, 2**24], [0, 1, 2, 3], range(30)):
+            monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", str(cap))
+            try:
+                _check_cap(exponent, base)
+            except ResourceLimit:
+                assert base**exponent > cap
+            else:
+                assert base**exponent <= cap
 
 class TestContraction:
     def test_pair_matches_einsum(self):
