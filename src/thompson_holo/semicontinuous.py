@@ -373,18 +373,30 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
 
 
 def entanglement_entropy(state, subsystem) -> float:
-    """Von Neumann entropy (natural log) of the reduced state on `subsystem`."""
+    """Von Neumann entropy (natural log) of the reduced state on `subsystem`.
+
+    A state whose amplitudes have an imaginary part of exactly zero is read
+    in real arithmetic.  The amplitudes are reshaped to a (d_A, d_B) matrix
+    m, and rho is formed on the smaller side of the cut, m m^dagger or
+    m^dagger m: both have the same nonzero spectrum.  A zero state raises
+    ValueError.
+    """
     amps = np.asarray(state.amplitudes, dtype=complex)
     n = amps.ndim
     sub = sorted(set(subsystem))
     if any(not 0 <= j < n for j in sub):
         raise IndexError("subsystem leg index out of range")
+    if not np.any(amps.imag):
+        amps = amps.real
     rest = [j for j in range(n) if j not in sub]
     m = amps.transpose(sub + rest).reshape(
         math.prod(amps.shape[j] for j in sub), -1
     )
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
+    rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+    trace = np.trace(rho).real
+    if trace == 0:
+        raise ValueError("the entropy of a zero state is undefined")
+    rho /= trace
     evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-14]
     return float(-np.sum(evals * np.log(evals)))

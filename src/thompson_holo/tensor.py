@@ -145,7 +145,10 @@ class DenseTensor:
                 idx = tuple(int(t) for t in toks[: len(dims)])
                 if not all(0 <= i < d for i, d in zip(idx, dims)):
                     raise ValueError(f"index {idx} is outside the dims {dims}")
-                arr[idx] = complex(float(toks[-2]), float(toks[-1]))
+                real, imag = float(toks[-2]), float(toks[-1])
+                if not (math.isfinite(real) and math.isfinite(imag)):
+                    raise ValueError(f"entry {real} {imag} at {idx} is not finite")
+                arr[idx] = complex(real, imag)
         except ValueError as exc:
             raise ValueError(f"tensor text line {num}: {exc}") from None
         return cls(arr)

@@ -83,6 +83,15 @@ class TestVerifyTensor:
         assert out == ""
         assert err == "DimensionMismatch: a perfect tensor needs at least two legs, got 1\n"
 
+    @pytest.mark.parametrize("entry", ["nan 0.0", "1.0 inf"])
+    def test_non_finite_entry_names_its_line(self, capsys, tmp_path, entry):
+        path = tmp_path / "t.txt"
+        path.write_text(f"dims: 3 3 3\n0 1 2  {entry}\n")
+        code, out, err = run(capsys, "verify-tensor", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tensor text line 2: entry {entry} at (0, 1, 2) is not finite\n"
+
 
 class TestMatrixElement:
     def test_b_both_routes(self, capsys):

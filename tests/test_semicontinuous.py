@@ -439,7 +439,7 @@ class TestBulkKets:
 
 class TestBTZ:
     def test_entropies_match_and_bound(self):
-        for h in (1, 2):
+        for h in (1, 2, 3):
             state = btz_state(h, V3)
             na, nb = state.num_a, state.num_b
             sa = entanglement_entropy(state, range(na))
@@ -470,3 +470,135 @@ class TestBTZ:
         state = btz_state(1, V3)
         with pytest.raises(IndexError):
             entanglement_entropy(state, [99])
+
+
+def reference_entropy(state, subsystem) -> float:
+    """The complex-rho formula entanglement_entropy replaced: rho is always
+    built on `subsystem`'s side of the cut, in complex arithmetic."""
+    amps = np.asarray(state.amplitudes, dtype=complex)
+    n = amps.ndim
+    sub = sorted(set(subsystem))
+    if any(not 0 <= j < n for j in sub):
+        raise IndexError("subsystem leg index out of range")
+    rest = [j for j in range(n) if j not in sub]
+    m = amps.transpose(sub + rest).reshape(
+        math.prod(amps.shape[j] for j in sub), -1
+    )
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    evals = np.linalg.eigvalsh(rho)
+    evals = evals[evals > 1e-14]
+    return float(-np.sum(evals * np.log(evals)))
+
+
+def assert_matches_reference(state, subsystem):
+    """Compare with the reference, evaluated on the smaller side of the cut:
+    a pure state has the same entropy on both sides, and the reference on
+    the larger side of a 12-leg state would need terabytes."""
+    shape = state.amplitudes.shape
+    sub = sorted(set(subsystem))
+    rest = [j for j in range(len(shape)) if j not in sub]
+    side = sub if math.prod(shape[j] for j in sub) <= math.prod(shape[j] for j in rest) else rest
+    assert entanglement_entropy(state, sub) == pytest.approx(
+        reference_entropy(state, side), abs=1e-12
+    )
+
+
+def cutoff_with(n: int) -> DyadicPartition:
+    return next(p for p in all_partitions(n) if len(p) == n)
+
+
+@pytest.fixture
+def eigvalsh_args(monkeypatch):
+    """(shape, dtype) of every matrix passed to np.linalg.eigvalsh."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append((a.shape, a.dtype))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+class TestEntropyAgainstReference:
+    @pytest.mark.parametrize(
+        "h, V", [(1, V3), (2, V3), (3, V3), (1, singlet_tensor()), (2, singlet_tensor())]
+    )
+    def test_btz_every_contiguous_split(self, h, V, monkeypatch):
+        """Every leg interval at h <= 2, every prefix and suffix at h = 3;
+        the most lopsided first, and each rho at most sqrt(d^n) wide."""
+        state = btz_state(h, V)
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            assert a.shape[0] ** 2 <= state.amplitudes.size
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        n = state.num_a + state.num_b
+        splits = [
+            (i, j) for i in range(n + 1) for j in range(i, n + 1) if h < 3 or i == 0 or j == n
+        ]
+        for i, j in sorted(splits, key=lambda ij: -abs(2 * (ij[1] - ij[0]) - n)):
+            assert_matches_reference(state, range(i, j))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_complex_states_unbalanced(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+        # unnormalised on purpose: the trace normalisation is part of the formula
+        state = CutoffState(cutoff_with(n), 3.7 * v, V3)
+        for k in range(n + 1):
+            sub = rng.permutation(n)[:k].tolist()
+            assert entanglement_entropy(state, sub) == pytest.approx(
+                reference_entropy(state, sub), abs=1e-12
+            )
+
+    def test_imaginary_part_is_kept(self):
+        """(|00> + i|11>)/sqrt 2 has entropy ln 2; its real part alone is a
+        product state, of entropy 0."""
+        v = np.zeros((3, 3), dtype=complex)
+        v[0, 0], v[1, 1] = 1, 1j
+        state = CutoffState(BASE_PARTITION, v / math.sqrt(2), V3)
+        assert entanglement_entropy(state, [0]) == pytest.approx(math.log(2), abs=1e-12)
+        assert reference_entropy(state, [0]) == pytest.approx(math.log(2), abs=1e-12)
+        real_part = CutoffState(BASE_PARTITION, v.real, V3)
+        assert entanglement_entropy(real_part, [0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_global_phase_of_i(self):
+        state = btz_state(2, V3)
+        turned = CutoffState(cutoff_with(8), 1j * state.amplitudes, V3)
+        assert not np.any(turned.amplitudes.real)
+        for k in (3, 4, 5):
+            assert entanglement_entropy(turned, range(k)) == pytest.approx(
+                entanglement_entropy(state, range(k)), abs=1e-12
+            )
+
+    def test_real_states_use_real_arithmetic(self, eigvalsh_args):
+        state = btz_state(2, V3)
+        entanglement_entropy(state, range(4))
+        entanglement_entropy(CutoffState(cutoff_with(8), 1j * state.amplitudes, V3), range(4))
+        assert [dtype for _, dtype in eigvalsh_args] == [np.float64, np.complex128]
+
+    def test_whole_system_of_twelve_legs(self):
+        """Whole and empty subsystems build a 1 x 1 rho; rho on the
+        subsystem's side would be 3^12 x 3^12 (4 TiB)."""
+        state = btz_state(3, V3)
+        assert entanglement_entropy(state, range(12)) == pytest.approx(0.0, abs=1e-10)
+        assert entanglement_entropy(state, []) == pytest.approx(0.0, abs=1e-10)
+
+    def test_lopsided_subsystem_builds_rho_on_the_small_side(self, eigvalsh_args):
+        state = btz_state(2, V3)
+        seven = [entanglement_entropy(state, range(7)), entanglement_entropy(state, range(1, 8))]
+        assert [shape for shape, _ in eigvalsh_args] == [(3, 3), (3, 3)]
+        assert seven == pytest.approx(
+            [reference_entropy(state, [7]), reference_entropy(state, [0])], abs=1e-12
+        )
+
+    def test_zero_state(self):
+        state = CutoffState(BASE_PARTITION, np.zeros(9), V3)
+        with pytest.raises(ValueError, match="zero state"):
+            entanglement_entropy(state, [0])

@@ -123,6 +123,8 @@ class TestBuiltins:
             ("\n0 -1 2  1.0 0.0\n", 3, "outside the dims"),
             ("0 1 2  1.0 0.0\n0 x 2  1.0 0.0\n", 3, "invalid literal"),
             ("0 1 2  one 0.0\n", 2, "could not convert"),
+            ("0 1 2  nan 0.0\n", 2, r"entry nan 0.0 at \(0, 1, 2\) is not finite$"),
+            ("0 1 2  1.0 0.0\n1 0 2  1.0 -inf\n", 3, r"entry 1.0 -inf at \(1, 0, 2\) is not finite$"),
         ],
     )
     def test_bad_text_line_names_its_number(self, body, line, reason):
