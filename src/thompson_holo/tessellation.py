@@ -7,10 +7,13 @@ a doe (distinguished oriented edge) that differ from tau_0 in finitely many
 chords, so each is f(tau_0, e0) for exactly one reduced tree diagram f, and is
 stored as f.  Its diff against tau_0 (the removed and added chords) and its doe
 are derived from f; a flip or the group action composes f with one element.
+A flip also carries the diff when the parent's is cached: one chord goes out
+and one comes in, so the child's diff is two sorted-tuple edits.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import json
@@ -166,7 +169,9 @@ class Tessellation:
     it must be reduced, as every constructor in this module leaves it, so
     that equal tessellations have equal elements.  `removed` (tau_0 chords
     absent here), `added` (present non-tau_0 chords) and `doe` (the oriented
-    distinguished edge) are derived from it and cached.  `depth` bounds the
+    distinguished edge) are derived from it and cached; a Pachner flip of a
+    tessellation whose diff is cached hands the child its diff with one chord
+    out and one chord in, instead of deriving it.  `depth` bounds the
     rendered/enumerated window; `flips` is the construction history when
     known (None after a group action).
     """
@@ -325,13 +330,33 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     four doe flips restore the original tessellation-with-doe.  A flip
     commutes with the action, so with t = f(tau_0) the result is f r(tau_0),
     for the r that makes the same flip at f^-1(edge) in tau_0; f is reduced,
-    so f r is one path-copying edit of f's trees.
+    so f r is one path-copying edit of f's trees.  When t's diff is cached,
+    the child's is carried: `edge` goes out, and f of the opposite diagonal
+    of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes in.
     """
-    iv = _standard_interval_of(chord(*t._preimage(edge)))
+    c = chord(*t._preimage(edge))
+    iv = _standard_interval_of(c)
     if iv is None:
         raise EdgeNotFound(f"{edge} is not an edge of this tessellation")
     flips = None if t.flips is None else t.flips + (edge,)
-    return Tessellation(t.depth, _right_multiply(t.element, _flip_element(iv)), flips)
+    child = Tessellation(t.depth, _right_multiply(t.element, _flip_element(iv)), flips)
+    if "_diff" in vars(t):
+        new = chord(*(evaluate(t.element, _default_apex(c, side)) for side in (True, False)))
+        removed, added = t._diff
+        added, removed = _drop_or_insert(added, removed, chord(edge.a, edge.b))
+        removed, added = _drop_or_insert(removed, added, new)
+        object.__setattr__(child, "_diff", (removed, added))
+    return child
+
+
+def _drop_or_insert(source: tuple[Chord, ...], target: tuple[Chord, ...], c: Chord):
+    """Drop c from the sorted tuple `source` if it is there, else insert it
+    into the sorted tuple `target`; returns both."""
+    i = bisect.bisect_left(source, c)
+    if i < len(source) and source[i] == c:
+        return source[:i] + source[i + 1 :], target
+    j = bisect.bisect_left(target, c)
+    return source, target[:j] + (c,) + target[j:]
 
 
 def apply_flips(t: Tessellation, edges) -> Tessellation:

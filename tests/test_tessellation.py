@@ -122,14 +122,35 @@ class TestFaceApex:
 
 class TestPachnerFlip:
     def test_non_doe_flip_is_involution(self):
+        """Flipping a chord and then the chord it brought in gives back the
+        tessellation and the parent's diff tuples exactly, in order; from
+        tau_0 and from a walked tessellation with a longer carried diff."""
+        rng = random.Random(31)
+        walked = standard_tessellation(4)
+        for _ in range(30):
+            edges = walked.window_edges()
+            walked = pachner_flip(walked, edges[int(rng.random() * len(edges))])
+        for t in (standard_tessellation(3), walked):
+            for c in t.window_edges():
+                if c == chord(*t.doe):
+                    continue
+                t2 = pachner_flip(t, c)
+                assert not t2.same_tessellation(t)
+                (new_edge,) = (t2.added - t.added) | (t.removed - t2.removed)
+                back = pachner_flip(t2, new_edge)
+                assert back.same_tessellation(t)
+                assert back._diff == t._diff
+        assert len(walked.removed) > 5
+
+    def test_swapped_chord_is_normalized_in_carried_diff(self):
         t = standard_tessellation(3)
-        for c in t.window_edges():
-            if c == chord(*t.doe):
-                continue
-            t2 = pachner_flip(t, c)
-            assert not t2.same_tessellation(t)
-            (new_edge,) = t2.added
-            assert pachner_flip(t2, new_edge).same_tessellation(t)
+        t.window_edges()  # caches tau_0's diff, so the flip carries it
+        t2 = pachner_flip(t, Chord(d("1/2^1"), d("1/2^2")))
+        assert "_diff" in vars(t2)
+        assert t2._diff == ((ch("1/2^2", "1/2^1"),), (ch("0", "3/2^3"),))
+        assert (t2.removed, t2.added) == ref_diff(t2)
+        t3 = pachner_flip(t2, Chord(d("3/2^3"), d("0")))
+        assert t3._diff == t._diff
 
     def test_flip_exchanges_diagonals(self):
         t = standard_tessellation(2)
@@ -891,6 +912,14 @@ def assert_views_match_reference(t: Tessellation):
         assert render_svg(t, labels) == ref_render_svg(t, labels), (str(t.element), labels)
 
 
+def assert_carried_diff_matches_reference(t: Tessellation):
+    """t's diff was carried through its last flip and equals the
+    tree-derived reference, as sorted tuples."""
+    assert "_diff" in vars(t), "the flip did not carry the diff"
+    removed, added = ref_diff(t)
+    assert t._diff == (tuple(sorted(removed)), tuple(sorted(added))), str(t.element)
+
+
 class TestAgainstViewReference:
     """The diff, window, Farey labels and SVG read in integer coordinates
     against the chord-hashing, per-vertex references, exactly."""
@@ -903,7 +932,33 @@ class TestAgainstViewReference:
                 edges = t.window_edges()
                 e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
                 t = pachner_flip(t, e)
+                assert_carried_diff_matches_reference(t)
             assert_views_match_reference(t)
+
+    def test_carried_diff_at_every_step(self):
+        """Walks from tau_0, from an image under the action and from a JSON
+        round trip: the last two start with no cached diff, so each walk
+        derives one diff from the trees and carries it from there on."""
+        rng = random.Random(808)
+        elements = reduced_words(2)
+        for k in range(36):
+            depth = rng.randint(3, 8)
+            t = standard_tessellation(depth)
+            if k % 3 == 1:
+                t = apply_element(t, rng.choice(elements))
+            elif k % 3 == 2:
+                seq = flips_realizing(rng.choice(elements), depth)
+                t = Tessellation.from_json(apply_flips(t, seq).to_json())
+                assert "_diff" not in vars(t)
+            for _ in range(rng.randint(10, 40)):
+                edges = t.window_edges()
+                e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
+                t = pachner_flip(t, e)
+                assert_carried_diff_matches_reference(t)
+            if t.flips:
+                # the replay the flip oracle and from_json make derives no diff
+                replayed = apply_flips(standard_tessellation(depth), t.flips)
+                assert "_diff" not in vars(replayed)
 
     def test_all_words_up_to_three_letters(self):
         elements = reduced_words(3)
