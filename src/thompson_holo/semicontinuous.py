@@ -323,7 +323,12 @@ def gram_matrix(words, V: DenseTensor) -> np.ndarray:
 class BTZState:
     """Two-boundary state of the cylinder made by identifying two geodesics.
 
-    Amplitude legs are ordered A legs first, then B legs.
+    Amplitude legs are ordered A legs first, then B legs.  The amplitudes
+    are invariant under the joint cyclic shift of the A legs and the B legs
+    (A leg j to j + 1 and B leg j to j + 1, mod 2*halfwidth): turning the
+    ring by two triangles maps it to itself, for any 3-leg V, because every
+    triangle carries the same V.  `entanglement_entropy` relies on this for
+    the A half and the B half.
     """
 
     halfwidth: int
@@ -365,11 +370,12 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
         bonds.append(((i, 2), ((i + 1) % ntri, 0)))
         (open_a if i % 2 == 0 else open_b).append((i, 1))
     net = TensorNetwork(nodes, bonds, open_a + open_b)
-    amps = contract(net).array
+    amps = np.array(contract(net).array, order="C")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    return BTZState(halfwidth, amps / norm, V)
+    amps /= norm
+    return BTZState(halfwidth, amps, V)
 
 
 def entanglement_entropy(state, subsystem) -> float:
@@ -380,6 +386,12 @@ def entanglement_entropy(state, subsystem) -> float:
     m, and rho is formed on the smaller side of the cut, m m^dagger or
     m^dagger m: both have the same nonzero spectrum.  A zero state raises
     ValueError.
+
+    The sector route: when `state` is a BTZState and the subsystem is
+    exactly its A legs or exactly its B legs, rho commutes with the cyclic
+    shift of those legs, and its spectrum is read from one block per
+    momentum (`_momentum_blocks`), each about d^n / n wide for n legs of
+    dimension d, instead of from one d^n-wide matrix.
     """
     amps = np.asarray(state.amplitudes, dtype=complex)
     n = amps.ndim
@@ -392,11 +404,62 @@ def entanglement_entropy(state, subsystem) -> float:
     m = amps.transpose(sub + rest).reshape(
         math.prod(amps.shape[j] for j in sub), -1
     )
-    rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-    trace = np.trace(rho).real
+    if isinstance(state, BTZState) and sub in (
+        list(range(state.num_a)),
+        list(range(state.num_a, n)),
+    ):
+        blocks = _momentum_blocks(m, amps.shape[0], len(sub))
+    else:
+        rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+        blocks = [(rho, 1)]
+    trace = sum(mult * np.trace(block).real for block, mult in blocks)
     if trace == 0:
         raise ValueError("the entropy of a zero state is undefined")
-    rho /= trace
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-14]
-    return float(-np.sum(evals * np.log(evals)))
+    entropy = 0.0
+    for block, mult in blocks:
+        block /= trace
+        evals = np.linalg.eigvalsh(block)
+        evals = evals[evals > 1e-14]
+        entropy -= mult * np.sum(evals * np.log(evals))
+    return float(entropy)
+
+
+def _momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
+    """rho = m m^dagger split into translation sectors, as [(block, count)]
+    with each block's spectrum counted `count` times.
+
+    The rows of m are the n legs of dimension d on one side of a state that
+    is invariant under the joint cyclic shift of both sides, so rho commutes
+    with the shift of its n legs.  Orbit o of the shift has representative
+    r_o, its least index, and period p_o; with w = exp(-2 pi i / n), the
+    momentum-k state of o, sqrt(p_o) / n * sum_s w^(ks) |shift_s(r_o)>,
+    exists when k p_o = 0 (mod n), and rho's block on those states is
+
+        block_k[o, o'] = sqrt(p_o p_o') / n * sum_s w^(ks) rho[r_o, shift_s(r_o')],
+
+    one DFT over s of the representatives' rows of rho.  For real m, blocks
+    k and n - k are complex conjugates with one spectrum, so only
+    k = 0 ... n/2 are built, and the k = 0 and k = n/2 blocks are real.
+    """
+    cube = np.arange(d**n).reshape((d,) * n)
+    shifts = np.stack(
+        [cube.transpose(np.roll(np.arange(n), s)).reshape(-1) for s in range(n)]
+    )
+    reps = np.flatnonzero(shifts.min(axis=0) == cube.reshape(-1))
+    periods = n // np.count_nonzero(shifts[:, reps] == reps, axis=0)
+    rows = m[reps] @ m.conj().T
+    gathered = rows[:, shifts[:, reps]]  # [o, s, o'] = rho[r_o, shift_s(r_o')]
+    real = not np.iscomplexobj(m)
+    spectra = np.fft.rfft(gathered, axis=1) if real else np.fft.fft(gathered, axis=1)
+    weights = np.sqrt(periods / n)
+    blocks = []
+    for k in range(spectra.shape[1]):
+        sel = np.flatnonzero(k * periods % n == 0)
+        block = spectra[sel, k][:, sel] * np.outer(weights[sel], weights[sel])
+        if not real:
+            blocks.append((block, 1))
+        elif 2 * k % n == 0:
+            blocks.append((block.real, 1))
+        else:
+            blocks.append((block, 2))
+    return blocks

@@ -133,14 +133,13 @@ def adjoin_caret(f: TreeDiagram, leaf_index: int) -> TreeDiagram:
     return _expand_domain(f, _graft(f.domain_tree, carets))
 
 
-def reduce_diagram(f: TreeDiagram, rng: random.Random | None = None) -> TreeDiagram:
+def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
     """The reduced diagram of f, its canonical form, in one top-down walk:
     every maximal domain subtree whose leaves land, in order, on a range
     subtree of the same shape collapses to a leaf, and so does that subtree.
 
     Range nodes are keyed by (first leaf index, leaf count); none wraps from
-    leaf n-1 to leaf 0, so neither does a match.  `rng` is still accepted
-    but no longer chooses anything: there is no removal order to randomise.
+    leaf n-1 to leaf 0, so neither does a match.
     """
     n, m = f.num_leaves, f.marker
     range_nodes = {}

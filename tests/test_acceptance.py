@@ -174,8 +174,7 @@ def test_04_group_algebra():
         g = f
         for j in (0, 1, 0):
             g = adjoin_caret(g, j % g.num_leaves)
-        reductions = {reduce_diagram(g, random.Random(k)) for k in range(4)}
-        ok &= reductions == {f}
+        ok &= reduce_diagram(g) == f
         ok &= reduce_diagram(reduce_diagram(g)) == reduce_diagram(g)
     dt = time.monotonic() - t0
     report(

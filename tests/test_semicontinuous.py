@@ -18,6 +18,7 @@ from thompson_holo.dyadic import (
 from thompson_holo.errors import NotPerfect, ResourceLimit, TheoryMismatch
 from thompson_holo.semicontinuous import (
     BASE_PARTITION,
+    BTZState,
     BulkKet,
     CutoffState,
     act,
@@ -31,7 +32,12 @@ from thompson_holo.semicontinuous import (
     vacuum_matrix_element,
     _normalized_splitter,
 )
-from thompson_holo.tensor import DenseTensor, four_colour_tensor, singlet_tensor
+from thompson_holo.tensor import (
+    DenseTensor,
+    four_colour_tensor,
+    singlet_tensor,
+    verify_perfect,
+)
 from thompson_holo.thompson import (
     compose,
     evaluate,
@@ -578,9 +584,10 @@ class TestEntropyAgainstReference:
             )
 
     def test_real_states_use_real_arithmetic(self, eigvalsh_args):
+        """Legs 1-4 are not a BTZ half, so both states take the general route."""
         state = btz_state(2, V3)
-        entanglement_entropy(state, range(4))
-        entanglement_entropy(CutoffState(cutoff_with(8), 1j * state.amplitudes, V3), range(4))
+        entanglement_entropy(state, range(1, 5))
+        entanglement_entropy(CutoffState(cutoff_with(8), 1j * state.amplitudes, V3), range(1, 5))
         assert [dtype for _, dtype in eigvalsh_args] == [np.float64, np.complex128]
 
     def test_whole_system_of_twelve_legs(self):
@@ -602,3 +609,85 @@ class TestEntropyAgainstReference:
         state = CutoffState(BASE_PARTITION, np.zeros(9), V3)
         with pytest.raises(ValueError, match="zero state"):
             entanglement_entropy(state, [0])
+
+
+# Four-colour times a phase on the boundary leg: still perfect, and its BTZ
+# amplitudes are complex.
+PHASED = DenseTensor(V3.array * np.exp(1j * np.array([0, 0.7, 1.9]))[None, :, None])
+
+
+def joint_shift(amps: np.ndarray, s: int) -> np.ndarray:
+    """The amplitudes with the A axes and the B axes each rolled by s."""
+    half = amps.ndim // 2
+    axes = np.arange(half)
+    return amps.transpose(list(np.roll(axes, s)) + list(half + np.roll(axes, s)))
+
+
+def orbit_count(d: int, n: int) -> int:
+    """Orbits of the cyclic shift on n legs of dimension d (Burnside)."""
+    return sum(d ** math.gcd(s, n) for s in range(n)) // n
+
+
+def halves(state):
+    na = state.num_a
+    return [range(na), range(na, na + state.num_b)]
+
+
+class TestTranslationSectors:
+    """The sector route that entanglement_entropy takes on a BTZ half."""
+
+    @pytest.mark.parametrize(
+        "h, V",
+        [(1, V3), (2, V3), (3, V3), (1, singlet_tensor()), (2, singlet_tensor()), (2, PHASED)],
+    )
+    def test_btz_state_is_invariant_under_the_joint_shift(self, h, V):
+        amps = btz_state(h, V).amplitudes
+        assert np.max(np.abs(joint_shift(amps, 1) - amps)) <= 1e-13
+
+    def test_phased_tensor_is_perfect_with_complex_amplitudes(self):
+        verify_perfect(PHASED)
+        assert np.any(btz_state(1, PHASED).amplitudes.imag)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_phased_entropies_equal_four_colour(self, h):
+        """The phase is a local unitary on each boundary leg."""
+        state, plain = btz_state(h, PHASED), btz_state(h, V3)
+        for side in halves(state):
+            sa = entanglement_entropy(state, side)
+            assert sa == pytest.approx(entanglement_entropy(plain, side), abs=1e-12)
+            assert sa == pytest.approx(reference_entropy(state, side), abs=1e-12)
+
+    @pytest.mark.parametrize("h, seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4)])
+    def test_random_shift_invariant_complex_states(self, h, seed):
+        """Generic complex states, unnormalised, whose blocks k and n - k
+        have different spectra."""
+        rng = np.random.default_rng(seed)
+        shape = (3,) * (4 * h)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps = sum(joint_shift(v, s) for s in range(2 * h))
+        state = BTZState(h, amps, V3)
+        for side in halves(state):
+            assert entanglement_entropy(state, side) == pytest.approx(
+                reference_entropy(state, side), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("h, V", [(2, V3), (3, V3), (2, singlet_tensor()), (2, PHASED)])
+    def test_halves_take_the_sector_route(self, h, V, eigvalsh_args):
+        """One block per momentum, none wider than the orbit count, and
+        together (blocks k and n - k once each) exactly d^n wide."""
+        state = btz_state(h, V)
+        d, n = V.leg_dims[0], state.num_a
+        real = not np.any(state.amplitudes.imag)
+        for side in halves(state):
+            eigvalsh_args.clear()
+            entanglement_entropy(state, side)
+            widths = [shape[0] for shape, _ in eigvalsh_args]
+            assert len(widths) == (n // 2 + 1 if real else n)
+            assert max(widths) == orbit_count(d, n)
+            counts = [1 if 2 * k % n == 0 or not real else 2 for k in range(len(widths))]
+            assert sum(c * w for c, w in zip(counts, widths)) == d**n
+            dtypes = [dtype for _, dtype in eigvalsh_args]
+            if real:
+                assert dtypes[0] == dtypes[-1] == np.float64
+            else:
+                assert all(dtype == np.complex128 for dtype in dtypes)

@@ -139,8 +139,7 @@ class TestReduction:
             g = f
             for j in (0, 1, 0):
                 g = adjoin_caret(g, j % g.num_leaves)
-            results = {reduce_diagram(g, random.Random(k)) for k in range(8)}
-            assert results == {f}
+            assert reduce_diagram(g) == f
 
     def test_adjoin_preserves_map(self):
         for seed in range(15):
@@ -360,7 +359,6 @@ class TestOnePassAgainstReference:
             f = random_unreduced(rng)
             expected = ref_reduce(f, random.Random(0))
             assert reduce_diagram(f) == expected
-            assert reduce_diagram(f, random.Random(5)) == expected
 
     def test_reference_is_confluent(self):
         rng = random.Random(99)
