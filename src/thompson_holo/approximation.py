@@ -5,6 +5,13 @@ greedily subdivides the range, always splitting the interval holding the
 most image points (ties to the leftmost), until domain and range have the
 same number of pieces; the image of the origin picks the marker.
 
+A `CircleMap` keeps the values it computes on its 4096-point checking grid and
+serves them for every point on that grid: the level-n image points for n <= 12
+and the sup-norm samples for n <= 10 are read off the grid rather than
+recomputed.  So a map's `func` must be pure and must not be reassigned.  A
+Mobius map fills its grid from one shared table of roots of unity, with the
+same complex arithmetic its closure does per point.
+
 The image points are sorted once, so an interval's count is two bisections.
 The live intervals sit in one row per count, left to right: each step splits
 the first interval of the fullest row, whose others are its ties.  The split
@@ -16,6 +23,7 @@ sample; level 12 takes well under a second.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -47,38 +55,58 @@ __all__ = [
 ]
 
 MONOTONE_SAMPLES = 2**12
+# grid point i is i/2^_GRID_BITS
+_GRID_BITS = MONOTONE_SAMPLES.bit_length() - 1
 
 
 class CircleMap:
     """Degree-one orientation-preserving map of [0,1), given as a closure.
 
     Monotonicity and winding are checked on a fixed sampling grid at
-    construction; the map itself stays a black box afterwards.
+    construction.  The grid values func(i/4096) % 1.0 are kept and served
+    for grid points afterwards, so `func` must be pure and must not be
+    reassigned; off the grid the map stays a black box.
     """
 
     def __init__(self, func, name: str = "custom"):
         self.func = func
         self.name = name
-        vals = [func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
+        self._grid = [func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
+        self._check()
+
+    @classmethod
+    def _from_grid(cls, func, name: str, grid: list[float]) -> CircleMap:
+        """The map of func whose grid values the caller computed, bit for bit
+        as `__init__` would; the same check runs on them."""
+        self = cls.__new__(cls)
+        self.func, self.name, self._grid = func, name, grid
+        self._check()
+        return self
+
+    def _check(self) -> None:
+        vals, name = self._grid, self.name
         if not all(map(math.isfinite, vals)):
             i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
             raise NotMonotone(f"map {name!r} is not finite at x={i / MONOTONE_SAMPLES}")
-        total = 0.0
-        for i in range(MONOTONE_SAMPLES):
-            step = (vals[(i + 1) % MONOTONE_SAMPLES] - vals[i]) % 1.0
-            if step == 0.0:
-                raise NotMonotone(
-                    f"map {name!r} is not strictly increasing near x="
-                    f"{i / MONOTONE_SAMPLES}"
-                )
-            total += step
-        if round(total) != 1:
+        steps = [(b - a) % 1.0 for a, b in zip(vals, vals[1:] + vals[:1])]
+        if 0.0 in steps:
             raise NotMonotone(
-                f"map {name!r} has winding number {round(total)}, expected 1"
+                f"map {name!r} is not strictly increasing near x="
+                f"{steps.index(0.0) / MONOTONE_SAMPLES}"
             )
+        total = round(sum(steps))
+        if total != 1:
+            raise NotMonotone(f"map {name!r} has winding number {total}, expected 1")
 
     def __call__(self, x: float) -> float:
         return self.func(x % 1.0) % 1.0
+
+    def _at(self, num: int, e: int) -> float:
+        """f(num/2^e) for 0 <= num < 2^e: the kept value when the point is on
+        the grid, where num/2^e and (num << (12 - e))/4096 are the same float."""
+        if e <= _GRID_BITS:
+            return self._grid[num << (_GRID_BITS - e)]
+        return self(num / (1 << e))
 
 
 def identity_map() -> CircleMap:
@@ -90,19 +118,35 @@ def rotation_map(offset: DyadicRational) -> CircleMap:
     return CircleMap(lambda x: (x + off) % 1.0, f"rotation:{offset.mod1()}")
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_roots() -> tuple[complex, ...]:
+    """exp(2 pi i x) at the grid points x = i/4096, as mobius_map's closure
+    computes it."""
+    return tuple(
+        cmath.exp(2j * math.pi * (i / MONOTONE_SAMPLES)) for i in range(MONOTONE_SAMPLES)
+    )
+
+
 def mobius_map(a: float, b: float) -> CircleMap:
     """Boundary action of the disc automorphism z -> (z - w)/(1 - conj(w) z)
     with w = a + b i."""
     w = complex(a, b)
     if abs(w) >= 1.0:
         raise ValueError("mobius parameter must lie inside the unit disc")
+    wc = w.conjugate()
 
     def func(x: float) -> float:
         z = cmath.exp(2j * math.pi * x)
-        img = (z - w) / (1 - w.conjugate() * z)
+        img = (z - w) / (1 - wc * z)
         return (cmath.phase(img) / (2 * math.pi)) % 1.0
 
-    return CircleMap(func, f"mobius:{a},{b}")
+    # func(x) % 1.0 on the grid, func's body inlined; the second % 1.0 turns
+    # a tiny negative phase's 1.0 into 0.0, as CircleMap's reduction does
+    grid = [
+        (cmath.phase((z - w) / (1 - wc * z)) / (2 * math.pi)) % 1.0 % 1.0
+        for z in _grid_roots()
+    ]
+    return CircleMap._from_grid(func, f"mobius:{a},{b}", grid)
 
 
 def tabulated_map(pairs) -> CircleMap:
@@ -234,7 +278,7 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
         raise ValueError("level must be at least 1")
     _check_cap(n, 2, "image points", f"level {n}: ")
     m = 2**n
-    points = [f(j / m) for j in range(m)]
+    points = [f._at(j, n) for j in range(m)]
     if not all(map(math.isfinite, points)):
         raise NotMonotone(f"map {f.name!r} is not finite at level {n}")
     if len(set(points)) < m:
@@ -281,5 +325,5 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
         # x = num/2^e, so g(x) = ((num << d.n) + ((r.a - d.a) << e)) / 2^(e + r.n)
         exp = e + r_n
         gx = ((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp)
-        worst = max(worst, circle_distance(f(x), gx))
+        worst = max(worst, circle_distance(f._at(num, e), gx))
     return worst

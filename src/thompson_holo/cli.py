@@ -8,6 +8,7 @@ arguments containing '|' are parsed as explicit tree-diagram text instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call makes a
+    fresh Namespace, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="thompson-holo",
         description="Thompson-group dynamics for holographic states",

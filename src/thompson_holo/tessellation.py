@@ -302,6 +302,10 @@ _QUAD = TTree(TTree(LEAF, LEAF), TTree(LEAF, LEAF))
 # The doe flip of tau_0: the quad (0, 1/4, 1/2, 3/4) gets the diagonal
 # 3/4 -> 1/4 as its doe, so this element has order 4.
 _DOE_FLIP = TreeDiagram(_QUAD, _QUAD, 3)
+# The generators of T's presentation as the mapping class group Pt of the
+# Farey tessellation: alpha of order 4 and beta = CC of order 3.
+_ALPHA = inverse(_DOE_FLIP)
+_BETA = TreeDiagram.parse("(.(..))|(.(..))@1")
 
 
 def _flip_element(iv: StdDyadicInterval) -> TreeDiagram:

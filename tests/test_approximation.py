@@ -8,6 +8,7 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from thompson_holo.approximation import (
+    MONOTONE_SAMPLES,
     CircleMap,
     TieEvent,
     _greedy_range,
@@ -169,6 +170,60 @@ class TestCircleMap:
     def test_wraps_input(self):
         f = rotation_map(DyadicRational.parse("1/2^2"))
         assert f(1.25) == pytest.approx(0.5)
+
+
+def grid_maps():
+    rng = random.Random(2024)
+    maps = [identity_map()]
+    maps += [rotation_map(DyadicRational.parse(p)) for p in ("1/2^1", "3/2^3", "-5/2^4")]
+    while len(maps) < 34:
+        a, b = rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)
+        if abs(complex(a, b)) < 0.95:
+            maps.append(mobius_map(a, b))
+    maps.append(tabulated_map([(0.0, 0.1), (0.3, 0.2), (0.55, 0.7), (0.8, 0.95)]))
+    return maps
+
+
+class TestGrid:
+    """The kept checking grid is the map's own values, bit for bit, and the
+    lookup serves them for exactly the points f would compute."""
+
+    @pytest.mark.parametrize("f", grid_maps(), ids=lambda f: f.name)
+    def test_grid_is_exact(self, f):
+        ref = [f.func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
+        assert list(map(float.hex, f._grid)) == list(map(float.hex, ref))
+
+    @pytest.mark.parametrize("f", grid_maps(), ids=lambda f: f.name)
+    def test_lookup_matches_the_map(self, f):
+        rng = random.Random(f.name)
+        xs = [i / MONOTONE_SAMPLES for i in range(MONOTONE_SAMPLES)]
+        xs += [rng.random() for _ in range(45)]
+        xs += [(2 * rng.randrange(4096) + 1) / 8192 for _ in range(5)]
+        for x in xs:
+            num, den = x.as_integer_ratio()
+            assert f._at(num, den.bit_length() - 1).hex() == f(x).hex(), x
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: parse_map("mobius:nan,0"), "map 'mobius:nan,0.0' is not finite at x=0.0"),
+            (lambda: CircleMap(lambda x: 0.25), "map 'custom' is not strictly increasing near x=0.0"),
+            (
+                lambda: CircleMap(lambda x: x if x < 0.5 else 0.5, "flat"),
+                "map 'flat' is not strictly increasing near x=0.5",
+            ),
+            (
+                lambda: CircleMap(lambda x: (1.0 - x) % 1.0),
+                "map 'custom' has winding number 4095, expected 1",
+            ),
+            (lambda: CircleMap(lambda x: (2 * x) % 1.0), "map 'custom' has winding number 2, expected 1"),
+        ],
+        ids=["nan", "constant", "flat", "reversed", "degree-2"],
+    )
+    def test_rejection_messages(self, make, message):
+        with pytest.raises(NotMonotone) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestApproximate:

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompson_holo import errors
+from thompson_holo import cli, errors
 from thompson_holo.cli import main
 from thompson_holo.dyadic import HALF, DyadicPartition, DyadicRational, StdDyadicInterval
 from thompson_holo.errors import ResourceLimit
@@ -366,6 +366,40 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "ZZZ", "0")
         assert code == 1
         assert err
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call sees another's
+    options, so each output is what a freshly built parser gives."""
+
+    @staticmethod
+    def sequence(tmp_path):
+        svg = str(tmp_path / "t.svg")
+        return [
+            ["approximate", "mobius:0.3,0.1", "--level", "4", "--json"],
+            ["approximate", "identity", "--level", "three"],
+            ["approximate", "mobius:1,0", "--level", "3"],
+            ["approximate", "mobius:0.3,0.1", "--level", "4"],
+            ["verify-tensor", "four-colour"],
+            ["compose", "C", "CC"],
+            ["reduce", "CCC"],
+            ["eval", "A", "1/2^1"],
+            ["matrix-element", "B"],
+            ["flips", "B", "--depth", "4"],
+            ["btz-entropy", "--halfwidth", "1"],
+            ["render", "tessellation:2", "--out", svg],
+        ]
+
+    def test_outputs_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        argvs = self.sequence(tmp_path)
+        reused = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in argvs]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 1] + [0] * 9
+        assert json.loads(reused[0][1])["level"] == 4
+        assert reused[3][1].startswith("element: ")
 
 
 class TestDeepDiagram:

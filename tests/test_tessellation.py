@@ -20,6 +20,9 @@ from thompson_holo.dyadic import LEAF, ZERO, DyadicPartition, DyadicRational, St
 from thompson_holo.errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic
 from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
+    _ALPHA,
+    _BETA,
+    _DOE_FLIP,
     E0,
     Chord,
     FareyLabeling,
@@ -47,6 +50,7 @@ from thompson_holo.thompson import (
     evaluate,
     generator,
     identity,
+    inverse,
     parse_word,
     random_element,
     reduce_diagram,
@@ -492,6 +496,43 @@ class TestFlipConstruction:
             env={**os.environ, "PYTHONPATH": str(Path(thompson_holo.__file__).parents[1])},
         )
         assert fresh.stdout.split() == [str(c) for c in first]
+
+
+def product(*factors: TreeDiagram) -> TreeDiagram:
+    out = identity()
+    for f in factors:
+        out = compose(out, f)
+    return out
+
+
+class TestPtRelations:
+    """Relations of T as the mapping class group of the Farey tessellation,
+    on its generators alpha (the inverse doe flip) and beta (CC)."""
+
+    def test_generators(self):
+        assert _ALPHA == inverse(_DOE_FLIP)
+        assert reduce_diagram(_BETA) == reduce_diagram(parse_word("CC"))
+
+    @pytest.mark.parametrize("g, order", [(_ALPHA, 4), (_BETA, 3)], ids=["alpha", "beta"])
+    def test_order(self, g, order):
+        powers = [reduce_diagram(product(*[g] * k)) for k in range(1, order + 1)]
+        assert all(str(p) != ".|.@0" for p in powers[:-1])
+        assert str(powers[-1]) == ".|.@0"
+
+    def test_relators(self):
+        a, b = _ALPHA, _BETA
+        x = product(b, a, b)
+        y = product(a, a, b, a, b, a, a)
+        relators = {
+            "alpha^4": product(a, a, a, a),
+            "beta^3": product(b, b, b),
+            "(beta alpha)^5": product(*[b, a] * 5),
+            "[beta alpha beta, alpha^2 beta alpha beta alpha^2]": product(
+                x, y, inverse(x), inverse(y)
+            ),
+        }
+        reduced = {name: str(reduce_diagram(r)) for name, r in relators.items()}
+        assert reduced == {name: ".|.@0" for name in relators}
 
 
 class TestRendering:
