@@ -328,22 +328,27 @@ def contract(net: TensorNetwork) -> DenseTensor:
         open_ids[len(net.bonds) + j] = j
 
     pool: list[tuple[np.ndarray, list[int]] | None] = []  # by id; None once used
-    holders = collections.defaultdict(set)  # label -> ids of live holders
+    holders = collections.defaultdict(list)  # label -> ids of live holders
     heap: list[tuple[int, int, int]] = []  # (result size, older id, newer id)
 
     def enter(arr, lab):
-        for l in [l for i, l in enumerate(lab) if l in lab[i + 1 :]]:
-            i = lab.index(l)
-            arr = np.trace(arr, axis1=i, axis2=lab.index(l, i + 1))
-            lab = [m for m in lab if m != l]
+        if len(set(lab)) != len(lab):
+            for l in [l for i, l in enumerate(lab) if l in lab[i + 1 :]]:
+                i = lab.index(l)
+                arr = np.trace(arr, axis1=i, axis2=lab.index(l, i + 1))
+                lab = [m for m in lab if m != l]
         new = len(pool)
-        partners = set().union(*(holders[l] for l in lab))
+        shared = {}  # partner id -> the labels it shares with the new tensor
         for l in lab:
-            holders[l].add(new)
-        for old in partners:
+            for old in holders[l]:
+                shared.setdefault(old, []).append(l)
+            holders[l].append(new)
+        for old, common in shared.items():
             arr_o, lab_o = pool[old]
-            dims = zip(arr_o.shape + arr.shape, lab_o + lab)
-            size = math.prod(d for d, l in dims if l not in lab or l not in lab_o)
+            size = 1  # both sides' unshared dimensions: no division by a 0 bond
+            for d, l in zip(arr_o.shape + arr.shape, lab_o + lab):
+                if l not in common:
+                    size *= d
             heapq.heappush(heap, (size, old, new))
         pool.append((arr, lab))
 
@@ -356,14 +361,18 @@ def contract(net: TensorNetwork) -> DenseTensor:
         check(size)
         (arr_a, lab_a), (arr_b, lab_b) = pool[i], pool[j]
         pool[i] = pool[j] = None
-        for l in lab_a + lab_b:
-            holders[l] -= {i, j}
-        shared = [l for l in lab_a if l in lab_b]
+        for l in lab_a:
+            holders[l].remove(i)
+        for l in lab_b:
+            holders[l].remove(j)
+        in_b = set(lab_b)
+        shared = [l for l in lab_a if l in in_b]
         axes = ([lab_a.index(l) for l in shared], [lab_b.index(l) for l in shared])
         out = np.tensordot(arr_a, arr_b, axes=axes)
-        enter(out, [l for l in lab_a + lab_b if l not in shared])
+        in_both = set(shared)
+        enter(out, [l for l in lab_a + lab_b if l not in in_both])
 
-    rest = [item for item in pool if item is not None]
+    rest = [item for item in pool if item is not None] or [(np.ones(()), [])]
     while len(rest) > 1:
         (arr_a, lab_a), (arr_b, lab_b), *rest = rest
         check(arr_a.size * arr_b.size)

@@ -9,6 +9,7 @@ Composition convention: compose(f, g) means "apply g first" (f o g).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -284,16 +285,28 @@ def _letter_element(letter: str) -> TreeDiagram:
     raise ValueError(f"unknown word letter {letter!r}")
 
 
+@functools.lru_cache(maxsize=6**3 + 6**2 + 6)  # every word of 1-3 letters
+def _block_element(letters: str) -> TreeDiagram:
+    """Reduced product of a block of 1-3 letters, built on first use; a bad
+    letter raises on every call, since exceptions are not cached."""
+    element = identity()
+    for letter in letters:
+        element = _right_multiply(element, _letter_element(letter))
+    return element
+
+
 def parse_word(word: str) -> TreeDiagram:
     """Word over {A,B,C,a,b,c}, lowercase = inverse, applied right to left.
 
-    Each letter edits a few root-to-leaf paths of the running product
-    (`_right_multiply`), so L letters cost O(L * depth) for the product's
-    tree depth; products whose trees are combs have depth about n and stay
-    quadratic."""
+    The word is multiplied in blocks of three letters, each block's product
+    read from a bounded table, and each block edits a few root-to-leaf paths
+    of the running product (`_right_multiply`), so L letters cost
+    O(L * depth) for the product's tree depth; products whose trees are
+    combs have depth about n and stay quadratic."""
+    word = word.strip()
     element = identity()
-    for letter in word.strip():
-        element = _right_multiply(element, _letter_element(letter))
+    for i in range(0, len(word), 3):
+        element = _right_multiply(element, _block_element(word[i : i + 3]))
     return element
 
 

@@ -35,9 +35,11 @@ from thompson_holo.semicontinuous import (
 from thompson_holo.tensor import (
     DenseTensor,
     four_colour_tensor,
+    normalize_isometry,
     singlet_tensor,
     verify_perfect,
 )
+from thompson_holo.tessellation import _ALPHA, _BETA
 from thompson_holo.thompson import (
     compose,
     evaluate,
@@ -325,6 +327,38 @@ def random_state(rng) -> CutoffState:
     """A random unit state at the two-interval cutoff."""
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     return CutoffState(BASE_PARTITION, v / np.linalg.norm(v), V3)
+
+
+class TestPtRelatorsOnStates:
+    """The relators of T as the mapping class group of the Farey tessellation,
+    applied to states one factor at a time: pi(alpha) and pi(beta) are
+    unitaries, so each relator must bring a state back to itself."""
+
+    a, b, A, B = _ALPHA, _BETA, inverse(_ALPHA), inverse(_BETA)
+    x, y = [b, a, b], [a, a, b, a, b, a, a]
+    RELATORS = {
+        "alpha^4": [a] * 4,
+        "beta^3": [b] * 3,
+        "(beta alpha)^5": [b, a] * 5,
+        "[beta alpha beta, alpha^2 beta alpha beta alpha^2]": x + y + [B, A, B] + [A, A, B, A, B, A, A],
+    }
+
+    @pytest.mark.parametrize("name", RELATORS)
+    @pytest.mark.parametrize("V", [four_colour_tensor(), singlet_tensor()], ids=["four-colour", "singlet"])
+    def test_relator_returns_the_state(self, name, V):
+        V = normalize_isometry(V, [0])
+        d = V.leg_dims[0]
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
+        starts = [
+            vacuum(BASE_PARTITION, V),
+            CutoffState(part("0, 1/2^2, 1/2^1, 3/2^2, 1"), v / np.linalg.norm(v), V),
+        ]
+        for s in starts:
+            t = s
+            for g in reversed(self.RELATORS[name]):  # the rightmost factor acts first
+                t = act(g, t)
+            assert abs(inner_product(s, t) - inner_product(s, s)) <= 1e-12
 
 
 class TestRandomElements:

@@ -232,6 +232,19 @@ class TestContraction:
         ):
             contract(legs)
 
+    def test_empty_network_is_the_empty_product(self):
+        out = contract(TensorNetwork([], [], []))
+        assert out.leg_dims == ()
+        assert out.array == 1.0
+
+    def test_zero_dimension_bond(self):
+        """A bond of dimension 0 sums over nothing: the result is zero, of the
+        open legs' shape."""
+        a, b = DenseTensor(np.zeros((3, 0))), DenseTensor(np.zeros((0, 3)))
+        out = contract(TensorNetwork([a, b], [((0, 1), (1, 0))], [(0, 0), (1, 1)]))
+        assert out.leg_dims == (3, 3)
+        assert not out.array.any()
+
     def test_dimension_mismatch(self):
         net = TensorNetwork(
             [four_colour_tensor(), singlet_tensor()], [((0, 0), (1, 0))], []

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO
 from thompson_holo.thompson import (
     TreeDiagram,
+    _block_element,
     _expand_domain,
     _letter_element,
     _right_multiply,
@@ -521,3 +522,63 @@ class TestRightMultiply:
                         paths = depth(f.domain_tree) + depth(f.range_tree)
                         size = len(nodes(g.domain_tree)) + len(nodes(g.range_tree))
                         assert len(new) <= 2 * (paths + size) < f.num_leaves
+
+
+def reference_parse_word(word: str) -> TreeDiagram:
+    """The word's element by `_right_multiply`, one letter at a time."""
+    element = identity()
+    for letter in word.strip():
+        element = _right_multiply(element, _letter_element(letter))
+    return element
+
+
+class TestBlockParse:
+    """`parse_word` multiplies blocks of three letters from a table; the
+    reduced diagram is canonical, so it equals the letter-by-letter product."""
+
+    def test_every_length_to_40(self):
+        rng = random.Random(40)
+        for length in range(41):
+            for _ in range(5):
+                w = "".join(rng.choice("ABCabc") for _ in range(length))
+                assert parse_word(w) == reference_parse_word(w), w
+
+    def test_long_and_comb_words(self):
+        rng = random.Random(800)
+        words = [
+            "".join(rng.choice("ABCabc") for _ in range(800)),
+            "A" * 400 + "a" * 5 + "B" * 300,
+            "a" * 301 + "B" * 2 + "b" * 200,
+            "C" * 7 + "A" * 250 + "c" * 4,
+        ]
+        for w in words:
+            assert parse_word(w) == reference_parse_word(w), w[:20]
+
+    def test_surrounding_whitespace(self):
+        for w in ["  ABC", "aBc\n", "\t AbCa  ", " \n", "  Cb\t"]:
+            assert parse_word(w) == reference_parse_word(w) == parse_word(w.strip())
+
+    @pytest.mark.parametrize("position", range(6))
+    def test_bad_letter_message(self, position):
+        word = "ABCabc"[:position] + "x" + "ABCabc"[position + 1 :]
+        with pytest.raises(ValueError) as expected:
+            reference_parse_word(word)
+        with pytest.raises(ValueError) as got:
+            parse_word(word)
+        assert str(got.value) == str(expected.value) == "unknown word letter 'x'"
+
+    def test_table_holds_every_block_once(self):
+        blocks = ["".join(w) for k in (1, 2, 3) for w in itertools.product("ABCabc", repeat=k)]
+        assert len(blocks) == 258 == _block_element.cache_info().maxsize
+        _block_element.cache_clear()
+        for bad in ["x", "Ax", "ABx", " ", "A B", "abd"]:
+            with pytest.raises(ValueError):
+                _block_element(bad)
+        assert _block_element.cache_info().currsize == 0
+        for w in blocks:
+            assert _block_element(w) == reference_parse_word(w)
+        filled = _block_element.cache_info()
+        assert filled.currsize == 258
+        for w in blocks:
+            parse_word(w)
+        assert _block_element.cache_info().misses == filled.misses
