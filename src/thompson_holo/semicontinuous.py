@@ -36,7 +36,7 @@ from .tensor import (
     contract,
     verify_perfect,
 )
-from .thompson import TreeDiagram, _expand_domain, compose, inverse, reduce_diagram
+from .thompson import TreeDiagram, _graft_images, compose, inverse, reduce_diagram
 
 __all__ = [
     "CutoffState",
@@ -214,7 +214,7 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
     f = reduce_diagram(f)
     gamma = common_refinement(s.cutoff, f.domain_partition)
     refined = fine_grainer(s.cutoff, gamma, s.tensor).apply(s)
-    f = _expand_domain(f, gamma.tree)
+    f = TreeDiagram(gamma.tree, *_graft_images(f, _leaf_subtrees(f.domain_tree, gamma.tree)))
     n = len(gamma)
     perm = [(k - f.marker) % n for k in range(n)]
     return CutoffState(f.range_partition, refined.amplitudes.transpose(perm), s.tensor)
@@ -328,12 +328,22 @@ class BTZState:
     (A leg j to j + 1 and B leg j to j + 1, mod 2*halfwidth): turning the
     ring by two triangles maps it to itself, for any 3-leg V, because every
     triangle carries the same V.  `entanglement_entropy` relies on this for
-    the A half and the B half.
+    the A half and the B half, so a state built by hand must pass one shift
+    within 1e-10 of its largest amplitude (`btz_state`'s skips the check).
     """
 
     halfwidth: int
     amplitudes: np.ndarray
     tensor: DenseTensor
+
+    def __post_init__(self):
+        amps, n = np.asarray(self.amplitudes), self.num_a
+        if amps.ndim != 2 * n:
+            raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
+        axes = np.roll(np.arange(n), 1)
+        shifted, scale = amps.transpose([*axes, *(axes + n)]), np.max(np.abs(amps), initial=0)
+        if shifted.shape != amps.shape or np.max(np.abs(shifted - amps), initial=0) > 1e-10 * scale:
+            raise ValueError("BTZ amplitudes are not invariant under the joint cyclic shift")
 
     @property
     def num_a(self) -> int:
@@ -375,7 +385,9 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
     amps /= norm
-    return BTZState(halfwidth, amps, V)
+    state = object.__new__(BTZState)  # invariant by construction: skip the check
+    state.__dict__.update(halfwidth=halfwidth, amplitudes=amps, tensor=V)
+    return state
 
 
 def entanglement_entropy(state, subsystem) -> float:

@@ -6,7 +6,8 @@ tau_0 is infinite, but T acts freely and transitively on the tessellations with
 a doe (distinguished oriented edge) that differ from tau_0 in finitely many
 chords, so each is f(tau_0, e0) for exactly one reduced tree diagram f, and is
 stored as f.  Its diff against tau_0 (the removed and added chords) and its doe
-are derived from f; a flip or the group action composes f with one element.
+are derived from f; a flip or the group action multiplies f by one element,
+editing a few root-to-leaf paths of its trees.
 A flip also carries the diff when the parent's is cached: one chord goes out
 and one comes in, so the child's diff is two sorted-tuple edits.
 """
@@ -37,7 +38,6 @@ from .thompson import (
     TreeDiagram,
     _right_multiply,
     adjoin_caret,
-    compose,
     evaluate,
     identity,
     inverse,
@@ -101,21 +101,15 @@ def _standard_interval_of(c: Chord) -> StdDyadicInterval | None:
 E0 = chord(ZERO, HALF)
 
 
-def _default_apex(c: Chord, ccw_from_a: bool) -> DyadicRational | None:
-    """Third vertex of the tau_0 face of c on the given side.
-
-    ccw_from_a selects the side swept counterclockwise from c.a to c.b.
-    """
-    iv = _standard_interval_of(c)
-    if iv is None:
-        return None
-    if (iv.left == c.a) == ccw_from_a:  # the side inside iv
-        return iv.halves()[0].right
+def _tau0_apexes(iv: StdDyadicInterval) -> tuple[DyadicRational, DyadicRational]:
+    """Third vertices of the two tau_0 faces beside the chord of iv: the face
+    inside iv (swept counterclockwise from iv.left), then the face outside."""
+    inside = iv.halves()[0].right
     if iv.n == 1:
         # the other side of e0 is the interior of the complementary half
-        return StdDyadicInterval(1 - iv.a, 1).halves()[0].right
+        return inside, StdDyadicInterval(1 - iv.a, 1).halves()[0].right
     parent = StdDyadicInterval(iv.a // 2, iv.n - 1)
-    return (parent.right if iv.a % 2 == 0 else parent.left).mod1()
+    return inside, (parent.right if iv.a % 2 == 0 else parent.left).mod1()
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,10 +236,11 @@ class Tessellation:
         the tau_0 apex beside f^-1(c).  f keeps the orientation, so the side
         swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a)."""
         p, q = self._preimage(c)
-        x = _default_apex(chord(p, q), ccw_from_a == (p < q))
-        if x is None:
+        iv = _standard_interval_of(chord(p, q))
+        if iv is None:
             raise EdgeNotFound(f"{c} is not an edge of this tessellation")
-        return evaluate(self.element, x)
+        inside, outside = _tau0_apexes(iv)
+        return evaluate(self.element, inside if (iv.left == p) == ccw_from_a else outside)
 
     # -- serialization ------------------------------------------------------
 
@@ -345,7 +340,7 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     flips = None if t.flips is None else t.flips + (edge,)
     child = Tessellation(t.depth, _right_multiply(t.element, _flip_element(iv)), flips)
     if "_diff" in vars(t):
-        new = chord(*(evaluate(t.element, _default_apex(c, side)) for side in (True, False)))
+        new = chord(*(evaluate(t.element, x) for x in _tau0_apexes(iv)))
         removed, added = t._diff
         added, removed = _drop_or_insert(added, removed, chord(edge.a, edge.b))
         removed, added = _drop_or_insert(removed, added, new)
@@ -370,8 +365,9 @@ def apply_flips(t: Tessellation, edges) -> Tessellation:
 
 
 def apply_element(t: Tessellation, f: TreeDiagram) -> Tessellation:
-    """Image tessellation f(t): with t = h(tau_0), it is (f h)(tau_0)."""
-    return Tessellation(t.depth, compose(f, t.element), None)
+    """Image tessellation f(t): with t = h(tau_0), it is (f h)(tau_0), read
+    as (f h)^-1 = h^-1 f^-1, a few path edits of the reduced h^-1's trees."""
+    return Tessellation(t.depth, inverse(_right_multiply(inverse(t.element), inverse(f))), None)
 
 
 # ---------------------------------------------------------------------------

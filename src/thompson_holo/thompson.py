@@ -21,9 +21,7 @@ from .dyadic import (
     _build,
     _find_node,
     _graft,
-    _leaf_subtrees,
     _splice,
-    _tree_union,
     tree_to_partition,
 )
 
@@ -131,7 +129,7 @@ def adjoin_caret(f: TreeDiagram, leaf_index: int) -> TreeDiagram:
     if not 0 <= leaf_index < n:
         raise IndexError(f"leaf index {leaf_index} out of range for {n} leaves")
     carets = [_CARET if j == leaf_index else LEAF for j in range(n)]
-    return _expand_domain(f, _graft(f.domain_tree, carets))
+    return TreeDiagram(_graft(f.domain_tree, carets), *_graft_images(f, carets))
 
 
 def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
@@ -185,15 +183,6 @@ def _collapse(tree: TTree, blocks: set[tuple[int, int]]) -> TTree:
     return _build((tree, 0), split)
 
 
-def _expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
-    """Adjoin carets to f until its domain tree is `target`, which must
-    contain the domain tree from the root down: the subtree of `target` below
-    domain leaf j is grafted under its image, range leaf (marker + j) mod n,
-    and the new marker counts the leaves grafted under range leaves before
-    the old marker."""
-    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)))
-
-
 def _graft_images(f: TreeDiagram, below: list[TTree]) -> tuple[TTree, int]:
     """f's range tree with below[j] grafted under the image of domain leaf j,
     and the marker that then sends the first new domain leaf to its image."""
@@ -203,23 +192,23 @@ def _graft_images(f: TreeDiagram, below: list[TTree]) -> tuple[TTree, int]:
 
 
 def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
-    """Reduced diagram of f o g (g applied first)."""
-    target = _tree_union(g.range_tree, f.domain_tree)
-    g = inverse(_expand_domain(inverse(g), target))
-    f = _expand_domain(f, target)
-    n = f.num_leaves
-    return reduce_diagram(
-        TreeDiagram(g.domain_tree, f.range_tree, (f.marker + g.marker) % n)
-    )
+    """Reduced diagram of f o g (g applied first): the factor with more
+    leaves, reduced, has a few root-to-leaf paths edited by the other one
+    (`_right_multiply`), through inverses, (f o g)^-1 = g^-1 o f^-1, when
+    that factor is g.  One reduction walk plus O(m * depth) for the smaller
+    factor's m leaves: two deep combs of n leaves multiply in O(n^2)."""
+    if f.num_leaves >= g.num_leaves:
+        return _right_multiply(reduce_diagram(f), g)
+    return inverse(_right_multiply(reduce_diagram(inverse(g)), inverse(f)))
 
 
 def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
-    """compose(f, g) for a reduced f, by path copies in f's trees instead of
-    walks over them whole: O(|g| * depth) for g of |g| nodes, and everything
-    off the copied paths is shared with f.
+    """The reduced f o g for a reduced f, by path copies in f's trees instead
+    of walks over them whole: O(|g| * depth) for g of |g| nodes and f's tree
+    depth, so quadratic when both are deep combs, and everything off the
+    copied paths is shared with f.
 
-    f must be reduced; the result is then the reduced f o g that compose
-    gives.  Each range caret of g below a domain leaf j of f is grafted, by
+    Each range caret of g below a domain leaf j of f is grafted, by
     one path copy, under f's range leaf (marker + j) mod n, and g's domain
     tree gets the subtree of f's domain tree below each range leaf of g.  A
     domain node of f o g holding a node of f's domain tree cannot match its

@@ -705,6 +705,33 @@ class TestTranslationSectors:
                 reference_entropy(state, side), abs=1e-12
             )
 
+    def test_hand_built_state_that_is_not_invariant_is_rejected(self):
+        """The sector route would read S(A) = 1.74378 from these amplitudes;
+        the general route reads 1.58872."""
+        a = np.random.default_rng(0).normal(size=(3,) * 4)
+        a /= np.linalg.norm(a)
+        with pytest.raises(ValueError, match="joint cyclic shift"):
+            BTZState(1, a, V3)
+        general = CutoffState(part("0, 1/2^2, 1/2^1, 3/2^2, 1"), a, V3)
+        assert entanglement_entropy(general, range(2)) == pytest.approx(1.58872, abs=1e-5)
+        with pytest.raises(ValueError, match="halfwidth 1 needs 4 legs, not 3"):
+            BTZState(1, a[0], V3)
+
+    def test_tolerance_is_relative_to_the_largest_amplitude(self):
+        amps = btz_state(1, V3).amplitudes
+        bump = np.max(np.abs(amps)) * (np.arange(amps.size) == 5).reshape(amps.shape)
+        for scale in (1, 1e6):
+            BTZState(1, scale * (amps + 1e-11 * bump), V3)
+            with pytest.raises(ValueError, match="joint cyclic shift"):
+                BTZState(1, scale * (amps + 1e-9 * bump), V3)
+
+    @pytest.mark.parametrize("h, V", [(1, V3), (2, V3), (1, singlet_tensor()), (1, PHASED)])
+    def test_hand_built_copy_of_an_invariant_state(self, h, V):
+        state = btz_state(h, V)
+        copy = BTZState(h, state.amplitudes.copy(), V)
+        for side in halves(state):
+            assert entanglement_entropy(copy, side) == entanglement_entropy(state, side)
+
     @pytest.mark.parametrize("h, V", [(2, V3), (3, V3), (2, singlet_tensor()), (2, PHASED)])
     def test_halves_take_the_sector_route(self, h, V, eigvalsh_args):
         """One block per momentum, none wider than the orbit count, and

@@ -46,6 +46,7 @@ from thompson_holo.tessellation import (
 )
 from thompson_holo.thompson import (
     TreeDiagram,
+    adjoin_caret,
     compose,
     evaluate,
     generator,
@@ -55,7 +56,7 @@ from thompson_holo.thompson import (
     random_element,
     reduce_diagram,
 )
-from test_thompson import to_pl_map
+from test_thompson import expand_compose, to_pl_map
 
 
 def d(text: str) -> DyadicRational:
@@ -244,6 +245,41 @@ class TestApplyElement:
 # Stern-Brocot oracle for vertex labels on the right half-disc: the label
 # p/q at dyadic vertex x in (0, 1/2) satisfies ?(p/(p+q)) = 2x where ? is
 # the Minkowski question-mark function.
+
+
+class TestApplyElementAgainstExpansion:
+    """apply_element multiplies the inverses by path copies; the whole-tree
+    product of f and t's element is the reference."""
+
+    @staticmethod
+    def starts() -> list[Tessellation]:
+        rng = random.Random(71)
+        out = [standard_tessellation(4), apply_element(standard_tessellation(5), parse_word("aCb"))]
+        for k in range(6):
+            t = out[k % 2]
+            for _ in range(rng.randint(1, 40)):
+                edges = t.window_edges()
+                t = pachner_flip(t, t.doe_chord() if rng.random() < 0.2 else rng.choice(edges))
+            out.append(t)
+        assert out[2].flips
+        out.append(Tessellation.from_json(out[2].to_json()))
+        return out
+
+    def test_short_words(self):
+        elements = reduced_words(3)
+        assert len(elements) == 128
+        for t in self.starts():
+            for f in elements:
+                assert apply_element(t, f).element == expand_compose(f, t.element)
+
+    def test_unreduced_elements(self):
+        rng = random.Random(73)
+        for t in self.starts():
+            for _ in range(20):
+                f = parse_word("".join(rng.choice("ABCabc") for _ in range(rng.randint(0, 12))))
+                for _ in range(rng.randint(1, 4)):
+                    f = adjoin_caret(f, rng.randrange(f.num_leaves))
+                assert apply_element(t, f).element == expand_compose(f, t.element)
 
 
 def question_mark(x: Fraction) -> Fraction:
@@ -850,7 +886,8 @@ class TestAgainstDiffReference:
             for _ in range(rng.randint(1, 40)):
                 edges = t.window_edges()
                 e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
-                composed = compose(t.element, _flip_element(_standard_interval_of(chord(*t._preimage(e)))))
+                flip = _flip_element(_standard_interval_of(chord(*t._preimage(e))))
+                composed = expand_compose(t.element, flip)
                 t, r = pachner_flip(t, e), ref_flip(r, e)
                 assert t.element == composed
                 assert_matches_reference(t, r, outputs=False)

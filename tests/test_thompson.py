@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO
+from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO, _leaf_subtrees, _tree_union
 from thompson_holo.thompson import (
     TreeDiagram,
     _block_element,
-    _expand_domain,
+    _graft_images,
     _letter_element,
     _right_multiply,
     adjoin_caret,
@@ -336,6 +336,29 @@ def ref_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     return ref_reduce(joined, random.Random(0))
 
 
+# The whole-tree product: the union of g's range tree and f's domain tree,
+# both factors expanded to it by grafting, and one reduction walk over the
+# result.  It never runs the path copies of `_right_multiply`, which
+# `compose` is, so it checks them independently.
+
+
+def expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
+    """f with carets adjoined until its domain tree is `target`, which must
+    contain it from the root down."""
+    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)))
+
+
+def expand_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
+    """Reduced diagram of f o g by expanding both factors to one tree."""
+    target = _tree_union(g.range_tree, f.domain_tree)
+    g = inverse(expand_domain(inverse(g), target))
+    f = expand_domain(f, target)
+    n = f.num_leaves
+    return reduce_diagram(
+        TreeDiagram(g.domain_tree, f.range_tree, (f.marker + g.marker) % n)
+    )
+
+
 def random_tree(rng: random.Random, leaves: int) -> TTree:
     if leaves == 1:
         return LEAF
@@ -382,7 +405,7 @@ class TestOnePassAgainstReference:
             target = f.domain_tree
             for _ in range(rng.randint(0, 12)):
                 target = ref_subdivide_leaf(target, rng.randrange(target.num_leaves))
-            assert _expand_domain(f, target) == ref_expand_domain(f, target)
+            assert expand_domain(f, target) == ref_expand_domain(f, target)
 
     def test_compose_matches_reference(self):
         rng = random.Random(17)
@@ -414,8 +437,8 @@ _CARET = TTree(LEAF, LEAF)
 
 
 def reference_word(word: str) -> TreeDiagram:
-    """The word's element by general compose, one letter at a time."""
-    return functools.reduce(compose, map(_letter_element, word), identity())
+    """The word's element by the whole-tree product, one letter at a time."""
+    return functools.reduce(expand_compose, map(_letter_element, word), identity())
 
 
 def nodes(tree: TTree) -> list[TTree]:
@@ -446,7 +469,7 @@ def random_reduced(rng: random.Random, leaves: int) -> TreeDiagram:
 
 
 class TestRightMultiply:
-    """The path-copying product against general compose, exactly."""
+    """The path-copying product against the whole-tree product, exactly."""
 
     def test_short_words_times_each_letter(self):
         elements = {
@@ -457,7 +480,7 @@ class TestRightMultiply:
         assert len(elements) == 128
         for f in elements:
             for g in LETTERS:
-                assert _right_multiply(f, g) == compose(f, g)
+                assert _right_multiply(f, g) == expand_compose(f, g)
 
     @pytest.mark.parametrize("leaves", [1, 2, 3, 7, 30, 120, 400, 700])
     def test_random_elements_times_each_letter(self, leaves):
@@ -465,7 +488,7 @@ class TestRightMultiply:
         for _ in range(3):
             f = random_reduced(rng, leaves)
             for g in LETTERS + [random_reduced(rng, rng.randint(1, 6))]:
-                assert _right_multiply(f, g) == compose(f, g)
+                assert _right_multiply(f, g) == expand_compose(f, g)
 
     def test_parse_word_matches_compose(self):
         rng = random.Random(23)
@@ -495,7 +518,7 @@ class TestRightMultiply:
         for f in (TreeDiagram(right, left, 0), TreeDiagram(left, right, 0), TreeDiagram(right, left, 700)):
             assert reduce_diagram(f) == f
             for g in LETTERS:
-                assert _right_multiply(f, g) == compose(f, g)
+                assert _right_multiply(f, g) == expand_compose(f, g)
 
     def test_shares_all_but_a_few_paths(self):
         """Nodes of the product that are not nodes of f (by identity) are a
@@ -522,6 +545,66 @@ class TestRightMultiply:
                         paths = depth(f.domain_tree) + depth(f.range_tree)
                         size = len(nodes(g.domain_tree)) + len(nodes(g.range_tree))
                         assert len(new) <= 2 * (paths + size) < f.num_leaves
+
+
+def sized_unreduced(rng: random.Random, leaves: int) -> TreeDiagram:
+    """A random tree pair with 0-5 carets adjoined, `leaves` leaves in all."""
+    carets = rng.randint(0, min(5, leaves - 1))
+    n = leaves - carets
+    f = TreeDiagram(random_tree(rng, n), random_tree(rng, n), rng.randrange(n))
+    for _ in range(carets):
+        f = ref_adjoin_caret(f, rng.randrange(f.num_leaves))
+    return f
+
+
+RIGHT_COMB = TTree.parse("(." * 1100 + "." + ")" * 1100)
+LEFT_COMB = TTree.parse("(" * 1100 + "." + ".)" * 1100)
+
+
+def comb(text: str) -> TreeDiagram:
+    """A diagram of 1101-leaf right (R) and left (L) combs, e.g. "R|L@3"."""
+    return TreeDiagram.parse(text.replace("R", str(RIGHT_COMB)).replace("L", str(LEFT_COMB)))
+
+
+class TestComposeAgainstExpansion:
+    """`compose` right-multiplies the larger factor, reduced, by the smaller
+    one (through inverses when g is larger); the whole-tree product is the
+    reference."""
+
+    @pytest.mark.parametrize("order", ["f smaller", "equal", "f larger"])
+    def test_unreduced_pairs(self, order):
+        rng = random.Random(len(order))
+        for _ in range(150):
+            n, m = sorted(rng.randint(1, 40) for _ in range(2))
+            if order == "equal":
+                m = n
+            elif n == m:
+                m += 1
+            f, g = sized_unreduced(rng, n), sized_unreduced(rng, m)
+            if order == "f larger":
+                f, g = g, f
+            assert compose(f, g) == expand_compose(f, g), (str(f), str(g))
+
+    def test_identity_on_either_side(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            f = random_unreduced(rng)
+            assert compose(f, identity()) == expand_compose(f, identity()) == reduce_diagram(f)
+            assert compose(identity(), f) == expand_compose(identity(), f) == reduce_diagram(f)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            ("R|L@3", "R|R@500"),
+            ("R|L@0", "R|L@0"),
+            ("R|L@0", "L|R@0"),
+            ("R|R@7", "R|R@5"),
+            ("L|L@9", "R|L@0"),
+        ],
+    )
+    def test_comb_pairs(self, f, g):
+        f, g = comb(f), comb(g)
+        assert compose(f, g) == expand_compose(f, g)
 
 
 def reference_parse_word(word: str) -> TreeDiagram:
