@@ -81,9 +81,12 @@ def _normalized_splitter(V: DenseTensor) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutoffState:
-    """A representative (cutoff, amplitudes) of a semicontinuous-limit state."""
+    """A representative (cutoff, amplitudes) of a semicontinuous-limit state.
+
+    Two are equal when their cutoffs, tensors and amplitudes are; states
+    are not hashable."""
 
     cutoff: DyadicPartition
     amplitudes: np.ndarray
@@ -97,6 +100,15 @@ class CutoffState:
             arr = arr.reshape((d,) * n)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CutoffState):
+            return NotImplemented
+        return (
+            self.cutoff == other.cutoff
+            and self.tensor == other.tensor
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -319,7 +331,12 @@ def gram_matrix(words, V: DenseTensor) -> np.ndarray:
 # the BTZ state
 
 
-@dataclass(frozen=True)
+def _check_halfwidth(halfwidth):
+    if not isinstance(halfwidth, (int, np.integer)) or halfwidth < 1:
+        raise ValueError("halfwidth must be at least 1")
+
+
+@dataclass(frozen=True, eq=False)
 class BTZState:
     """Two-boundary state of the cylinder made by identifying two geodesics.
 
@@ -329,7 +346,9 @@ class BTZState:
     ring by two triangles maps it to itself, for any 3-leg V, because every
     triangle carries the same V.  `entanglement_entropy` relies on this for
     the A half and the B half, so a state built by hand must pass one shift
-    within 1e-10 of its largest amplitude (`btz_state`'s skips the check).
+    within 1e-10 of its largest amplitude (`btz_state`'s skips the check),
+    and its halfwidth must be an int of at least 1.  Two are equal when
+    their halfwidths, tensors and amplitudes are; states are not hashable.
     """
 
     halfwidth: int
@@ -337,6 +356,7 @@ class BTZState:
     tensor: DenseTensor
 
     def __post_init__(self):
+        _check_halfwidth(self.halfwidth)
         amps, n = np.asarray(self.amplitudes), self.num_a
         if amps.ndim != 2 * n:
             raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
@@ -344,6 +364,15 @@ class BTZState:
         shifted, scale = amps.transpose([*axes, *(axes + n)]), np.max(np.abs(amps), initial=0)
         if shifted.shape != amps.shape or np.max(np.abs(shifted - amps), initial=0) > 1e-10 * scale:
             raise ValueError("BTZ amplitudes are not invariant under the joint cyclic shift")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BTZState):
+            return NotImplemented
+        return (
+            self.halfwidth == other.halfwidth
+            and self.tensor == other.tensor
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
 
     @property
     def num_a(self) -> int:
@@ -364,10 +393,11 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     The strip has 2*halfwidth triangle columns between the two identified
     geodesics; each column is two triangles sharing a diagonal, and closing
     the strip into a ring performs the identification.  Even triangles face
-    boundary A, odd triangles boundary B.
+    boundary A, odd triangles boundary B.  The contracted legs come out in
+    ring order; one division by the norm writes them C-contiguous, A legs
+    first, so each half's matrix in `entanglement_entropy` is a view.
     """
-    if halfwidth < 1:
-        raise ValueError("halfwidth must be at least 1")
+    _check_halfwidth(halfwidth)
     _check_three_legs(V)
     d = V.leg_dims[0]
     ntri = 4 * halfwidth
@@ -380,11 +410,11 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
         bonds.append(((i, 2), ((i + 1) % ntri, 0)))
         (open_a if i % 2 == 0 else open_b).append((i, 1))
     net = TensorNetwork(nodes, bonds, open_a + open_b)
-    amps = np.array(contract(net).array, order="C")
-    norm = np.linalg.norm(amps)
+    raw = contract(net).array
+    norm = np.linalg.norm(raw)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    amps /= norm
+    amps = np.divide(raw, norm, order="C")
     state = object.__new__(BTZState)  # invariant by construction: skip the check
     state.__dict__.update(halfwidth=halfwidth, amplitudes=amps, tensor=V)
     return state
@@ -400,10 +430,12 @@ def entanglement_entropy(state, subsystem) -> float:
     ValueError.
 
     The sector route: when `state` is a BTZState and the subsystem is
-    exactly its A legs or exactly its B legs, rho commutes with the cyclic
-    shift of those legs, and its spectrum is read from one block per
-    momentum (`_momentum_blocks`), each about d^n / n wide for n legs of
-    dimension d, instead of from one d^n-wide matrix.
+    exactly its A legs or exactly its B legs, m commutes with the joint
+    cyclic shift, so rho's spectrum is read from one block per momentum
+    (`_momentum_blocks`), each about d^n / n wide for n legs of dimension
+    d, instead of from one d^n-wide matrix.  m is then the amplitudes as a
+    square matrix, transposed for the B half, and neither is copied when
+    the amplitudes are C-contiguous.
     """
     amps = np.asarray(state.amplitudes, dtype=complex)
     n = amps.ndim
@@ -412,16 +444,18 @@ def entanglement_entropy(state, subsystem) -> float:
         raise IndexError("subsystem leg index out of range")
     if not np.any(amps.imag):
         amps = amps.real
-    rest = [j for j in range(n) if j not in sub]
-    m = amps.transpose(sub + rest).reshape(
-        math.prod(amps.shape[j] for j in sub), -1
-    )
     if isinstance(state, BTZState) and sub in (
         list(range(state.num_a)),
         list(range(state.num_a, n)),
     ):
-        blocks = _momentum_blocks(m, amps.shape[0], len(sub))
+        d = amps.shape[0]
+        m = amps.reshape(d ** len(sub), -1)
+        blocks = _momentum_blocks(m if sub[0] == 0 else m.T, d, len(sub))
     else:
+        rest = [j for j in range(n) if j not in sub]
+        m = amps.transpose(sub + rest).reshape(
+            math.prod(amps.shape[j] for j in sub), -1
+        )
         rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
         blocks = [(rho, 1)]
     trace = sum(mult * np.trace(block).real for block, mult in blocks)
@@ -436,42 +470,57 @@ def entanglement_entropy(state, subsystem) -> float:
     return float(entropy)
 
 
-def _momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
-    """rho = m m^dagger split into translation sectors, as [(block, count)]
-    with each block's spectrum counted `count` times.
-
-    The rows of m are the n legs of dimension d on one side of a state that
-    is invariant under the joint cyclic shift of both sides, so rho commutes
-    with the shift of its n legs.  Orbit o of the shift has representative
-    r_o, its least index, and period p_o; with w = exp(-2 pi i / n), the
-    momentum-k state of o, sqrt(p_o) / n * sum_s w^(ks) |shift_s(r_o)>,
-    exists when k p_o = 0 (mod n), and rho's block on those states is
-
-        block_k[o, o'] = sqrt(p_o p_o') / n * sum_s w^(ks) rho[r_o, shift_s(r_o')],
-
-    one DFT over s of the representatives' rows of rho.  For real m, blocks
-    k and n - k are complex conjugates with one spectrum, so only
-    k = 0 ... n/2 are built, and the k = 0 and k = n/2 blocks are real.
-    """
+@functools.lru_cache(maxsize=8)
+def _shift_orbits(d: int, n: int) -> tuple:
+    """(reps, images, periods) of the cyclic shift of n legs of dimension d,
+    read-only: the least index r_o of each orbit o, images[s, o] =
+    shift_s(r_o), and the orbit's period p_o."""
     cube = np.arange(d**n).reshape((d,) * n)
     shifts = np.stack(
         [cube.transpose(np.roll(np.arange(n), s)).reshape(-1) for s in range(n)]
     )
     reps = np.flatnonzero(shifts.min(axis=0) == cube.reshape(-1))
-    periods = n // np.count_nonzero(shifts[:, reps] == reps, axis=0)
-    rows = m[reps] @ m.conj().T
-    gathered = rows[:, shifts[:, reps]]  # [o, s, o'] = rho[r_o, shift_s(r_o')]
+    images = shifts[:, reps]
+    periods = n // np.count_nonzero(images == reps, axis=0)
+    for table in (reps, images, periods):
+        table.setflags(write=False)
+    return reps, images, periods
+
+
+def _momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
+    """rho = m m^dagger split into translation sectors, as [(block, count)]
+    with each block's spectrum counted `count` times.
+
+    The rows of m are the n legs of dimension d on one side of a state, its
+    columns the n legs on the other, and the state is invariant under the
+    joint cyclic shift S of both sides: m[S a, S b] = m[a, b], so m maps the
+    momentum-k states of the columns to those of the rows.  Orbit o of the
+    shift has representative r_o and period p_o (`_shift_orbits`); with
+    w = exp(-2 pi i / n), the momentum-k state of o,
+    sqrt(p_o) / n * sum_s w^(ks) |shift_s(r_o)>, exists when k p_o = 0
+    (mod n), and m's block on those states is
+
+        M_k[o, o'] = sqrt(p_o p_o') / n * sum_s w^(ks) m[r_o, shift_s(r_o')],
+
+    one DFT over s of m at the representatives' rows and the shifts of the
+    representatives' columns.  rho commutes with the shift too, and its
+    block k is M_k M_k^dagger.  For real m, blocks k and n - k are complex
+    conjugates with one spectrum, so only k = 0 ... n/2 are built, and the
+    k = 0 and k = n/2 blocks are real.
+    """
+    reps, images, periods = _shift_orbits(d, n)
+    gathered = m[reps[:, None, None], images]  # [o, s, o'] = m[r_o, shift_s(r_o')]
     real = not np.iscomplexobj(m)
     spectra = np.fft.rfft(gathered, axis=1) if real else np.fft.fft(gathered, axis=1)
     weights = np.sqrt(periods / n)
     blocks = []
     for k in range(spectra.shape[1]):
         sel = np.flatnonzero(k * periods % n == 0)
-        block = spectra[sel, k][:, sel] * np.outer(weights[sel], weights[sel])
+        mk = spectra[sel, k][:, sel] * np.outer(weights[sel], weights[sel])
         if not real:
-            blocks.append((block, 1))
+            blocks.append((mk @ mk.conj().T, 1))
         elif 2 * k % n == 0:
-            blocks.append((block.real, 1))
+            blocks.append((mk.real @ mk.real.T, 1))
         else:
-            blocks.append((block, 2))
+            blocks.append((mk @ mk.conj().T, 2))
     return blocks

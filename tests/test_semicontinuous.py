@@ -30,10 +30,14 @@ from thompson_holo.semicontinuous import (
     inner_product,
     vacuum,
     vacuum_matrix_element,
+    _momentum_blocks,
     _normalized_splitter,
+    _shift_orbits,
 )
 from thompson_holo.tensor import (
     DenseTensor,
+    TensorNetwork,
+    contract,
     four_colour_tensor,
     normalize_isometry,
     singlet_tensor,
@@ -500,6 +504,13 @@ class TestBTZ:
     def test_halfwidth_validation(self):
         with pytest.raises(ValueError):
             btz_state(0, V3)
+        with pytest.raises(ValueError, match="halfwidth must be at least 1"):
+            btz_state(1.5, V3)
+
+    @pytest.mark.parametrize("halfwidth", [0, 1.5])
+    def test_hand_built_halfwidth_validation(self, halfwidth):
+        with pytest.raises(ValueError, match="halfwidth must be at least 1"):
+            BTZState(halfwidth, np.array(1.0), V3)
 
     def test_resource_limit(self, monkeypatch):
         monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "10")
@@ -752,3 +763,145 @@ class TestTranslationSectors:
                 assert dtypes[0] == dtypes[-1] == np.float64
             else:
                 assert all(dtype == np.complex128 for dtype in dtypes)
+
+
+def rho_row_momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
+    """The construction _momentum_blocks replaced: the representatives' rows
+    of rho = m m^dagger, then one DFT over the shifts of each orbit."""
+    cube = np.arange(d**n).reshape((d,) * n)
+    shifts = np.stack(
+        [cube.transpose(np.roll(np.arange(n), s)).reshape(-1) for s in range(n)]
+    )
+    reps = np.flatnonzero(shifts.min(axis=0) == cube.reshape(-1))
+    periods = n // np.count_nonzero(shifts[:, reps] == reps, axis=0)
+    rows = m[reps] @ m.conj().T
+    gathered = rows[:, shifts[:, reps]]  # [o, s, o'] = rho[r_o, shift_s(r_o')]
+    real = not np.iscomplexobj(m)
+    spectra = np.fft.rfft(gathered, axis=1) if real else np.fft.fft(gathered, axis=1)
+    weights = np.sqrt(periods / n)
+    blocks = []
+    for k in range(spectra.shape[1]):
+        sel = np.flatnonzero(k * periods % n == 0)
+        block = spectra[sel, k][:, sel] * np.outer(weights[sel], weights[sel])
+        if not real:
+            blocks.append((block, 1))
+        elif 2 * k % n == 0:
+            blocks.append((block.real, 1))
+        else:
+            blocks.append((block, 2))
+    return blocks
+
+
+def ring_copy_then_divide(h: int, V: DenseTensor) -> np.ndarray:
+    """btz_state's amplitudes as a C-ordered copy of the contracted ring,
+    then divided by the copy's norm."""
+    ntri = 4 * h
+    bonds = [((i, 2), ((i + 1) % ntri, 0)) for i in range(ntri)]
+    legs = [(i, 1) for i in range(0, ntri, 2)] + [(i, 1) for i in range(1, ntri, 2)]
+    amps = np.array(contract(TensorNetwork([V] * ntri, bonds, legs)).array, order="C")
+    amps /= np.linalg.norm(amps)
+    return amps
+
+
+class TestSectorBlocksFromAmplitudes:
+    """Sector blocks of rho read from blocks of the amplitude matrix."""
+
+    @pytest.mark.parametrize(
+        "h, d, seed, is_complex",
+        [
+            (1, 3, 0, False),
+            (1, 3, 1, True),
+            (2, 3, 2, False),
+            (2, 3, 3, True),
+            (3, 3, 4, False),
+            (3, 3, 5, True),
+            (3, 2, 6, True),
+            (2, 4, 7, False),
+        ],
+    )
+    def test_spectra_match_rho_rows(self, h, d, seed, is_complex):
+        rng = np.random.default_rng(seed)
+        shape = (d,) * (4 * h)
+        v = rng.normal(size=shape)
+        if is_complex:
+            v = v + 1j * rng.normal(size=shape)
+        amps = sum(joint_shift(v, s) for s in range(2 * h))
+        m = (amps / np.linalg.norm(amps)).reshape(d ** (2 * h), -1)
+        for half in (m, m.T):
+            blocks = _momentum_blocks(half, d, 2 * h)
+            reference = rho_row_momentum_blocks(half, d, 2 * h)
+            assert len(blocks) == len(reference) == (2 * h if is_complex else h + 1)
+            for (block, count), (ref, ref_count) in zip(blocks, reference):
+                assert count == ref_count
+                assert (block.shape, block.dtype) == (ref.shape, ref.dtype)
+                assert np.linalg.eigvalsh(block) == pytest.approx(
+                    np.linalg.eigvalsh(ref), abs=1e-12
+                )
+
+    def test_shift_orbits_are_shared_and_read_only(self):
+        reps, images, periods = _shift_orbits(3, 4)
+        assert _shift_orbits(3, 4)[0] is reps
+        assert len(reps) == images.shape[1] == len(periods) == orbit_count(3, 4)
+        for table in (reps, images, periods):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    @pytest.mark.parametrize("h, V", [(1, V3), (2, V3), (2, PHASED), (2, singlet_tensor())])
+    def test_amplitudes_that_are_not_c_contiguous(self, h, V):
+        """A Fortran-ordered copy, and the view with every axis reversed:
+        that swaps A with B and turns the shift backwards, so it is still
+        invariant under the joint shift."""
+        amps = btz_state(h, V).amplitudes
+        for layout in (np.asfortranarray(amps), amps.transpose()):
+            assert not layout.flags.c_contiguous
+            state = BTZState(h, layout, V)
+            for side in halves(state):
+                assert entanglement_entropy(state, side) == pytest.approx(
+                    reference_entropy(state, side), abs=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "h, V",
+        [(h, V) for V in (V3, PHASED) for h in (1, 2, 3)]
+        + [(1, singlet_tensor()), (2, singlet_tensor())],
+    )
+    def test_amplitudes_match_copy_then_divide(self, h, V):
+        """btz_state divides the contracted ring by its norm in one pass.
+        That norm sums in the contraction's memory order, not in C order;
+        for the phased tensor at h >= 2 its last bit differs, and the
+        amplitudes by up to 2 ulp."""
+        amps, reference = btz_state(h, V).amplitudes, ring_copy_then_divide(h, V)
+        assert amps.flags.c_contiguous
+        if V is PHASED and h > 1:
+            for part in ("real", "imag"):
+                np.testing.assert_array_max_ulp(
+                    getattr(amps, part), getattr(reference, part), maxulp=2
+                )
+        else:
+            assert np.array_equal(amps, reference)
+
+
+class TestStateEquality:
+    def test_equal_states(self):
+        assert vacuum(BASE_PARTITION, V3) == vacuum(BASE_PARTITION, V3)
+        state = btz_state(1, V3)
+        assert state == btz_state(1, V3)
+        assert state == BTZState(1, state.amplitudes.copy(), V3)
+
+    def test_states_that_differ(self):
+        omega = vacuum(BASE_PARTITION, V3)
+        assert omega != CutoffState(BASE_PARTITION, 2 * omega.amplitudes, V3)
+        assert omega != CutoffState(BASE_PARTITION, omega.amplitudes, PHASED)
+        state = btz_state(1, V3)
+        assert state != BTZState(1, -state.amplitudes, V3)
+        assert state != BTZState(1, state.amplitudes, PHASED)
+        assert state != btz_state(2, V3)
+
+    def test_comparison_with_a_non_state(self):
+        omega, state = vacuum(BASE_PARTITION, V3), btz_state(1, V3)
+        for other in (None, 1, "state"):
+            assert omega != other and state != other
+        assert omega != state
+        for s in (omega, state):
+            with pytest.raises(TypeError):
+                hash(s)
