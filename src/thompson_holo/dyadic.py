@@ -450,4 +450,7 @@ def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartiti
 def refines(coarse: DyadicPartition, fine: DyadicPartition) -> bool:
     """True iff every breakpoint of `coarse` is a breakpoint of `fine`, i.e.
     the tree of `coarse` sits inside the tree of `fine` from the root down."""
-    return _tree_union(coarse.tree, fine.tree) == fine.tree
+    try:
+        return len(_leaf_subtrees(coarse.tree, fine.tree)) == len(coarse)
+    except NotARefinement:
+        return False

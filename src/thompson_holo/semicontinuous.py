@@ -36,12 +36,11 @@ from .tensor import (
     contract,
     verify_perfect,
 )
-from .thompson import TreeDiagram, _graft_images, compose, inverse, reduce_diagram
+from .thompson import TreeDiagram, _graft_images, reduce_diagram
 
 __all__ = [
     "CutoffState",
     "FineGrainer",
-    "BulkKet",
     "BTZState",
     "fine_grainer",
     "vacuum",
@@ -292,38 +291,28 @@ def vacuum_matrix_element(
 
 
 # ---------------------------------------------------------------------------
-# bulk kets and the Gram matrix
+# bulk kets pi(f)|Omega> and the Gram matrix
 
 
-@dataclass(frozen=True)
-class BulkKet:
-    """The ket |R,S> of the bulk space, realized as pi((R,S,marker))|Omega>."""
-
-    domain_tree: TTree
-    range_tree: TTree
-    marker: int = 0
-
-    def element(self) -> TreeDiagram:
-        return TreeDiagram(self.domain_tree, self.range_tree, self.marker)
-
-    def state(self, V: DenseTensor) -> CutoffState:
-        return act(self.element(), vacuum(BASE_PARTITION, V))
-
-
-def bulk_inner(k1: BulkKet, k2: BulkKet, V: DenseTensor) -> complex:
-    """<R,S|R',S'>: carets are adjoined implicitly by the common refinement
-    taken inside the state inner product."""
-    return inner_product(k1.state(V), k2.state(V))
+def bulk_inner(f: TreeDiagram, g: TreeDiagram, V: DenseTensor) -> complex:
+    """<f|g> for the bulk kets pi(f)|Omega> and pi(g)|Omega>: carets are
+    adjoined implicitly by the common refinement taken inside the state
+    inner product."""
+    omega = vacuum(BASE_PARTITION, V)
+    return inner_product(act(f, omega), act(g, omega))
 
 
 def gram_matrix(words, V: DenseTensor) -> np.ndarray:
-    """Gram matrix G[i,j] = <Omega|pi(w_i^-1 w_j)|Omega>."""
-    words = list(words)
-    n = len(words)
-    G = np.zeros((n, n), dtype=complex)
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            G[i, j] = vacuum_matrix_element(compose(inverse(wi), wj), V)
+    """Gram matrix G[i,j] = <psi_i|psi_j> of the bulk kets
+    psi_i = pi(w_i)|Omega>, each built once; G is exactly Hermitian."""
+    omega = vacuum(BASE_PARTITION, V)
+    kets = [act(w, omega) for w in words]
+    G = np.zeros((len(kets), len(kets)), dtype=complex)
+    for i, ket in enumerate(kets):
+        G[i, i] = inner_product(ket, ket).real
+        for j in range(i + 1, len(kets)):
+            G[i, j] = inner_product(ket, kets[j])
+            G[j, i] = np.conj(G[i, j])
     return G
 
 

@@ -436,6 +436,8 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     # (interval [a/2^k, (a+1)/2^k], its ends' labels, whether the walk meets
     # them clockwise, the parent interval's domain node, first leaf and level);
     # the left face of e0 sees 1/0 as -1/0, so its labels come out negative.
+    # Both ends have |p q' - p' q| = 1, and so does a mediant with each end:
+    # every label is already in lowest terms with q >= 0.
     queue = collections.deque([
         (0, 1, (0, 1), (1, 0), False, f.domain_tree, 0, 0),
         (1, 1, (-1, 0), (0, 1), True, f.domain_tree, 0, 0),
@@ -452,7 +454,7 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
             x = DyadicRational(*ends[(m + j + node.left.num_leaves) % n])
         if x.exp > max_exponent and x not in special:
             continue
-        lx = _normalize_label((la[0] + lb[0], la[1] + lb[1]))
+        lx = (la[0] + lb[0], la[1] + lb[1])
         out.append((x, lx))
         sides = [(2 * a, k + 1, la, lx), (2 * a + 1, k + 1, lx, lb)]
         queue.extend(s + (clockwise, node, j, dn) for s in (sides[::-1] if clockwise else sides))

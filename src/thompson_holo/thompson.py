@@ -196,7 +196,8 @@ def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     leaves, reduced, has a few root-to-leaf paths edited by the other one
     (`_right_multiply`), through inverses, (f o g)^-1 = g^-1 o f^-1, when
     that factor is g.  One reduction walk plus O(m * depth) for the smaller
-    factor's m leaves: two deep combs of n leaves multiply in O(n^2)."""
+    factor's m leaves: two factors of n leaves multiply in O(n^2) when their
+    trees are combs, or random words' trees, whose depth is about 0.6 n."""
     if f.num_leaves >= g.num_leaves:
         return _right_multiply(reduce_diagram(f), g)
     return inverse(_right_multiply(reduce_diagram(inverse(g)), inverse(f)))
@@ -205,7 +206,8 @@ def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
 def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     """The reduced f o g for a reduced f, by path copies in f's trees instead
     of walks over them whole: O(|g| * depth) for g of |g| nodes and f's tree
-    depth, so quadratic when both are deep combs, and everything off the
+    depth, so quadratic when f's trees are deep (combs, or random words'
+    trees, at depth about 0.6 times the leaves), and everything off the
     copied paths is shared with f.
 
     Each range caret of g below a domain leaf j of f is grafted, by
@@ -290,8 +292,9 @@ def parse_word(word: str) -> TreeDiagram:
     The word is multiplied in blocks of three letters, each block's product
     read from a bounded table, and each block edits a few root-to-leaf paths
     of the running product (`_right_multiply`), so L letters cost
-    O(L * depth) for the product's tree depth; products whose trees are
-    combs have depth about n and stay quadratic."""
+    O(L * depth) for the product's tree depth.  That is quadratic: the
+    product of a random word has depth about 0.6 n for n leaves (722 leaves
+    at depth 459 for 3200 letters), and a comb has depth about n."""
     word = word.strip()
     element = identity()
     for i in range(0, len(word), 3):

@@ -19,7 +19,6 @@ from thompson_holo.errors import NotPerfect, ResourceLimit, TheoryMismatch
 from thompson_holo.semicontinuous import (
     BASE_PARTITION,
     BTZState,
-    BulkKet,
     CutoffState,
     act,
     btz_state,
@@ -43,14 +42,23 @@ from thompson_holo.tensor import (
     singlet_tensor,
     verify_perfect,
 )
-from thompson_holo.tessellation import _ALPHA, _BETA
+from thompson_holo.tessellation import (
+    _ALPHA,
+    _BETA,
+    apply_element,
+    chord,
+    pachner_flip,
+    standard_tessellation,
+)
 from thompson_holo.thompson import (
+    TreeDiagram,
     compose,
     evaluate,
     identity,
     inverse,
     parse_word,
     random_element,
+    reduce_diagram,
 )
 
 
@@ -438,8 +446,12 @@ class TestGram:
         G = gram_matrix(words, V3)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
-    def test_positive_semidefinite_words_up_to_three(self):
-        """The 38 distinct reduced elements of words over {A,B,C} of length <= 3."""
+    @pytest.mark.parametrize("V", [V3, singlet_tensor()], ids=["four-colour", "singlet"])
+    def test_matches_pairwise_reference_words_up_to_three(self, V):
+        """The 38 distinct reduced elements of words over {A,B,C} of length
+        <= 3: G[i,j] = <psi_i|psi_j> from kets built once equals
+        <Omega|pi(w_i^-1 w_j)|Omega> pair by pair, which is the homomorphism
+        law pi(w_i)^dagger pi(w_j) = pi(w_i^-1 w_j) on the vacuum."""
         seen = {}
         for length in range(4):
             for letters in itertools.product("ABC", repeat=length):
@@ -447,9 +459,16 @@ class TestGram:
                 seen.setdefault(str(f), f)
         words = list(seen.values())
         assert len(words) == 38
-        G = gram_matrix(words, V3)
-        assert np.abs(G - G.conj().T).max() <= 1e-12
+        G = gram_matrix(words, V)
+        ref = np.array(
+            [[vacuum_matrix_element(compose(inverse(wi), wj), V) for wj in words] for wi in words]
+        )
+        assert np.abs(G - ref).max() <= 1e-12
+        assert np.array_equal(G, G.conj().T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
+
+    def test_empty(self):
+        assert gram_matrix([], V3).shape == (0, 0)
 
     def test_inverse_symmetry(self):
         f = parse_word("Bc")
@@ -459,13 +478,15 @@ class TestGram:
 
 
 class TestBulkKets:
+    """A bulk ket is a tree diagram f, and its state is pi(f)|Omega>."""
+
     def test_vacuum_ket(self):
-        k = BulkKet(TTree.parse("."), TTree.parse("."))
+        k = TreeDiagram(TTree.parse("."), TTree.parse("."))
         assert bulk_inner(k, k, V3) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_caret_gram_psd(self):
         trees = [TTree.parse(t) for t in [".", "(..)", "((..).)", "(.(..))"]]
-        kets = [BulkKet(t, t) for t in trees]
+        kets = [TreeDiagram(t, t) for t in trees]
         n = len(kets)
         G = np.array(
             [[bulk_inner(kets[i], kets[j], V3) for j in range(n)] for i in range(n)]
@@ -474,11 +495,37 @@ class TestBulkKets:
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
     def test_ket_with_marker(self):
-        k = BulkKet(TTree.parse("(..)"), TTree.parse("(..)"), marker=1)
-        val = bulk_inner(BulkKet(TTree.parse("."), TTree.parse(".")), k, V3)
+        k = TreeDiagram(TTree.parse("(..)"), TTree.parse("(..)"), 1)
+        val = bulk_inner(TreeDiagram(TTree.parse("."), TTree.parse(".")), k, V3)
         # this is <Omega|pi(rotation by half)|Omega>
-        direct = vacuum_matrix_element(k.element(), V3)
+        direct = vacuum_matrix_element(k, V3)
         assert val == pytest.approx(direct, abs=1e-12)
+
+    def test_flip_commutes_with_boundary_action(self):
+        """T acts on the boundary and a flip acts in the bulk, and the two
+        commute on kets: the ket of pachner_flip(g(t), e) is pi(g) of the
+        ket of pachner_flip(t, g^-1(e)), for t a short flip walk from tau_0,
+        g a short random word and e an edge of g(t).  Cases over 13 leaves
+        are skipped, so that no amplitude array passes 3^13 entries."""
+        omega = vacuum(BASE_PARTITION, V3)
+        kept = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            t = standard_tessellation(4)
+            for _ in range(rng.randint(0, 3)):
+                t = pachner_flip(t, rng.choice(t.window_edges()))
+            g = random_element(rng.randint(0, 4), rng.randrange(10**6))
+            e = rng.choice(apply_element(t, g).window_edges())
+            g_inv = inverse(g)
+            lhs = pachner_flip(apply_element(t, g), e).element
+            rhs = pachner_flip(t, chord(evaluate(g_inv, e.a), evaluate(g_inv, e.b))).element
+            if max(lhs.num_leaves, rhs.num_leaves) > 13:
+                continue
+            kept += 1
+            assert lhs == reduce_diagram(compose(g, rhs)), seed
+            overlap = inner_product(act(lhs, omega), act(g, act(rhs, omega)))
+            assert abs(overlap - 1) <= 1e-12, seed
+        assert kept >= 100
 
 
 class TestBTZ:

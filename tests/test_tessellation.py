@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -657,6 +658,8 @@ class TestAgainstFaceWalk:
             got = farey_labels(t, max_exponent).vertex_to_label
             want = face_walk_farey_labels(t, max_exponent).vertex_to_label
             assert got == want, (str(t.element), t.depth, max_exponent)
+            # mediants of Farey neighbours come out in lowest terms unnormalized
+            assert all(math.gcd(p, q) == 1 and q >= 0 for _, (p, q) in got)
 
     def test_all_words_up_to_three_letters(self):
         t0 = standard_tessellation(3)
