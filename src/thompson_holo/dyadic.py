@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import NotARefinement, NotStandardDyadic
+from .errors import NotStandardDyadic
 
 __all__ = [
     "DyadicRational",
@@ -380,38 +380,30 @@ def _build(item, split) -> TTree:
     return out[0]
 
 
-def _tree_union(t1: TTree, t2: TTree) -> TTree:
-    """The smallest tree containing both t1 and t2 from the root down."""
-
-    def split(pair):
-        a, b = pair
-        if a.is_leaf or b.is_leaf:
-            return b if a.is_leaf else a
-        return (a.left, b.left), (a.right, b.right)
-
-    return _build((t1, t2), split)
-
-
 def _graft(tree: TTree, subtrees: list[TTree]) -> TTree:
     """`tree` with its leaf j replaced by subtrees[j]."""
     below = iter(subtrees)
     return _build(tree, lambda node: next(below) if node.is_leaf else (node.left, node.right))
 
 
-def _leaf_subtrees(src: TTree, tgt: TTree) -> list[TTree]:
-    """The subtree of `tgt` below each leaf of `src`, left to right; `tgt`
-    must contain `src` from the root down."""
-    out: list[TTree] = []
-    stack = [(src, tgt)]
+def _leaf_subtrees(t1: TTree, t2: TTree) -> tuple[list[TTree], list[TTree]]:
+    """The subtree of the union of t1 and t2 (the smallest tree containing
+    both from the root down) below each leaf of t1, and below each leaf of
+    t2, left to right: one walk of the two trees side by side."""
+    below1: list[TTree] = []
+    below2: list[TTree] = []
+    stack = [(t1, t2)]
     while stack:
-        s, t = stack.pop()
-        if s.is_leaf:
-            out.append(t)
-        elif t.is_leaf:
-            raise NotARefinement("target partition does not refine the source")
+        a, b = stack.pop()
+        if a.is_leaf:
+            below1.append(b)
+            below2 += [LEAF] * b.num_leaves
+        elif b.is_leaf:
+            below1 += [LEAF] * a.num_leaves
+            below2.append(a)
         else:
-            stack += [(s.right, t.right), (s.left, t.left)]
-    return out
+            stack += [(a.right, b.right), (a.left, b.left)]
+    return below1, below2
 
 
 # Local edits: one descent on the cached leaf counts finds a node, and a path
@@ -444,13 +436,10 @@ def _splice(path: list, node: TTree) -> TTree:
 
 def common_refinement(p1: DyadicPartition, p2: DyadicPartition) -> DyadicPartition:
     """Coarsest standard dyadic partition refining both inputs."""
-    return tree_to_partition(_tree_union(p1.tree, p2.tree))
+    return tree_to_partition(_graft(p1.tree, _leaf_subtrees(p1.tree, p2.tree)[0]))
 
 
 def refines(coarse: DyadicPartition, fine: DyadicPartition) -> bool:
     """True iff every breakpoint of `coarse` is a breakpoint of `fine`, i.e.
     the tree of `coarse` sits inside the tree of `fine` from the root down."""
-    try:
-        return len(_leaf_subtrees(coarse.tree, fine.tree)) == len(coarse)
-    except NotARefinement:
-        return False
+    return all(t.is_leaf for t in _leaf_subtrees(coarse.tree, fine.tree)[1])

@@ -24,8 +24,8 @@ from .dyadic import (
     StdDyadicInterval,
     TTree,
     _leaf_subtrees,
-    common_refinement,
     refines,
+    tree_to_partition,
 )
 from .errors import DimensionMismatch, NotARefinement, ResourceLimit, TheoryMismatch
 from .tensor import (
@@ -141,8 +141,8 @@ class FineGrainer:
             )
         if self.source == self.target:
             return state
-        amps = self._grain(state.amplitudes)
-        return CutoffState(self.target, amps, state.tensor)
+        below = _leaf_subtrees(self.source.tree, self.target.tree)[0]
+        return CutoffState(self.target, _grain(state.amplitudes, below, self.tensor), state.tensor)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -155,28 +155,33 @@ class FineGrainer:
                 f"of {amplitude_cap()} entries"
             )
         basis = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
-        return self._grain(basis).reshape(d**m, d**n)
+        below = _leaf_subtrees(self.source.tree, self.target.tree)[0]
+        return _grain(basis, below, self.tensor).reshape(d**m, d**n)
 
-    def _grain(self, amps: np.ndarray) -> np.ndarray:
-        """Expand the leading source-leg axes of `amps` into the target legs,
-        one splitter W per caret on one leg.
 
-        Source leaves are taken right to left, and below each the right
-        child before the left one, so that the axes of the legs not yet
-        expanded stay put; trailing axes ride along untouched.
-        """
-        W = _normalized_splitter(self.tensor)
-        d = W.shape[1]
-        stack = list(enumerate(_leaf_subtrees(self.source.tree, self.target.tree)))
-        while stack:
-            axis, tree = stack.pop()
-            if tree.is_leaf:
-                continue
-            shape = amps.shape
-            block = amps.reshape(math.prod(shape[:axis]), d, -1)
-            amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
-            stack += [(axis, tree.left), (axis + 1, tree.right)]
+def _grain(amps: np.ndarray, below: list[TTree], V: DenseTensor) -> np.ndarray:
+    """Expand leading axis j of `amps` into the legs of the subtree below[j],
+    one splitter W cut out of V per caret, on one leg.
+
+    Leaves are taken right to left, and below each the right child before
+    the left one, so that the axes of the legs not yet expanded stay put;
+    trailing axes ride along untouched, so stacked kets grain together.  W
+    is fetched only when some below[j] has a caret.
+    """
+    if all(t.is_leaf for t in below):
         return amps
+    W = _normalized_splitter(V)
+    d = W.shape[1]
+    stack = list(enumerate(below))
+    while stack:
+        axis, tree = stack.pop()
+        if tree.is_leaf:
+            continue
+        shape = amps.shape
+        block = amps.reshape(math.prod(shape[:axis]), d, -1)
+        amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
+        stack += [(axis, tree.left), (axis + 1, tree.right)]
+    return amps
 
 
 def fine_grainer(
@@ -208,10 +213,11 @@ def inner_product(s1: CutoffState, s2: CutoffState) -> complex:
     """<s1|s2> after fine-graining both to a common refinement."""
     if s1.tensor != s2.tensor:
         raise TheoryMismatch("states belong to different theories")
-    gamma = common_refinement(s1.cutoff, s2.cutoff)
-    a1 = fine_grainer(s1.cutoff, gamma, s1.tensor).apply(s1)
-    a2 = fine_grainer(s2.cutoff, gamma, s2.tensor).apply(s2)
-    return complex(np.vdot(a1.amplitudes, a2.amplitudes))
+    below1, below2 = _leaf_subtrees(s1.cutoff.tree, s2.cutoff.tree)
+    _check_cap(sum(t.num_leaves for t in below1), s1.tensor.leg_dims[0])
+    a1 = _grain(s1.amplitudes, below1, s1.tensor)
+    a2 = _grain(s2.amplitudes, below2, s2.tensor)
+    return complex(np.vdot(a1, a2))
 
 
 def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
@@ -223,12 +229,13 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
     the image cutoff, so the legs are re-anchored cyclically by the marker.
     """
     f = reduce_diagram(f)
-    gamma = common_refinement(s.cutoff, f.domain_partition)
-    refined = fine_grainer(s.cutoff, gamma, s.tensor).apply(s)
-    f = TreeDiagram(gamma.tree, *_graft_images(f, _leaf_subtrees(f.domain_tree, gamma.tree)))
-    n = len(gamma)
-    perm = [(k - f.marker) % n for k in range(n)]
-    return CutoffState(f.range_partition, refined.amplitudes.transpose(perm), s.tensor)
+    below, below_f = _leaf_subtrees(s.cutoff.tree, f.domain_tree)
+    n = sum(t.num_leaves for t in below)
+    _check_cap(n, s.tensor.leg_dims[0])
+    amps = _grain(s.amplitudes, below, s.tensor)
+    range_tree, marker = _graft_images(f, below_f)
+    perm = [(k - marker) % n for k in range(n)]
+    return CutoffState(tree_to_partition(range_tree), amps.transpose(perm), s.tensor)
 
 
 # ---------------------------------------------------------------------------

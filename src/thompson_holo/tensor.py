@@ -273,7 +273,9 @@ class TensorNetwork:
     bonds: list[tuple[tuple[int, int], tuple[int, int]]]
     open_legs: list[tuple[int, int]] = field(default_factory=list)
 
-    def validate(self):
+    def validate(self) -> dict[tuple[int, int], int]:
+        """Check the wiring and return each (node, leg)'s label: its bond's
+        index, or len(bonds) + j for open leg j."""
         seen: dict[tuple[int, int], int] = {}
         for b, ((n1, l1), (n2, l2)) in enumerate(self.bonds):
             for node, leg in ((n1, l1), (n2, l2)):
@@ -289,14 +291,15 @@ class TensorNetwork:
                     f"bond {b} joins legs of dimension "
                     f"{self.tensors[n1].leg_dims[l1]} and {self.tensors[n2].leg_dims[l2]}"
                 )
-        for node, leg in self.open_legs:
+        for j, (node, leg) in enumerate(self.open_legs):
             if (node, leg) in seen:
                 raise ValueError(f"open leg ({node},{leg}) is also bonded")
-            seen[(node, leg)] = -1
+            seen[(node, leg)] = len(self.bonds) + j
         for node, t in enumerate(self.tensors):
             for leg in range(t.num_legs):
                 if (node, leg) not in seen:
                     raise ValueError(f"leg ({node},{leg}) is neither bonded nor open")
+        return seen
 
 
 def contract(net: TensorNetwork) -> DenseTensor:
@@ -308,7 +311,7 @@ def contract(net: TensorNetwork) -> DenseTensor:
     Each result's size is checked against the amplitude cap before it is
     allocated.
     """
-    net.validate()
+    labels = net.validate()  # a bond id or an open id per leg; open ids rise with j
     cap = amplitude_cap()
 
     def check(size: int):
@@ -316,16 +319,6 @@ def contract(net: TensorNetwork) -> DenseTensor:
             raise ResourceLimit(
                 f"a contraction intermediate of {size} entries exceeds the cap of {cap}"
             )
-
-    # label every leg with a bond id or an open id
-    labels: dict[tuple[int, int], int] = {}
-    for b, (end1, end2) in enumerate(net.bonds):
-        labels[end1] = b
-        labels[end2] = b
-    open_ids = {}
-    for j, end in enumerate(net.open_legs):
-        labels[end] = len(net.bonds) + j
-        open_ids[len(net.bonds) + j] = j
 
     pool: list[tuple[np.ndarray, list[int]] | None] = []  # by id; None once used
     holders = collections.defaultdict(list)  # label -> ids of live holders
@@ -378,5 +371,5 @@ def contract(net: TensorNetwork) -> DenseTensor:
         check(arr_a.size * arr_b.size)
         rest.append((np.multiply.outer(arr_a, arr_b), lab_a + lab_b))
     arr, lab = rest[0]
-    order = sorted(range(len(lab)), key=lambda k: open_ids[lab[k]])
+    order = sorted(range(len(lab)), key=lab.__getitem__)
     return DenseTensor(arr.transpose(order))

@@ -562,7 +562,9 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     the same sequence.  Every returned sequence is checked against the
     apply_element oracle, replaying each flip as a path-copying edit of the
     element; so the whole costs O(n * depth) for the trees' depth, which is
-    quadratic only for combs.
+    quadratic only for combs.  `depth` only sets the window of the
+    standard tessellation that the replay starts from, and a negative one
+    raises ValueError; the sequence does not depend on it.
     """
     f = reduce_diagram(f)
     g = _split_root_children(f)

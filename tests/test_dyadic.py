@@ -16,6 +16,8 @@ from thompson_holo.dyadic import (
     TTree,
     ZERO,
     _find_node,
+    _graft,
+    _leaf_subtrees,
     _splice,
     common_refinement,
     refines,
@@ -160,6 +162,34 @@ class TestRefinement:
         p2 = DyadicPartition.parse("0, 1/2^1, 3/2^2, 1")
         cr = common_refinement(p1, p2)
         assert cr == DyadicPartition.parse("0, 1/2^2, 1/2^1, 3/2^2, 1")
+
+
+class TestPairedWalk:
+    """`_leaf_subtrees` on two trees, nested or not: grafting either side's
+    subtrees gives the tree of the union of their breakpoints, built by the
+    iterative partition constructor."""
+
+    @staticmethod
+    def check(t1: TTree, t2: TTree):
+        below1, below2 = _leaf_subtrees(t1, t2)
+        assert len(below1) == t1.num_leaves and len(below2) == t2.num_leaves
+        points = set(tree_to_partition(t1).breakpoints) | set(tree_to_partition(t2).breakpoints)
+        assert _graft(t1, below1) == _graft(t2, below2) == DyadicPartition(points).tree
+
+    @given(trees, trees)
+    def test_grafts_give_the_union(self, t1, t2):
+        self.check(t1, t2)
+
+    def test_deep_staircases_that_do_not_nest(self):
+        """A 1200-deep right staircase against a 1200-deep left one."""
+        count = 1200
+        right = DyadicPartition(
+            [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+        )
+        left = DyadicPartition([ZERO] + [DyadicRational(1, k) for k in range(1, count)] + [ONE])
+        assert len(right) == len(left) == count
+        self.check(right.tree, left.tree)
+        assert not refines(right, left) and not refines(left, right)
 
 
 # The breakpoint algorithms that the tree operations replaced, kept as

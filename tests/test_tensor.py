@@ -257,6 +257,14 @@ class TestContraction:
         with pytest.raises(ValueError):
             net.validate()
 
+    def test_validate_returns_leg_labels(self):
+        """Both ends of bond b are labelled b, open leg j len(bonds) + j."""
+        t = four_colour_tensor()
+        net = TensorNetwork([t, t], [((0, 2), (1, 0)), ((0, 0), (1, 2))], [(1, 1), (0, 1)])
+        assert net.validate() == {
+            (0, 2): 0, (1, 0): 0, (0, 0): 1, (1, 2): 1, (1, 1): 2, (0, 1): 3
+        }
+
     def test_ring_matches_trace_formula(self):
         """A cycle of 3-leg tensors contracts to a product of transfer
         matrices; check against the explicit trace."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO, _leaf_subtrees, _tree_union
+from thompson_holo.dyadic import LEAF, DyadicRational, TTree, ZERO, _graft, _leaf_subtrees
 from thompson_holo.thompson import (
     TreeDiagram,
     _block_element,
@@ -345,12 +345,12 @@ def ref_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
 def expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
     """f with carets adjoined until its domain tree is `target`, which must
     contain it from the root down."""
-    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)))
+    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)[0]))
 
 
 def expand_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     """Reduced diagram of f o g by expanding both factors to one tree."""
-    target = _tree_union(g.range_tree, f.domain_tree)
+    target = _graft(g.range_tree, _leaf_subtrees(g.range_tree, f.domain_tree)[0])
     g = inverse(expand_domain(inverse(g), target))
     f = expand_domain(f, target)
     n = f.num_leaves
