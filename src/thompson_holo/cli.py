@@ -71,14 +71,14 @@ def _cmd_verify_tensor(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    out = thompson.compose(_parse_element(args.f), _parse_element(args.g))
-    _emit(args, {"element": str(out)}, [str(out)])
+    out = str(thompson.compose(_parse_element(args.f), _parse_element(args.g)))
+    _emit(args, {"element": out}, [out])
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    out = thompson.reduce_diagram(_parse_element(args.f))
-    _emit(args, {"element": str(out)}, [str(out)])
+    out = str(thompson.reduce_diagram(_parse_element(args.f)))
+    _emit(args, {"element": out}, [out])
     return 0
 
 
@@ -124,22 +124,23 @@ def _cmd_matrix_element(args) -> int:
 def _cmd_approximate(args) -> int:
     f = approximation.parse_map(args.map)
     res = approximation.approximate(f, args.level)
+    element, partition = str(res.element), str(res.range_partition)
     payload = {
-        "element": str(res.element),
+        "element": element,
         "level": res.n,
         "sup_error": res.sup_error,
         "marker_interval": res.marker_interval,
-        "range_partition": str(res.range_partition),
+        "range_partition": partition,
         "ties": len(res.ties),
     }
     _emit(
         args,
         payload,
         [
-            f"element: {res.element}",
+            f"element: {element}",
             f"sup_error: {_fmt(res.sup_error)}",
             f"marker interval: {res.marker_interval}",
-            f"range partition: {res.range_partition}",
+            f"range partition: {partition}",
             f"tie events: {len(res.ties)}",
         ],
     )

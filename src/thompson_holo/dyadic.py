@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import NotStandardDyadic
+from .errors import NotStandardDyadic, ResourceLimit
+from .tensor import amplitude_cap
 
 __all__ = [
     "DyadicRational",
@@ -37,11 +38,10 @@ class DyadicRational:
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
         num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        if exp and not num & 1:  # one shift by the trailing zeros; 0 -> 0/2^0
+            shift = min((num & -num).bit_length() - 1, exp) if num else exp
+            object.__setattr__(self, "num", num >> shift)
+            object.__setattr__(self, "exp", exp - shift)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -98,22 +98,25 @@ class DyadicRational:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
-        """Parse "a/2^n" or a bare integer, bit-exactly."""
+        """Parse "a/2^n" or a bare integer, bit-exactly.  An exponent in
+        lowest terms above the amplitude cap raises ResourceLimit."""
         text = text.strip()
-        m = re.fullmatch(r"(-?\d+)\s*/\s*2\^(\d+)", text)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"(-?\d+)", text)
-        if m:
-            return cls(int(m.group(1)), 0)
-        # tolerate a/b with b an explicit power of two
-        m = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", text)
-        if m:
+        if m := re.fullmatch(r"(-?\d+)\s*/\s*2\^(\d+)", text):
+            x = cls(int(m.group(1)), int(m.group(2)))
+        elif m := re.fullmatch(r"(-?\d+)", text):
+            x = cls(int(m.group(1)), 0)
+        elif m := re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", text):  # a/b, b a power of two
             denom = int(m.group(2))
             if denom <= 0 or denom & (denom - 1):
                 raise NotStandardDyadic(f"denominator {denom} is not a power of two")
-            return cls(int(m.group(1)), denom.bit_length() - 1)
-        raise ValueError(f"cannot parse dyadic rational: {text!r}")
+            x = cls(int(m.group(1)), denom.bit_length() - 1)
+        else:
+            raise ValueError(f"cannot parse dyadic rational: {text!r}")
+        if x.exp > (cap := amplitude_cap()):
+            raise ResourceLimit(
+                f"dyadic rational {text!r}: exponent {x.exp} exceeds the cap of {cap}"
+            )
+        return x
 
 
 ZERO = DyadicRational(0, 0)

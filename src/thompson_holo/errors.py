@@ -35,8 +35,9 @@ class ResourceLimit(ThompsonHoloError):
     """A requested size exceeds the configured amplitude cap: an amplitude
     vector, an intermediate of a tensor-network contraction, the image
     points of an approximation level, the chords or points of a
-    tessellation's window, or the entries of a tensor file's dims.  The
-    message names the input, the size and the cap."""
+    tessellation's window, the entries of a tensor file's dims, or the
+    exponent of a dyadic rational parsed from text.  The message names the
+    input, the size and the cap."""
 
 
 class EdgeNotFound(ThompsonHoloError):

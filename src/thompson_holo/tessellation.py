@@ -25,14 +25,13 @@ from fractions import Fraction
 from .dyadic import (
     HALF,
     LEAF,
-    ONE,
     ZERO,
     DyadicPartition,
     DyadicRational,
     StdDyadicInterval,
     TTree,
 )
-from .errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic, SearchExhausted
+from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted
 from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
@@ -85,31 +84,32 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
     return chord(iv.left, iv.right)
 
 
-def _standard_interval_of(c: Chord) -> StdDyadicInterval | None:
-    """The standard dyadic interval (level >= 1) subtended by c, if any:
-    [a, b], or the complementary arc [b, 1] when a is 0."""
-    for left, right in [(c.a, c.b)] + [(c.b, ONE)] * (c.a == ZERO):
-        try:
-            iv = StdDyadicInterval.from_endpoints(left, right)
-        except NotStandardDyadic:
-            continue
-        if iv.n >= 1:
-            return iv
+def _standard_interval_of(c: Chord) -> tuple[int, int] | None:
+    """The tau_0 interval [a/2^k, (a+1)/2^k] (k >= 1) whose chord is c, as
+    (a, k), if any: [c.a, c.b], or the complementary arc [c.b, 1] when c.a
+    is 0.  Read in integers over c's finer denominator 2^k."""
+    k = max(c.a.exp, c.b.exp)
+    lo, hi = c.a.num << (k - c.a.exp), c.b.num << (k - c.b.exp)
+    if hi - lo == 1:
+        return (lo, k)
+    if lo == 0 and hi == (1 << k) - 1:
+        return (hi, k)
     return None
 
 
 E0 = chord(ZERO, HALF)
 
 
-def _tau0_apexes(iv: StdDyadicInterval) -> tuple[DyadicRational, DyadicRational]:
-    """Third vertices of the two tau_0 faces beside the chord of iv: the face
-    inside iv (swept counterclockwise from iv.left), then the face outside."""
-    inside = iv.halves()[0].right
-    if iv.n == 1:
-        # the other side of e0 is the interior of the complementary half
-        return inside, StdDyadicInterval(1 - iv.a, 1).halves()[0].right
-    parent = StdDyadicInterval(iv.a // 2, iv.n - 1)
-    return inside, (parent.right if iv.a % 2 == 0 else parent.left).mod1()
+def _tau0_apexes(a: int, k: int) -> tuple[DyadicRational, DyadicRational]:
+    """Third vertices of the two tau_0 faces beside the chord of
+    [a/2^k, (a+1)/2^k]: inside it (swept counterclockwise from a/2^k), its
+    midpoint; then outside it, its parent's other end."""
+    inside = DyadicRational(2 * a + 1, k + 1)
+    if k == 1:  # the other side of e0 is the middle of the complementary half
+        return inside, DyadicRational(3 - 2 * a, 2)
+    if a % 2 == 0:  # a left child: the parent's right end, 1 for the point 0
+        return inside, DyadicRational(a + 2, k)
+    return inside, DyadicRational(a - 1, k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -124,9 +124,8 @@ def _standard_window(depth: int) -> tuple[Chord, ...]:
 
 def _window_index(c: Chord) -> int:
     """Position in _standard_window of the chord of [a/2^k, (a+1)/2^k]."""
-    k = max(c.a.exp, c.b.exp)
-    a = c.b.num if c.a.num == 0 and c.b.num > 1 else c.a.num << (k - c.a.exp)  # [b, 1] or [a, b]
-    return 2**k - 3 + a if k > 1 else 0
+    a, k = _standard_interval_of(c)
+    return (1 << k) - 3 + a if k > 1 else 0
 
 
 def _leaf_ends(tree: TTree) -> list[tuple[int, int]]:
@@ -206,10 +205,15 @@ class Tessellation:
     def doe(self) -> tuple[DyadicRational, DyadicRational]:
         return (evaluate(self.element, ZERO), evaluate(self.element, HALF))
 
-    def _preimage(self, c: Chord) -> tuple[DyadicRational, DyadicRational]:
-        """f^-1 of c's endpoints, in c's order."""
+    def _edge_interval(self, c: Chord) -> tuple[tuple[int, int], DyadicRational]:
+        """The tau_0 interval (a, k) whose chord is f^-1(c), with p = f^-1(c.a);
+        EdgeNotFound unless c is an edge here."""
         g = inverse(self.element)
-        return evaluate(g, c.a), evaluate(g, c.b)
+        p = evaluate(g, c.a)
+        ak = _standard_interval_of(chord(p, evaluate(g, c.b)))
+        if ak is None:
+            raise EdgeNotFound(f"{c} is not an edge of this tessellation")
+        return ak, p
 
     def doe_chord(self) -> Chord:
         return chord(*self.doe)
@@ -235,12 +239,11 @@ class Tessellation:
         """Third vertex of the face adjacent to c on the selected side: f of
         the tau_0 apex beside f^-1(c).  f keeps the orientation, so the side
         swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a)."""
-        p, q = self._preimage(c)
-        iv = _standard_interval_of(chord(p, q))
-        if iv is None:
-            raise EdgeNotFound(f"{c} is not an edge of this tessellation")
-        inside, outside = _tau0_apexes(iv)
-        return evaluate(self.element, inside if (iv.left == p) == ccw_from_a else outside)
+        (a, k), p = self._edge_interval(c)
+        inside, outside = _tau0_apexes(a, k)
+        return evaluate(
+            self.element, inside if (p == DyadicRational(a, k)) == ccw_from_a else outside
+        )
 
     # -- serialization ------------------------------------------------------
 
@@ -303,21 +306,21 @@ _ALPHA = inverse(_DOE_FLIP)
 _BETA = TreeDiagram.parse("(.(..))|(.(..))@1")
 
 
-def _flip_element(iv: StdDyadicInterval) -> TreeDiagram:
-    """The element r with r(tau_0) = tau_0 flipped at the chord of iv.
+def _flip_element(a: int, k: int) -> TreeDiagram:
+    """The element r with r(tau_0) = tau_0 flipped at the chord of [a/2^k, (a+1)/2^k].
 
-    For iv at level >= 2 under its parent P, r is the tree rotation at P:
-    both trees are the path from the root to P, and the range tree splits
-    iv where the domain tree splits iv's sibling.
+    For that interval at level k >= 2 under its parent P, r is the tree
+    rotation at P: both trees are the path from the root to P, and the range
+    tree splits the interval where the domain tree splits its sibling.
     """
-    if iv.n == 1:
+    if k == 1:
         return _DOE_FLIP
     caret = TTree(LEAF, LEAF)
     trees = (TTree(LEAF, caret), TTree(caret, LEAF))  # iv a left child
-    if iv.a % 2:
+    if a % 2:
         trees = trees[::-1]
-    for k in range(1, iv.n):  # up the path from P to the root
-        left = (iv.a >> k) % 2 == 0
+    for j in range(1, k):  # up the path from P to the root
+        left = (a >> j) % 2 == 0
         trees = tuple(TTree(t, LEAF) if left else TTree(LEAF, t) for t in trees)
     return TreeDiagram(*trees, 0)
 
@@ -333,14 +336,11 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     the child's is carried: `edge` goes out, and f of the opposite diagonal
     of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes in.
     """
-    c = chord(*t._preimage(edge))
-    iv = _standard_interval_of(c)
-    if iv is None:
-        raise EdgeNotFound(f"{edge} is not an edge of this tessellation")
+    a, k = t._edge_interval(edge)[0]
     flips = None if t.flips is None else t.flips + (edge,)
-    child = Tessellation(t.depth, _right_multiply(t.element, _flip_element(iv)), flips)
+    child = Tessellation(t.depth, _right_multiply(t.element, _flip_element(a, k)), flips)
     if "_diff" in vars(t):
-        new = chord(*(evaluate(t.element, x) for x in _tau0_apexes(iv)))
+        new = chord(*(evaluate(t.element, x) for x in _tau0_apexes(a, k)))
         removed, added = t._diff
         added, removed = _drop_or_insert(added, removed, chord(edge.a, edge.b))
         removed, added = _drop_or_insert(removed, added, new)
@@ -506,8 +506,6 @@ class _Triangulation:
         self.adjacent[b].add(a)
         if self.doe == (i, j):
             self.doe = (b, a)
-        elif self.doe == (j, i):
-            self.doe = (a, b)
         self.flipped.append((_pair(i, j), _pair(a, b)))
 
     def fan(self, p: int) -> None:

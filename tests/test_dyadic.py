@@ -23,7 +23,7 @@ from thompson_holo.dyadic import (
     refines,
     tree_to_partition,
 )
-from thompson_holo.errors import NotStandardDyadic
+from thompson_holo.errors import NotStandardDyadic, ResourceLimit
 
 
 dyadics = st.builds(
@@ -65,6 +65,30 @@ class TestDyadicRational:
         assert DyadicRational.parse("3/2^2") == DyadicRational(3, 2)
         assert DyadicRational.parse("0") == ZERO
         assert str(DyadicRational(2, 3)) == "1/2^2"
+        assert DyadicRational.parse("3/8") == DyadicRational(3, 3)
+        with pytest.raises(NotStandardDyadic, match="^denominator 6 is not a power of two$"):
+            DyadicRational.parse("3/6")
+
+    def test_huge_exponents(self, monkeypatch):
+        """Canonical form takes one shift, whatever the exponent, and a parsed
+        exponent in lowest terms is checked against the amplitude cap."""
+        n = 10**12
+        assert (DyadicRational(0, n).num, DyadicRational(0, n).exp) == (0, 0)
+        assert DyadicRational(-12 << 100000, 100005) == DyadicRational(-3, 3)
+        assert DyadicRational.parse("0/2^300000000") == ZERO
+        assert DyadicRational.parse(f"{1 << 40}/2^{40 + (1 << 24)}").exp == 1 << 24
+        with pytest.raises(
+            ResourceLimit,
+            match=r"^dyadic rational '1/2\^100000000000': exponent 100000000000 "
+            r"exceeds the cap of 16777216$",
+        ):
+            DyadicRational.parse(" 1/2^100000000000")
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "8")
+        assert DyadicRational.parse("3/256") == DyadicRational(3, 8)
+        with pytest.raises(
+            ResourceLimit, match=r"^dyadic rational '1/512': exponent 9 exceeds the cap of 8$"
+        ):
+            DyadicRational.parse("1/512")
 
 
 class TestStdDyadicInterval:

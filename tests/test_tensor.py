@@ -256,6 +256,17 @@ class TestContraction:
         net = TensorNetwork([four_colour_tensor()], [], [(0, 0), (0, 1)])
         with pytest.raises(ValueError):
             net.validate()
+        t = four_colour_tensor()
+        for bonds, open_legs, message in [
+            ([((0, 0), (2, 0))], [], "bond 0 references missing node 2"),
+            ([((0, 0), (1, 3))], [], "bond 0 references missing leg 3 of node 1"),
+            ([((0, 0), (1, 0)), ((1, 0), (0, 1))], [], "leg (1,0) used more than once"),
+            ([((0, 0), (1, 0))], [(0, 1), (1, 0)], "open leg (1,0) is also bonded"),
+            ([((0, 0), (1, 0))], [(0, 1), (1, 1)], "leg (0,2) is neither bonded nor open"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                TensorNetwork([t, t], bonds, open_legs).validate()
+            assert str(err.value) == message
 
     def test_validate_returns_leg_labels(self):
         """Both ends of bond b are labelled b, open leg j len(bonds) + j."""

@@ -124,6 +124,13 @@ class TestFaceApex:
         t = standard_tessellation(2)
         with pytest.raises(EdgeNotFound):
             t.face_apex(ch("1/2^3", "1/2^1"), True)
+        t, c = standard_tessellation(3), ch("1/2^2", "3/2^2")
+        message = r"^1/2\^2~3/2\^2 is not an edge of this tessellation$"
+        with pytest.raises(EdgeNotFound, match=message):
+            pachner_flip(t, c)
+        for ccw in (True, False):
+            with pytest.raises(EdgeNotFound, match=message):
+                t.face_apex(c, ccw)
 
 
 class TestPachnerFlip:
@@ -193,6 +200,26 @@ class TestSerialization:
         t = standard_tessellation(3)
         t = apply_flips(t, [ch("1/2^2", "1/2^1"), t.doe_chord()])
         assert Tessellation.from_json(t.to_json()).same_tessellation(t)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"depth": "x", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: 'x'"),
+            (
+                {"depth": 3, "doe": ["0", "1/2^1"], "flips": "x"},
+                "tessellation 'flips' is not a list: 'x'",
+            ),
+            (
+                {"depth": 3, "doe": ["1/2^1", "0"], "flips": []},
+                "doe (DyadicRational(1/2^1), DyadicRational(0)) does not match flip history "
+                "(got (DyadicRational(0), DyadicRational(1/2^1)))",
+            ),
+        ],
+    )
+    def test_from_json_rejects(self, data, message):
+        with pytest.raises(ValueError) as err:
+            Tessellation.from_json(json.dumps(data))
+        assert str(err.value) == message
 
     def test_action_result_has_no_history(self):
         t = apply_element(standard_tessellation(3), generator("B"))
@@ -329,6 +356,7 @@ class TestFareyLabels:
     def test_fraction_lookup(self):
         lab = farey_labels(standard_tessellation(3))
         assert lab.vertex_of(Fraction(1, 2)) == lab.vertex_of((1, 2))
+        assert lab.vertex_of((2, -4)) == lab.vertex_of((-1, 2)) == d("7/2^3")
         with pytest.raises(LabelNotRepresented):
             lab.vertex_of((100, 1))
 
@@ -594,6 +622,8 @@ class TestRendering:
         assert "<svg" in render_svg(parse_word("B"))
         svg = render_svg(DyadicPartition.parse("0, 1/2^1, 3/2^2, 1"))
         assert svg.startswith("<svg") and svg.count('stroke="blue"') == 3
+        with pytest.raises(TypeError, match="^cannot render object of type object$"):
+            render_svg(object())
 
 
 # Reference: the Farey labelling as a walk over the faces of t itself, which
@@ -889,7 +919,7 @@ class TestAgainstDiffReference:
             for _ in range(rng.randint(1, 40)):
                 edges = t.window_edges()
                 e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
-                flip = _flip_element(_standard_interval_of(chord(*t._preimage(e))))
+                flip = _flip_element(*t._edge_interval(e)[0])
                 composed = expand_compose(t.element, flip)
                 t, r = pachner_flip(t, e), ref_flip(r, e)
                 assert t.element == composed

@@ -156,6 +156,8 @@ class TestSerialization:
         for seed in range(10):
             f = random_element(4, seed)
             assert TreeDiagram.parse(str(f)) == f
+        with pytest.raises(ValueError, match="^word_length must be non-negative$"):
+            random_element(-1, 0)
 
     def test_parse_examples(self):
         f = TreeDiagram.parse("(.(..))|(.(..))@2")
@@ -397,6 +399,10 @@ class TestOnePassAgainstReference:
             f = random_unreduced(rng)
             for j in range(f.num_leaves):
                 assert adjoin_caret(f, j) == ref_adjoin_caret(f, j)
+        n = f.num_leaves
+        for j in (-1, n):
+            with pytest.raises(IndexError, match=f"^leaf index {j} out of range for {n} leaves$"):
+                adjoin_caret(f, j)
 
     def test_expand_domain_matches_reference(self):
         rng = random.Random(13)
