@@ -3,17 +3,20 @@
 Tensor entries are complex doubles; exactness lives in the combinatorics.
 Two networks are contracted: the diagram route's two trees of 3-leg tensors
 glued leaf to leaf along the boundary (planar, no open legs), and the BTZ
-ring of 4*halfwidth triangles.  `contract` merges greedily from a heap of
-bonded pairs keyed (result size, older id, newer id), ids numbering pool
-entries as they are made, so it takes the first minimum of an all-pairs scan
-in pool order without rescanning: a merge changes only the sizes of pairs
-touching its result.  Each label has two ends, so self-bonds are traced once,
-when a tensor enters the pool.
+ring of 4*halfwidth triangles.  `contract` plans first, on leg sizes and
+integer labels alone: it merges greedily from a heap of bonded pairs keyed
+(result size, older id, newer id), ids numbering pool entries as they are
+made, so it takes the first minimum of an all-pairs scan in pool order
+without rescanning: a merge changes only the sizes of pairs touching its
+result.  Each label has two ends, so self-bonds are traced once, when a
+tensor enters the pool, and an entering tensor has at most one partner per
+label.  Every planned size is checked against the amplitude cap before any
+array is made; the plan then runs as one loop of matrix products, the ones
+np.tensordot would make, so the bytes are tensordot's.
 """
 
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 import math
@@ -302,14 +305,15 @@ class TensorNetwork:
         return seen
 
 
-def contract(net: TensorNetwork) -> DenseTensor:
-    """Contract the whole network into a dense tensor over its open legs.
+def _plan(net: TensorNetwork):
+    """Work out `contract`'s greedy order on shapes and labels alone.
 
-    Greedy: merge the bonded pair with the smallest result, ties going to
-    the pair made earliest; then outer-product the disconnected components,
-    first two at a time with the product going to the back.  Deterministic.
-    Each result's size is checked against the amplitude cap before it is
-    allocated.
+    Returns the self-bond traces of the input tensors as (node, axis1,
+    axis2); the merges as (i, j, perm_i, (M, K), perm_j, (K, N), result
+    shape) over pool ids, the permutations and shapes being None for an
+    outer product; and the permutation that puts the open legs in order.
+    Every result's size is checked against the amplitude cap here, so an
+    over-cap network fails before any array is made.
     """
     labels = net.validate()  # a bond id or an open id per leg; open ids rise with j
     cap = amplitude_cap()
@@ -320,56 +324,110 @@ def contract(net: TensorNetwork) -> DenseTensor:
                 f"a contraction intermediate of {size} entries exceeds the cap of {cap}"
             )
 
-    pool: list[tuple[np.ndarray, list[int]] | None] = []  # by id; None once used
-    holders = collections.defaultdict(list)  # label -> ids of live holders
-    heap: list[tuple[int, int, int]] = []  # (result size, older id, newer id)
+    pool: list[tuple[tuple[int, ...], list[int], int] | None] = []  # (shape, labels, size) by id
+    holders: list[list[int]] = [[] for _ in range(len(net.bonds) + len(net.open_legs))]
+    heap: list[tuple[int, int, int, int]] = []  # key (result size, older id, newer id), then K
+    traces, steps = [], []
 
-    def enter(arr, lab):
+    def enter(shape, lab, size):
+        new = len(pool)
+        shared = {}  # partner id -> product of the dimensions it shares with the new tensor
+        for l, d in zip(lab, shape):
+            ends = holders[l]
+            if ends:  # the label's other end
+                old = ends[0]
+                shared[old] = shared.get(old, 1) * d
+            ends.append(new)
+        for old, k in shared.items():
+            shape_o, lab_o, size_o = pool[old]
+            if k:
+                key = size_o * size // (k * k)
+            else:  # a bond of dimension 0: multiply the unshared dimensions
+                common = set(lab_o).intersection(lab)
+                key = math.prod(d for d, l in zip(shape_o + shape, lab_o + lab) if l not in common)
+            heapq.heappush(heap, (key, old, new, k))
+        pool.append((shape, lab, size))
+
+    for node, t in enumerate(net.tensors):
+        shape, lab = t.leg_dims, [labels[(node, leg)] for leg in range(t.num_legs)]
         if len(set(lab)) != len(lab):
             for l in [l for i, l in enumerate(lab) if l in lab[i + 1 :]]:
                 i = lab.index(l)
-                arr = np.trace(arr, axis1=i, axis2=lab.index(l, i + 1))
+                j = lab.index(l, i + 1)
+                traces.append((node, i, j))
+                shape = tuple(d for k, d in enumerate(shape) if k != i and k != j)
                 lab = [m for m in lab if m != l]
-        new = len(pool)
-        shared = {}  # partner id -> the labels it shares with the new tensor
-        for l in lab:
-            for old in holders[l]:
-                shared.setdefault(old, []).append(l)
-            holders[l].append(new)
-        for old, common in shared.items():
-            arr_o, lab_o = pool[old]
-            size = 1  # both sides' unshared dimensions: no division by a 0 bond
-            for d, l in zip(arr_o.shape + arr.shape, lab_o + lab):
-                if l not in common:
-                    size *= d
-            heapq.heappush(heap, (size, old, new))
-        pool.append((arr, lab))
-
-    for node, t in enumerate(net.tensors):
-        enter(t.array, [labels[(node, leg)] for leg in range(t.num_legs)])
+        enter(shape, lab, math.prod(shape))
     while heap:
-        size, i, j = heapq.heappop(heap)
+        size, i, j, inner = heapq.heappop(heap)
         if pool[i] is None or pool[j] is None:
             continue
         check(size)
-        (arr_a, lab_a), (arr_b, lab_b) = pool[i], pool[j]
+        (shape_a, lab_a, size_a), (shape_b, lab_b, size_b) = pool[i], pool[j]
         pool[i] = pool[j] = None
         for l in lab_a:
             holders[l].remove(i)
         for l in lab_b:
             holders[l].remove(j)
-        in_b = set(lab_b)
-        shared = [l for l in lab_a if l in in_b]
-        axes = ([lab_a.index(l) for l in shared], [lab_b.index(l) for l in shared])
-        out = np.tensordot(arr_a, arr_b, axes=axes)
-        in_both = set(shared)
-        enter(out, [l for l in lab_a + lab_b if l not in in_both])
+        # np.tensordot's layout: a's summed legs last, b's first, in a's order
+        keep_a, sum_a, sum_b, lab, shape = [], [], [], [], []
+        for k, l in enumerate(lab_a):
+            if l in lab_b:
+                sum_a.append(k)
+                sum_b.append(lab_b.index(l))
+            else:
+                keep_a.append(k)
+                lab.append(l)
+                shape.append(shape_a[k])
+        keep_b = []
+        for k, l in enumerate(lab_b):
+            if k not in sum_b:
+                keep_b.append(k)
+                lab.append(l)
+                shape.append(shape_b[k])
+        if inner:
+            m, n = size_a // inner, size_b // inner
+        else:
+            m = math.prod(shape[: len(keep_a)])
+            n = math.prod(shape[len(keep_a) :])
+        shape = tuple(shape)
+        steps.append((i, j, keep_a + sum_a, (m, inner), sum_b + keep_b, (inner, n), shape))
+        enter(shape, lab, size)
 
-    rest = [item for item in pool if item is not None] or [(np.ones(()), [])]
+    rest = [k for k, item in enumerate(pool) if item is not None]
     while len(rest) > 1:
-        (arr_a, lab_a), (arr_b, lab_b), *rest = rest
-        check(arr_a.size * arr_b.size)
-        rest.append((np.multiply.outer(arr_a, arr_b), lab_a + lab_b))
-    arr, lab = rest[0]
-    order = sorted(range(len(lab)), key=lab.__getitem__)
+        i, j, *rest = rest
+        (shape_a, lab_a, size_a), (shape_b, lab_b, size_b) = pool[i], pool[j]
+        check(size_a * size_b)
+        steps.append((i, j, None, None, None, None, None))
+        rest.append(len(pool))
+        pool.append((shape_a + shape_b, lab_a + lab_b, size_a * size_b))
+    lab = pool[rest[0]][1] if rest else []
+    return traces, steps, sorted(range(len(lab)), key=lab.__getitem__)
+
+
+def contract(net: TensorNetwork) -> DenseTensor:
+    """Contract the whole network into a dense tensor over its open legs.
+
+    Greedy: merge the bonded pair with the smallest result, ties going to
+    the pair made earliest; then outer-product the disconnected components,
+    first two at a time with the product going to the back.  Deterministic.
+    The order is planned first, over leg sizes alone, and every result's
+    size is checked against the amplitude cap before any array is made;
+    the plan then runs as one loop of the matrix products that
+    np.tensordot would make.
+    """
+    traces, steps, order = _plan(net)
+    pool = [t.array for t in net.tensors]  # by id; None once used
+    for node, i, j in traces:
+        pool[node] = np.trace(pool[node], axis1=i, axis2=j)
+    for i, j, perm_a, mat_a, perm_b, mat_b, shape in steps:
+        a, b = pool[i], pool[j]
+        pool[i] = pool[j] = None
+        if perm_a is None:
+            pool.append(np.multiply.outer(a, b))
+        else:
+            a, b = a.transpose(perm_a).reshape(mat_a), b.transpose(perm_b).reshape(mat_b)
+            pool.append(np.dot(a, b).reshape(shape))
+    arr = pool[-1] if pool else np.ones(())
     return DenseTensor(arr.transpose(order))

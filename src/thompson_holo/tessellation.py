@@ -278,9 +278,11 @@ class Tessellation:
             raise ValueError(f"tessellation 'flips' is not a list: {flips!r}")
         flips = [chord(*_point_pair(pq, f"flip {k}")) for k, pq in enumerate(flips)]
         t = apply_flips(standard_tessellation(depth), flips)
-        doe = _point_pair(data["doe"], "'doe'")
-        if t.doe != doe:
-            raise ValueError(f"doe {doe} does not match flip history (got {t.doe})")
+        if t.doe != _point_pair(data["doe"], "'doe'"):
+            got = [str(p) for p in t.doe]
+            raise ValueError(
+                f"tessellation 'doe' {data['doe']!r} does not match flip history (got {got!r})"
+            )
         return t
 
 

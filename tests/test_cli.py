@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompson_holo import cli, errors
+from thompson_holo import approximation, cli, errors
 from thompson_holo.cli import main
 from thompson_holo.dyadic import HALF, DyadicPartition, DyadicRational, StdDyadicInterval
 from thompson_holo.errors import ResourceLimit
@@ -181,6 +181,16 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "sup_error: 0" in out
+
+    @pytest.mark.parametrize("spec", ["mobius:0.3,0.1", "rotation:1/2^2"])
+    @pytest.mark.parametrize("level", [3, 5])
+    def test_approximate_json_fields(self, capsys, spec, level):
+        code, out, _ = run(capsys, "approximate", spec, "--level", str(level), "--json")
+        assert code == 0
+        data = json.loads(out)
+        res = approximation.approximate(approximation.parse_map(spec), level)
+        assert data["range_partition"] == str(res.range_partition)
+        assert data["element"] == str(res.element)
 
     def test_btz_entropy(self, capsys):
         code, out, _ = run(capsys, "btz-entropy", "--halfwidth", "1", "--json")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thompson_holo import semicontinuous
+from thompson_holo.approximation import CircleMap, approximate
 from thompson_holo.errors import DimensionMismatch, NotPerfect, ResourceLimit
 from thompson_holo.tensor import (
     DenseTensor,
@@ -231,6 +232,33 @@ class TestContraction:
             ResourceLimit, match="^a contraction intermediate of 65536 entries exceeds the cap of 1024$"
         ):
             contract(legs)
+
+    def test_over_cap_network_fails_before_any_product(self, monkeypatch):
+        """The singlet diagram route on the level-8 approximant of rotation by
+        1/3 needs a 4^13 intermediate; the plan refuses it before the first
+        matrix product."""
+        g = approximate(CircleMap(lambda x: (x + 1 / 3) % 1.0), 8).element
+        V = normalize_isometry(singlet_tensor(), [0])
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.delenv("THOMPSON_HOLO_MAX_AMPLITUDES", raising=False)
+        monkeypatch.setattr(np, "dot", counted("dot"))
+        monkeypatch.setattr(np, "tensordot", counted("tensordot"))
+        with pytest.raises(ResourceLimit) as err:
+            semicontinuous.vacuum_matrix_element(g, V, "diagram")
+        assert str(err.value) == (
+            "a contraction intermediate of 67108864 entries exceeds the cap of 16777216"
+        )
+        assert calls == []
 
     def test_empty_network_is_the_empty_product(self):
         out = contract(TensorNetwork([], [], []))

@@ -211,8 +211,8 @@ class TestSerialization:
             ),
             (
                 {"depth": 3, "doe": ["1/2^1", "0"], "flips": []},
-                "doe (DyadicRational(1/2^1), DyadicRational(0)) does not match flip history "
-                "(got (DyadicRational(0), DyadicRational(1/2^1)))",
+                "tessellation 'doe' ['1/2^1', '0'] does not match flip history "
+                "(got ['0', '1/2^1'])",
             ),
         ],
     )
