@@ -7,7 +7,13 @@ a doe (distinguished oriented edge) that differ from tau_0 in finitely many
 chords, so each is f(tau_0, e0) for exactly one reduced tree diagram f, and is
 stored as f.  Its diff against tau_0 (the removed and added chords) and its doe
 are derived from f; a flip or the group action multiplies f by one element,
-editing a few root-to-leaf paths of its trees.
+editing a few root-to-leaf paths of its trees.  A flip multiplies by the tree
+rotation r at the parent of the flipped chord's tau_0 interval, and most
+flips never build r: when that parent lies at or below a domain leaf of f,
+f r is two path grafts, and when the parent and the interval are both domain
+nodes, it is a rotation of f's domain tree in place and at most one collapse,
+each O(depth).  A leaf interval under an internal parent, and the doe flip,
+take the general product.
 A flip also carries the diff when the parent's is cached: one chord goes out
 and one comes in, so the child's diff is two sorted-tuple edits.
 """
@@ -30,11 +36,14 @@ from .dyadic import (
     DyadicRational,
     StdDyadicInterval,
     TTree,
+    _find_node,
+    _splice,
 )
 from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted
 from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
+    _affine_image,
     _right_multiply,
     adjoin_caret,
     evaluate,
@@ -317,14 +326,99 @@ def _flip_element(a: int, k: int) -> TreeDiagram:
     """
     if k == 1:
         return _DOE_FLIP
+    return TreeDiagram(*_flip_paths(a, k, 0), 0)
+
+
+def _flip_paths(a: int, k: int, top: int) -> tuple[TTree, TTree]:
+    """r's domain and range trees below the node of level `top` on the path
+    to P: the path from it down to P, ending in r's two patterns at P."""
     caret = TTree(LEAF, LEAF)
     trees = (TTree(LEAF, caret), TTree(caret, LEAF))  # iv a left child
     if a % 2:
         trees = trees[::-1]
-    for j in range(1, k):  # up the path from P to the root
+    for j in range(1, k - top):  # up the path from P to level `top`
         left = (a >> j) % 2 == 0
         trees = tuple(TTree(t, LEAF) if left else TTree(LEAF, t) for t in trees)
-    return TreeDiagram(*trees, 0)
+    return trees
+
+
+def _flip_product(f: TreeDiagram, a: int, k: int):
+    """f r for the r of _flip_element(a, k), and a map that agrees with f on
+    the closure of iv = [a/2^k, (a+1)/2^k]'s parent P.
+
+    One descent of f's domain tree along the path to P = (a >> 1, k - 1):
+    - P at or below a domain leaf j: f r is two path grafts.  Leaf j gets
+      the path from it down to P ending in r's domain pattern, its image leaf
+      b = (m + j) mod n the same path ending in r's range pattern, and the
+      marker grows with the leaves when b < m.  No grafted node matches its
+      image, whose pattern differs, so nothing reduces; and P lies in one
+      affine piece of f, which the returned map is.
+    - P and iv internal: f r is f with its domain tree rotated at P,
+      ((T1, T2), T3) <-> (T1, (T2, T3)), then reduced locally as in
+      `_right_multiply`.  The candidates are the new inner node, the rotated
+      P and P's ancestors, for as long as every leaf below is a leaf of f's
+      domain tree: a chain of nested nodes, and a candidate can match its
+      image only if the one below it does.  So one descent of the range tree
+      to the inner node's image, walked back up, finds the largest match,
+      the only collapse.
+    - Otherwise (iv a leaf, or the doe flip, k = 1) `_right_multiply`.
+    """
+    image = functools.partial(evaluate, f)
+    if k == 1:
+        return _right_multiply(f, _flip_element(a, k)), image
+    n, m = f.num_leaves, f.marker
+    node, path, j = f.domain_tree, [], 0  # the path to P, and its first leaf
+    for shift in range(k - 1, 0, -1):
+        if node.left is None:
+            break
+        right = (a >> shift) & 1
+        path.append((node, right))
+        if right:
+            node, j = node.right, j + node.left.num_leaves
+        else:
+            node = node.left
+    if node.left is None:  # domain leaf j, at level len(path), holds P
+        top = len(path)
+        domain, rng = _flip_paths(a, k, top)
+        b = (m + j) % n
+        rpath = _find_node(f.range_tree, b, 1)[1]
+        grown = domain.num_leaves - 1
+        product = TreeDiagram(
+            _splice(path, domain), _splice(rpath, rng), m + grown if b < m else m
+        )
+        piece = (StdDyadicInterval(a >> (k - top), top), f.range_tree.leaf_at(b))
+        return product, lambda x: _affine_image(x, *piece)
+    iv_right = a % 2 == 1
+    iv = node.right if iv_right else node.left
+    if iv.left is None:
+        return _right_multiply(f, _flip_element(a, k)), image
+    if iv_right:  # (T1, (T2, T3)) -> ((T1, T2), T3)
+        inner = TTree(node.left, iv.left)
+        rotated = TTree(inner, iv.right)
+    else:  # ((T1, T2), T3) -> (T1, (T2, T3)), inner at leaf j + |T1|
+        inner = TTree(iv.right, node.right)
+        rotated = TTree(iv.left, inner)
+        j += iv.left.num_leaves
+    if inner.num_leaves == 2:
+        b = (m + j) % n
+        match, rpath = _find_node(f.range_tree, b, 2)
+        if match is not None:
+            # up from the inner node while both chains go the same way past a leaf
+            dpath, up = path + [(rotated, not iv_right)], 0
+            for (dn, dright), (rn, rright) in zip(reversed(dpath), reversed(rpath)):
+                dsib, rsib = dn.left if dright else dn.right, rn.left if rright else rn.right
+                if dright != rright or dsib.left is not None or rsib.left is not None:
+                    break
+                up += 1
+            # Range leaf m, domain leaf 0's image, starts the collapsed block
+            # or lies outside it; so the block starts before m when b does.
+            product = TreeDiagram(
+                _splice(dpath[: len(dpath) - up], LEAF),
+                _splice(rpath[: len(rpath) - up], LEAF),
+                m - up - 1 if b < m else m,
+            )
+            return product, image
+    return TreeDiagram(_splice(path, rotated), f.range_tree, m), image
 
 
 def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
@@ -333,16 +427,24 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     Flipping the doe carries it to the new diagonal rotated clockwise, so
     four doe flips restore the original tessellation-with-doe.  A flip
     commutes with the action, so with t = f(tau_0) the result is f r(tau_0),
-    for the r that makes the same flip at f^-1(edge) in tau_0; f is reduced,
-    so f r is one path-copying edit of f's trees.  When t's diff is cached,
-    the child's is carried: `edge` goes out, and f of the opposite diagonal
-    of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes in.
+    for the r that makes the same flip at f^-1(edge) = [a/2^k, (a+1)/2^k] in
+    tau_0, a tree rotation at its parent P (`_flip_product`).  f is reduced,
+    and f r is a local O(depth) edit of f's trees, with r never built, when
+    P lies at or below a domain leaf (two path grafts) or P and f^-1(edge)
+    are both domain nodes (a rotation in place and at most one collapse);
+    the rest, a leaf f^-1(edge) under an internal P and the doe flip, go
+    through the general product `_right_multiply`, also path copies.  When
+    t's diff is cached, the child's is carried: `edge` goes out, and f of
+    the opposite diagonal of f^-1(edge)'s quad in tau_0, the chord of its two
+    tau_0 apexes, comes in; after a graft both images are read off the
+    affine piece of f holding P, with no descent.
     """
     a, k = t._edge_interval(edge)[0]
     flips = None if t.flips is None else t.flips + (edge,)
-    child = Tessellation(t.depth, _right_multiply(t.element, _flip_element(a, k)), flips)
+    element, image = _flip_product(t.element, a, k)
+    child = Tessellation(t.depth, element, flips)
     if "_diff" in vars(t):
-        new = chord(*(evaluate(t.element, x) for x in _tau0_apexes(a, k)))
+        new = chord(*map(image, _tau0_apexes(a, k)))
         removed, added = t._diff
         added, removed = _drop_or_insert(added, removed, chord(edge.a, edge.b))
         removed, added = _drop_or_insert(removed, added, new)
@@ -560,9 +662,11 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     and on to the target triangulation, then flip the doe twice if it points
     the wrong way.  That is at most about 4n flips, and the same f always gets
     the same sequence.  Every returned sequence is checked against the
-    apply_element oracle, replaying each flip as a path-copying edit of the
-    element; so the whole costs O(n * depth) for the trees' depth, which is
-    quadratic only for combs.  `depth` only sets the window of the
+    apply_element oracle, replaying each flip as a local O(depth) edit of the
+    element: nearly all are rotations of its domain tree in place, and the
+    few others path grafts or the general product, itself path copies.  So
+    the whole costs O(n * depth) for the trees' depth, which is quadratic
+    only for combs.  `depth` only sets the window of the
     standard tessellation that the replay starts from, and a negative one
     raises ValueError; the sequence does not depend on it.
     """

@@ -17,6 +17,7 @@ from .dyadic import (
     LEAF,
     DyadicPartition,
     DyadicRational,
+    StdDyadicInterval,
     TTree,
     _build,
     _find_node,
@@ -112,7 +113,14 @@ def evaluate(f: TreeDiagram, x: DyadicRational) -> DyadicRational:
     (marker + j) mod n, and the affine piece between them maps x."""
     x = x.mod1()
     j, d = f.domain_tree.leaf_containing(x)
-    r = f.range_tree.leaf_at((f.marker + j) % f.num_leaves)
+    return _affine_image(x, d, f.range_tree.leaf_at((f.marker + j) % f.num_leaves))
+
+
+def _affine_image(
+    x: DyadicRational, d: StdDyadicInterval, r: StdDyadicInterval
+) -> DyadicRational:
+    """x under the affine map of the dyadic interval d onto r, mod 1; x may be
+    anywhere in d's closure, so d's right end goes to r's."""
     # r.left + (x - d.left) * 2^(d.n - r.n), over the denominator 2^(x.exp + r.n)
     exp = x.exp + r.n
     num = (x.num << d.n) + ((r.a - d.a) << x.exp)

@@ -47,6 +47,7 @@ from thompson_holo.tessellation import (
 )
 from thompson_holo.thompson import (
     TreeDiagram,
+    _right_multiply,
     adjoin_caret,
     compose,
     evaluate,
@@ -193,6 +194,128 @@ class TestPachnerFlip:
         c = ch("1/2^2", "1/2^1")
         t2 = pachner_flip(t, c)
         assert t2.flips == (c,)
+
+
+def flip_branch(f: TreeDiagram, a: int, k: int, product: TreeDiagram) -> str:
+    """How pachner_flip multiplies f by the rotation r of [a/2^k, (a+1)/2^k]'s
+    parent P into `product`: two path grafts when P is not a node of f's
+    domain tree, a rotation in place (with or without a collapse) when P and
+    the interval both are internal nodes, else the general product."""
+
+    def internal(a: int, k: int) -> bool:
+        node = f.domain_tree
+        for shift in range(k - 1, -1, -1):
+            if node.is_leaf:
+                return False
+            node = node.right if (a >> shift) & 1 else node.left
+        return not node.is_leaf
+
+    if k == 1:
+        return "doe"
+    if not internal(a >> 1, k - 1):
+        return "graft"
+    if not internal(a, k):
+        return "fallback"
+    return "collapse" if product.num_leaves < f.num_leaves else "rotate"
+
+
+def assert_diff_is_derived(t: Tessellation):
+    """t's cached diff, as sorted tuples, is the one derived from its
+    element's trees: compared as pairs of range leaf indices, which order
+    chords as their points do, so deep trees cost no chord per step."""
+    f = t.element
+    n = f.num_leaves
+    old, new = _chord_pairs(f.range_tree, 0, n), _chord_pairs(f.domain_tree, f.marker, n)
+    ends = tessellation._leaf_ends(f.range_tree)
+    top = max(k for _, k in ends)
+    index = {a << (top - k): i for i, (a, k) in enumerate(ends)}
+
+    def pairs(chords):
+        return [tuple(index.get(x.num << (top - x.exp)) for x in c.endpoints()) for c in chords]
+
+    removed, added = vars(t)["_diff"]
+    assert (pairs(removed), pairs(added)) == (sorted(old - new), sorted(new - old)), str(f)
+
+
+def assert_flip_matches_product(t: Tessellation, edge: Chord, branches: collections.Counter):
+    """t flipped at `edge` has the element f _flip_element(a, k), by the
+    general product, and carries the diff derived from that element."""
+    (a, k), _ = t._edge_interval(edge)
+    t._diff  # cached, so the flip carries it
+    child = pachner_flip(t, edge)
+    product = _right_multiply(t.element, _flip_element(a, k))
+    assert child.element == product, (str(t.element), a, k)
+    assert_diff_is_derived(child)
+    branches[flip_branch(t.element, a, k, product)] += 1
+    return child
+
+
+class TestFlipProduct:
+    """pachner_flip edits f's trees locally (two path grafts, or a rotation
+    in place with at most one collapse) where it can, against the general
+    product f r that it falls back on elsewhere."""
+
+    BRANCHES = {"graft", "rotate", "collapse", "fallback", "doe"}
+
+    def test_every_window_edge_of_seeded_walks(self):
+        rng = random.Random(2026)
+        branches = collections.Counter()
+        for depth in range(3, 7):
+            for _ in range(4):
+                t = standard_tessellation(depth)
+                for step in range(rng.randint(0, 30)):
+                    edges = t.window_edges()
+                    if step % 6 == 0:
+                        for e in edges:
+                            assert_flip_matches_product(t, e, branches)
+                    e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
+                    t = pachner_flip(t, e)
+                for e in t.window_edges():
+                    assert_flip_matches_product(t, e, branches)
+        assert set(branches) == self.BRANCHES, branches
+
+    def test_oracle_replay_at_344_leaves(self):
+        """Trees about 200 deep, where nearly every flip is a rotation."""
+        f = random_element(1600, 3)
+        assert f.num_leaves == 344
+        branches = collections.Counter()
+        t = standard_tessellation(6)
+        for e in flips_realizing(f, 6):
+            t = assert_flip_matches_product(t, e, branches)
+        assert t.element == f
+        assert set(branches) == self.BRANCHES, branches
+
+    @pytest.mark.parametrize(
+        "element, a, k, branch, product",
+        [
+            # domain leaf 1 holds P = [1/2, 3/4]; its image, range leaf 0,
+            # lies before the marker, which grows by the two new leaves
+            ("(.(..))|(.(..))@2", 4, 3, "graft", "(.((.(..)).))|(((..).)(..))@4"),
+            # domain leaf 0 holds P = [0, 1/4] one level down; its image is
+            # range leaf m, so the marker stays
+            ("(.(..))|(.(..))@2", 1, 3, "graft", "((((..).).)(..))|(.(.((.(..)).)))@2"),
+            # the new inner caret collapses onto range leaves 0-1, before
+            # the marker, which falls by one
+            ("(.((..).))|((..)(..))@2", 2, 2, "collapse", "(.(..))|(.(..))@1"),
+            # the rotated P collapses onto range leaves 0-2, before the
+            # marker, which falls by two
+            ("(.((..).))|((.(..)).)@3", 2, 2, "collapse", "(..)|(..)@1"),
+            # the new inner caret collapses onto range leaves 3-4, which start
+            # at the marker; above it the domain tree goes right past a leaf
+            # and the range tree left past a leaf, so nothing more collapses
+            ("((.(..))(..))|((..)(.(..)))@3", 1, 2, "collapse", "((..)(..))|((..)(..))@3"),
+        ],
+    )
+    def test_marker_arithmetic(self, element, a, k, branch, product):
+        f = TreeDiagram.parse(element)
+        iv = StdDyadicInterval(a, k)
+        edge = chord(evaluate(f, iv.left), evaluate(f, iv.right))
+        t = Tessellation(4, f)
+        assert t._edge_interval(edge)[0] == (a, k)
+        branches = collections.Counter()
+        child = assert_flip_matches_product(t, edge, branches)
+        assert branches == {branch: 1}
+        assert str(child.element) == product
 
 
 class TestSerialization:
