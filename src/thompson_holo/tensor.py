@@ -230,6 +230,8 @@ def verify_perfect(t: DenseTensor) -> PerfectTensorCertificate:
     if len(dims) != 1:
         raise NotPerfect("all leg dimensions must be equal for perfectness")
     norm2 = float(np.vdot(t.array, t.array).real)
+    if not math.isfinite(norm2):
+        raise NotPerfect(f"the squared norm {norm2} is not finite", bipartition=())
     if norm2 <= DEFAULT_TOL:
         raise NotPerfect("zero tensor is not perfect", bipartition=())
     constants = {frozenset(): norm2}
@@ -238,7 +240,7 @@ def verify_perfect(t: DenseTensor) -> PerfectTensorCertificate:
         gram = m.conj().T @ m
         c = float(np.trace(gram).real) / gram.shape[0]
         deviation = float(np.max(np.abs(gram - c * np.eye(gram.shape[0]))))
-        if c <= DEFAULT_TOL or deviation > DEFAULT_TOL * max(1.0, c):
+        if c <= DEFAULT_TOL or not deviation <= DEFAULT_TOL * max(1.0, c):  # a NaN fails too
             raise NotPerfect(
                 f"flattening onto legs {list(combo)} deviates from a scaled "
                 f"isometry by {deviation:.3e}",
@@ -276,33 +278,35 @@ class TensorNetwork:
     bonds: list[tuple[tuple[int, int], tuple[int, int]]]
     open_legs: list[tuple[int, int]] = field(default_factory=list)
 
-    def validate(self) -> dict[tuple[int, int], int]:
-        """Check the wiring and return each (node, leg)'s label: its bond's
-        index, or len(bonds) + j for open leg j."""
-        seen: dict[tuple[int, int], int] = {}
+    def validate(self) -> list[list[int]]:
+        """Check the wiring and return each node's leg labels: a bonded leg's
+        is its bond's index, open leg j's is len(bonds) + j."""
+        labels: list[list[int | None]] = [[None] * t.num_legs for t in self.tensors]
         for b, ((n1, l1), (n2, l2)) in enumerate(self.bonds):
             for node, leg in ((n1, l1), (n2, l2)):
                 if not 0 <= node < len(self.tensors):
                     raise ValueError(f"bond {b} references missing node {node}")
                 if not 0 <= leg < self.tensors[node].num_legs:
                     raise ValueError(f"bond {b} references missing leg {leg} of node {node}")
-                if (node, leg) in seen:
+                if labels[node][leg] is not None:
                     raise ValueError(f"leg ({node},{leg}) used more than once")
-                seen[(node, leg)] = b
+                labels[node][leg] = b
             if self.tensors[n1].leg_dims[l1] != self.tensors[n2].leg_dims[l2]:
                 raise DimensionMismatch(
                     f"bond {b} joins legs of dimension "
                     f"{self.tensors[n1].leg_dims[l1]} and {self.tensors[n2].leg_dims[l2]}"
                 )
         for j, (node, leg) in enumerate(self.open_legs):
-            if (node, leg) in seen:
+            if not (0 <= node < len(labels) and 0 <= leg < len(labels[node])):
+                raise ValueError(f"open leg {j} references missing leg ({node},{leg})")
+            if labels[node][leg] is not None:
                 raise ValueError(f"open leg ({node},{leg}) is also bonded")
-            seen[(node, leg)] = len(self.bonds) + j
-        for node, t in enumerate(self.tensors):
-            for leg in range(t.num_legs):
-                if (node, leg) not in seen:
+            labels[node][leg] = len(self.bonds) + j
+        for node, lab in enumerate(labels):
+            for leg, label in enumerate(lab):
+                if label is None:
                     raise ValueError(f"leg ({node},{leg}) is neither bonded nor open")
-        return seen
+        return labels
 
 
 def _plan(net: TensorNetwork):
@@ -349,7 +353,7 @@ def _plan(net: TensorNetwork):
         pool.append((shape, lab, size))
 
     for node, t in enumerate(net.tensors):
-        shape, lab = t.leg_dims, [labels[(node, leg)] for leg in range(t.num_legs)]
+        shape, lab = t.leg_dims, labels[node]
         if len(set(lab)) != len(lab):
             for l in [l for i, l in enumerate(lab) if l in lab[i + 1 :]]:
                 i = lab.index(l)

@@ -8,12 +8,11 @@ chords, so each is f(tau_0, e0) for exactly one reduced tree diagram f, and is
 stored as f.  Its diff against tau_0 (the removed and added chords) and its doe
 are derived from f; a flip or the group action multiplies f by one element,
 editing a few root-to-leaf paths of its trees.  A flip multiplies by the tree
-rotation r at the parent of the flipped chord's tau_0 interval, and most
-flips never build r: when that parent lies at or below a domain leaf of f,
-f r is two path grafts, and when the parent and the interval are both domain
-nodes, it is a rotation of f's domain tree in place and at most one collapse,
-each O(depth).  A leaf interval under an internal parent, and the doe flip,
-take the general product.
+rotation r at the parent P of the flipped chord's tau_0 interval iv, and
+every flip but the doe flip makes f r without building r, in O(depth): graft
+one path under a domain leaf of f and under its image until P and iv are
+domain nodes, then rotate f's domain tree at P in place, with at most one
+collapse when nothing was grafted.  The doe flip takes the general product.
 A flip also carries the diff when the parent's is cached: one chord goes out
 and one comes in, so the child's diff is two sorted-tuple edits.
 """
@@ -278,10 +277,9 @@ class Tessellation:
         for key in ("depth", "doe"):
             if key not in data:
                 raise ValueError(f"tessellation JSON has no {key!r} field")
-        try:
-            depth = int(data["depth"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"tessellation 'depth' is not an integer: {data['depth']!r}") from None
+        depth = data["depth"]
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise ValueError(f"tessellation 'depth' is not an integer: {depth!r}")
         flips = data.get("flips", [])
         if not isinstance(flips, list):
             raise ValueError(f"tessellation 'flips' is not a list: {flips!r}")
@@ -346,62 +344,55 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
     """f r for the r of _flip_element(a, k), and a map that agrees with f on
     the closure of iv = [a/2^k, (a+1)/2^k]'s parent P.
 
-    One descent of f's domain tree along the path to P = (a >> 1, k - 1):
-    - P at or below a domain leaf j: f r is two path grafts.  Leaf j gets
-      the path from it down to P ending in r's domain pattern, its image leaf
-      b = (m + j) mod n the same path ending in r's range pattern, and the
-      marker grows with the leaves when b < m.  No grafted node matches its
-      image, whose pattern differs, so nothing reduces; and P lies in one
-      affine piece of f, which the returned map is.
-    - P and iv internal: f r is f with its domain tree rotated at P,
-      ((T1, T2), T3) <-> (T1, (T2, T3)), then reduced locally as in
-      `_right_multiply`.  The candidates are the new inner node, the rotated
-      P and P's ancestors, for as long as every leaf below is a leaf of f's
+    The doe flip (k = 1) is the general product `_right_multiply`.  Else one
+    descent of f's domain tree along the path to iv, and one rule:
+    - Where the descent meets a domain leaf j at level t <= k, graft r's
+      range tree below level t (one caret when t = k) under leaf j and under
+      its image leaf b = (m + j) mod n: f is unchanged, P and iv are domain
+      nodes, and the marker grows with the leaves when b < m.  P lies in
+      leaf j's affine piece of f when t < k, which the returned map is.
+    - Rotate the domain tree at P in place, ((T1, T2), T3) <-> (T1, (T2, T3)).
+      After a graft nothing reduces: iv's halves are no longer a domain
+      caret, yet every range node over the image of one half and another
+      leaf holds their grafted caret.  Else reduce locally as in
+      `_right_multiply`: the candidates are the new inner node, the rotated P
+      and P's ancestors, for as long as every leaf below is a leaf of f's
       domain tree: a chain of nested nodes, and a candidate can match its
       image only if the one below it does.  So one descent of the range tree
       to the inner node's image, walked back up, finds the largest match,
       the only collapse.
-    - Otherwise (iv a leaf, or the doe flip, k = 1) `_right_multiply`.
     """
     image = functools.partial(evaluate, f)
     if k == 1:
-        return _right_multiply(f, _flip_element(a, k)), image
-    n, m = f.num_leaves, f.marker
-    node, path, j = f.domain_tree, [], 0  # the path to P, and its first leaf
-    for shift in range(k - 1, 0, -1):
-        if node.left is None:
-            break
-        right = (a >> shift) & 1
-        path.append((node, right))
-        if right:
-            node, j = node.right, j + node.left.num_leaves
-        else:
-            node = node.left
-    if node.left is None:  # domain leaf j, at level len(path), holds P
-        top = len(path)
-        domain, rng = _flip_paths(a, k, top)
-        b = (m + j) % n
-        rpath = _find_node(f.range_tree, b, 1)[1]
-        grown = domain.num_leaves - 1
-        product = TreeDiagram(
-            _splice(path, domain), _splice(rpath, rng), m + grown if b < m else m
-        )
-        piece = (StdDyadicInterval(a >> (k - top), top), f.range_tree.leaf_at(b))
-        return product, lambda x: _affine_image(x, *piece)
-    iv_right = a % 2 == 1
-    iv = node.right if iv_right else node.left
-    if iv.left is None:
-        return _right_multiply(f, _flip_element(a, k)), image
-    if iv_right:  # (T1, (T2, T3)) -> ((T1, T2), T3)
-        inner = TTree(node.left, iv.left)
-        rotated = TTree(inner, iv.right)
+        return _right_multiply(f, _DOE_FLIP), image
+    n, m, range_tree = f.num_leaves, f.marker, f.range_tree
+    node, path, j, grown = f.domain_tree, [], 0, 0  # the path to iv, and its first leaf
+    for t in range(k + 1):
+        if node.left is None:  # domain leaf j at level t holds iv: graft
+            node = _flip_paths(a, k, t)[1] if t < k else TTree(LEAF, LEAF)
+            b = (m + j) % n
+            range_tree = _splice(_find_node(range_tree, b, 1)[1], node)
+            grown = node.num_leaves - 1
+            m += grown if b < m else 0
+            if t < k:
+                piece = (StdDyadicInterval(a >> (k - t), t), f.range_tree.leaf_at(b))
+                image = lambda x: _affine_image(x, *piece)
+        if t < k:
+            right = (a >> (k - 1 - t)) & 1
+            path.append((node, right))
+            node, j = (node.right, j + node.left.num_leaves) if right else (node.left, j)
+    P, iv_right = path.pop()
+    if iv_right:  # (T1, (T2, T3)) -> ((T1, T2), T3), inner at P's first leaf
+        inner = TTree(P.left, node.left)
+        rotated = TTree(inner, node.right)
+        j -= P.left.num_leaves
     else:  # ((T1, T2), T3) -> (T1, (T2, T3)), inner at leaf j + |T1|
-        inner = TTree(iv.right, node.right)
-        rotated = TTree(iv.left, inner)
-        j += iv.left.num_leaves
-    if inner.num_leaves == 2:
+        inner = TTree(node.right, P.right)
+        rotated = TTree(node.left, inner)
+        j += node.left.num_leaves
+    if not grown and inner.num_leaves == 2:
         b = (m + j) % n
-        match, rpath = _find_node(f.range_tree, b, 2)
+        match, rpath = _find_node(range_tree, b, 2)
         if match is not None:
             # up from the inner node while both chains go the same way past a leaf
             dpath, up = path + [(rotated, not iv_right)], 0
@@ -418,7 +409,7 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
                 m - up - 1 if b < m else m,
             )
             return product, image
-    return TreeDiagram(_splice(path, rotated), f.range_tree, m), image
+    return TreeDiagram(_splice(path, rotated), range_tree, m), image
 
 
 def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
@@ -429,14 +420,14 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     commutes with the action, so with t = f(tau_0) the result is f r(tau_0),
     for the r that makes the same flip at f^-1(edge) = [a/2^k, (a+1)/2^k] in
     tau_0, a tree rotation at its parent P (`_flip_product`).  f is reduced,
-    and f r is a local O(depth) edit of f's trees, with r never built, when
-    P lies at or below a domain leaf (two path grafts) or P and f^-1(edge)
-    are both domain nodes (a rotation in place and at most one collapse);
-    the rest, a leaf f^-1(edge) under an internal P and the doe flip, go
-    through the general product `_right_multiply`, also path copies.  When
-    t's diff is cached, the child's is carried: `edge` goes out, and f of
-    the opposite diagonal of f^-1(edge)'s quad in tau_0, the chord of its two
-    tau_0 apexes, comes in; after a graft both images are read off the
+    and for every flip but the doe flip f r is a local O(depth) edit of f's
+    trees, with r never built: a path grafted under a domain leaf and its
+    image until P and f^-1(edge) are domain nodes, then a rotation in place
+    at P and at most one collapse.  The doe flip goes through the general
+    product `_right_multiply`, also path copies.  When t's diff is cached,
+    the child's is carried: `edge` goes out, and f of the opposite diagonal
+    of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes
+    in; after a graft above f^-1(edge)'s level both images are read off the
     affine piece of f holding P, with no descent.
     """
     a, k = t._edge_interval(edge)[0]
@@ -663,10 +654,11 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     the wrong way.  That is at most about 4n flips, and the same f always gets
     the same sequence.  Every returned sequence is checked against the
     apply_element oracle, replaying each flip as a local O(depth) edit of the
-    element: nearly all are rotations of its domain tree in place, and the
-    few others path grafts or the general product, itself path copies.  So
-    the whole costs O(n * depth) for the trees' depth, which is quadratic
-    only for combs.  `depth` only sets the window of the
+    element: a rotation of its domain tree in place, after a path graft
+    when the flipped interval's parent or the interval is not yet a domain
+    node, and the general product, itself path copies, for the at most four
+    doe flips.  So the whole costs O(n * depth) for the trees' depth, which
+    is quadratic only for combs.  `depth` only sets the window of the
     standard tessellation that the replay starts from, and a negative one
     raises ValueError; the sequence does not depend on it.
     """

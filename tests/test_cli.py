@@ -83,6 +83,15 @@ class TestVerifyTensor:
         assert out == ""
         assert err == "DimensionMismatch: a perfect tensor needs at least two legs, got 1\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_overflowing_norm_is_not_perfect(self, capsys, tmp_path, extra):
+        path = tmp_path / "t.txt"
+        path.write_text("dims: 2 2\n0 0 1e200 0\n0 1 1e200 0\n")
+        code, out, err = run(capsys, "verify-tensor", str(path), *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "NotPerfect: the squared norm inf is not finite\n"
+
     @pytest.mark.parametrize("entry", ["nan 0.0", "1.0 inf"])
     def test_non_finite_entry_names_its_line(self, capsys, tmp_path, entry):
         path = tmp_path / "t.txt"

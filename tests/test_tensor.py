@@ -95,6 +95,14 @@ class TestVerifyPerfect:
         with pytest.raises(NotPerfect):
             verify_perfect(DenseTensor(np.ones((2, 2, 2))))
 
+    def test_overflowing_norm_fails(self):
+        """A rank-1 tensor whose squared norm overflows is refused, not
+        certified with infinite constants and a NaN deviation."""
+        arr = np.zeros((2, 2))
+        arr[0, 0] = arr[0, 1] = 1e200
+        with pytest.raises(NotPerfect, match=r"^the squared norm inf is not finite$"):
+            verify_perfect(DenseTensor(arr))
+
     def test_mixed_dims_fail(self):
         with pytest.raises(NotPerfect):
             verify_perfect(DenseTensor(np.ones((2, 3))))
@@ -300,9 +308,16 @@ class TestContraction:
         """Both ends of bond b are labelled b, open leg j len(bonds) + j."""
         t = four_colour_tensor()
         net = TensorNetwork([t, t], [((0, 2), (1, 0)), ((0, 0), (1, 2))], [(1, 1), (0, 1)])
-        assert net.validate() == {
-            (0, 2): 0, (1, 0): 0, (0, 0): 1, (1, 2): 1, (1, 1): 2, (0, 1): 3
-        }
+        assert net.validate() == [[1, 3, 0], [0, 2, 1]]
+
+    @pytest.mark.parametrize("leg", [(1, 0), (0, -1), (0, 3)])
+    def test_missing_open_leg_rejected(self, leg):
+        """An open leg that names no leg of the network is refused, not
+        dropped from the result or read as another leg."""
+        net = TensorNetwork([four_colour_tensor()], [], [(0, 0), (0, 1), (0, 2), leg])
+        with pytest.raises(ValueError) as err:
+            net.validate()
+        assert str(err.value) == f"open leg 3 references missing leg ({leg[0]},{leg[1]})"
 
     def test_ring_matches_trace_formula(self):
         """A cycle of 3-leg tensors contracts to a product of transfer

@@ -198,9 +198,11 @@ class TestPachnerFlip:
 
 def flip_branch(f: TreeDiagram, a: int, k: int, product: TreeDiagram) -> str:
     """How pachner_flip multiplies f by the rotation r of [a/2^k, (a+1)/2^k]'s
-    parent P into `product`: two path grafts when P is not a node of f's
-    domain tree, a rotation in place (with or without a collapse) when P and
-    the interval both are internal nodes, else the general product."""
+    parent P into `product`: a graft of a path down to P when P is not a
+    node of f's domain tree, of one caret when the interval is a domain leaf
+    under P, and a rotation in place (with or without a collapse) when P and
+    the interval both are internal nodes; the doe flip is the general
+    product."""
 
     def internal(a: int, k: int) -> bool:
         node = f.domain_tree
@@ -215,7 +217,7 @@ def flip_branch(f: TreeDiagram, a: int, k: int, product: TreeDiagram) -> str:
     if not internal(a >> 1, k - 1):
         return "graft"
     if not internal(a, k):
-        return "fallback"
+        return "leaf"
     return "collapse" if product.num_leaves < f.num_leaves else "rotate"
 
 
@@ -251,11 +253,11 @@ def assert_flip_matches_product(t: Tessellation, edge: Chord, branches: collecti
 
 
 class TestFlipProduct:
-    """pachner_flip edits f's trees locally (two path grafts, or a rotation
-    in place with at most one collapse) where it can, against the general
-    product f r that it falls back on elsewhere."""
+    """pachner_flip edits f's trees locally for every flip but the doe flip
+    (a graft where P or the interval is not a domain node, then a rotation
+    in place with at most one collapse), against the general product f r."""
 
-    BRANCHES = {"graft", "rotate", "collapse", "fallback", "doe"}
+    BRANCHES = {"graft", "rotate", "collapse", "leaf", "doe"}
 
     def test_every_window_edge_of_seeded_walks(self):
         rng = random.Random(2026)
@@ -285,6 +287,29 @@ class TestFlipProduct:
         assert t.element == f
         assert set(branches) == self.BRANCHES, branches
 
+    def test_only_the_doe_flip_takes_the_general_product(self, monkeypatch):
+        """Over the seeded walks and the 344-leaf replay, pachner_flip calls
+        `_right_multiply` once per doe flip and for no other flip."""
+        replay, calls = flips_realizing(random_element(1600, 3), 6), []
+        general = tessellation._right_multiply
+        monkeypatch.setattr(
+            tessellation, "_right_multiply", lambda f, g: calls.append(g) or general(f, g)
+        )
+        rng, does = random.Random(2026), 0
+        for depth in range(3, 7):
+            for _ in range(4):
+                t = standard_tessellation(depth)
+                for _ in range(rng.randint(0, 30)):
+                    edges = t.window_edges()
+                    e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
+                    does += e == t.doe_chord()
+                    t = pachner_flip(t, e)
+        t = standard_tessellation(6)
+        for e in replay:
+            does += e == t.doe_chord()
+            t = pachner_flip(t, e)
+        assert calls == [_DOE_FLIP] * does and does > 2
+
     @pytest.mark.parametrize(
         "element, a, k, branch, product",
         [
@@ -304,6 +329,13 @@ class TestFlipProduct:
             # at the marker; above it the domain tree goes right past a leaf
             # and the range tree left past a leaf, so nothing more collapses
             ("((.(..))(..))|((..)(.(..)))@3", 1, 2, "collapse", "((..)(..))|((..)(..))@3"),
+            # iv = [1/2, 3/4] is domain leaf 1 under P = [1/2, 1]: one caret
+            # under it and under its image, range leaf 0, which lies before
+            # the marker, so the marker grows by one; then the rotation at P
+            ("(.(..))|(.(..))@2", 2, 2, "leaf", "(.(.(..)))|((..)(..))@3"),
+            # iv = [3/4, 1] is domain leaf 2, the right child of P; its image,
+            # range leaf 2, lies after the marker, which stays
+            ("(.(..))|((..).)@0", 3, 2, "leaf", "(.((..).))|((..)(..))@0"),
         ],
     )
     def test_marker_arithmetic(self, element, a, k, branch, product):
@@ -337,6 +369,9 @@ class TestSerialization:
                 "tessellation 'doe' ['1/2^1', '0'] does not match flip history "
                 "(got ['0', '1/2^1'])",
             ),
+            ({"depth": 2.5, "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: 2.5"),
+            ({"depth": True, "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: True"),
+            ({"depth": "3", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: '3'"),
         ],
     )
     def test_from_json_rejects(self, data, message):
