@@ -43,48 +43,20 @@ class DyadicRational:
             object.__setattr__(self, "num", num >> shift)
             object.__setattr__(self, "exp", exp - shift)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exp, other.exp)
-        return DyadicRational(
-            self.num * 2 ** (e - self.exp) + other.num * 2 ** (e - other.exp), e
-        )
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exp, other.exp)
-        return DyadicRational(
-            self.num * 2 ** (e - self.exp) - other.num * 2 ** (e - other.exp), e
-        )
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.num * other.num, self.exp + other.exp)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.num, self.exp)
-
-    def scale_pow2(self, k: int) -> "DyadicRational":
-        """Multiply by 2^k (k may be negative)."""
-        if k >= 0:
-            return DyadicRational(self.num * 2**k, self.exp)
-        return DyadicRational(self.num, self.exp - k)
-
     def mod1(self) -> "DyadicRational":
         """Reduce into [0, 1) as a circle point."""
-        denom = 2**self.exp
-        return DyadicRational(self.num % denom, self.exp)
-
-    # -- comparisons --------------------------------------------------------
+        return DyadicRational(self.num & ((1 << self.exp) - 1), self.exp)
 
     def __lt__(self, other: "DyadicRational") -> bool:
-        e = max(self.exp, other.exp)
-        return self.num * 2 ** (e - self.exp) < other.num * 2 ** (e - other.exp)
+        d = self.exp - other.exp
+        return self.num < other.num << d if d >= 0 else self.num << -d < other.num
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 2**self.exp)
+        """The value as a Fraction, for arithmetic."""
+        return Fraction(self.num, 1 << self.exp)
 
     def __float__(self) -> float:
-        return self.num / 2**self.exp
+        return self.num / (1 << self.exp)
 
     # -- text form ----------------------------------------------------------
 
@@ -124,6 +96,14 @@ ONE = DyadicRational(1, 0)
 HALF = DyadicRational(1, 1)
 
 
+def _interval_of(p: DyadicRational, q: DyadicRational) -> tuple[int, int] | None:
+    """(a, k) with [p, q] = [a/2^k, (a+1)/2^k], if any: read in integers
+    over the finer denominator 2^k."""
+    k = max(p.exp, q.exp)
+    a = p.num << (k - p.exp)
+    return (a, k) if (q.num << (k - q.exp)) - a == 1 else None
+
+
 @dataclass(frozen=True)
 class StdDyadicInterval:
     """The interval [a/2^n, (a+1)/2^n] with 0 <= a < 2^n."""
@@ -132,7 +112,7 @@ class StdDyadicInterval:
     n: int
 
     def __post_init__(self):
-        if self.n < 0 or not 0 <= self.a < 2**self.n:
+        if self.n < 0 or self.a < 0 or self.a >> self.n:
             raise NotStandardDyadic(f"invalid standard dyadic interval a={self.a}, n={self.n}")
 
     @property
@@ -143,10 +123,6 @@ class StdDyadicInterval:
     def right(self) -> DyadicRational:
         return DyadicRational(self.a + 1, self.n)
 
-    @property
-    def length(self) -> DyadicRational:
-        return DyadicRational(1, self.n)
-
     def halves(self) -> tuple["StdDyadicInterval", "StdDyadicInterval"]:
         return StdDyadicInterval(2 * self.a, self.n + 1), StdDyadicInterval(
             2 * self.a + 1, self.n + 1
@@ -155,14 +131,9 @@ class StdDyadicInterval:
     @classmethod
     def from_endpoints(cls, left: DyadicRational, right: DyadicRational) -> "StdDyadicInterval":
         """Build from endpoints; raises NotStandardDyadic if not of a/2^n form."""
-        width = right - left
-        if width.num != 1:
+        if (ak := _interval_of(left, right)) is None:
             raise NotStandardDyadic(f"[{left}, {right}] is not standard dyadic")
-        n = width.exp
-        scaled = left.scale_pow2(n)
-        if scaled.exp != 0:
-            raise NotStandardDyadic(f"[{left}, {right}] is not standard dyadic")
-        return cls(scaled.num, n)
+        return cls(*ak)
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"
@@ -174,7 +145,7 @@ class TTree:
     A leaf is TTree(); an internal node is TTree(left, right).
     """
 
-    __slots__ = ("left", "right", "_leaves", "_hash")
+    __slots__ = ("left", "right", "num_leaves", "_hash")
 
     def __init__(self, left: "TTree | None" = None, right: "TTree | None" = None):
         if (left is None) != (right is None):
@@ -182,18 +153,14 @@ class TTree:
         self.left = left
         self.right = right
         if left is None:
-            self._leaves, self._hash = 1, hash(".")
+            self.num_leaves, self._hash = 1, hash(".")
         else:
-            self._leaves = left._leaves + right._leaves
+            self.num_leaves = left.num_leaves + right.num_leaves
             self._hash = hash((left._hash, right._hash))
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def num_leaves(self) -> int:
-        return self._leaves
 
     def __eq__(self, other) -> bool:
         """Structural equality, walked with an explicit stack like
@@ -207,7 +174,7 @@ class TTree:
             a, b = pairs.pop()
             if a is b:
                 continue
-            if a._leaves != b._leaves:
+            if a.num_leaves != b.num_leaves:
                 return False
             if a.left is not None:
                 pairs += [(a.left, b.left), (a.right, b.right)]
@@ -241,8 +208,10 @@ class TTree:
                 open_carets.append([])
                 continue
             if ch != ".":
+                if ch:
+                    raise ValueError(f"unexpected character {ch!r} in tree text")
                 raise ValueError(
-                    f"unexpected character {ch!r} in tree text" if ch else "empty tree text"
+                    "unbalanced parentheses in tree text" if open_carets else "empty tree text"
                 )
             tree = LEAF
             while open_carets and open_carets[-1]:

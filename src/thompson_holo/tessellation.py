@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import contextlib
 import functools
 import json
 import math
@@ -30,15 +31,17 @@ from fractions import Fraction
 from .dyadic import (
     HALF,
     LEAF,
+    ONE,
     ZERO,
     DyadicPartition,
     DyadicRational,
     StdDyadicInterval,
     TTree,
     _find_node,
+    _interval_of,
     _splice,
 )
-from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted
+from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted, ThompsonHoloError
 from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
@@ -95,14 +98,8 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
 def _standard_interval_of(c: Chord) -> tuple[int, int] | None:
     """The tau_0 interval [a/2^k, (a+1)/2^k] (k >= 1) whose chord is c, as
     (a, k), if any: [c.a, c.b], or the complementary arc [c.b, 1] when c.a
-    is 0.  Read in integers over c's finer denominator 2^k."""
-    k = max(c.a.exp, c.b.exp)
-    lo, hi = c.a.num << (k - c.a.exp), c.b.num << (k - c.b.exp)
-    if hi - lo == 1:
-        return (lo, k)
-    if lo == 0 and hi == (1 << k) - 1:
-        return (hi, k)
-    return None
+    is 0."""
+    return _interval_of(c.a, c.b) or (_interval_of(c.b, ONE) if c.a.num == 0 else None)
 
 
 E0 = chord(ZERO, HALF)
@@ -271,6 +268,7 @@ class Tessellation:
 
     @classmethod
     def from_json(cls, text: str) -> "Tessellation":
+        """Replay to_json's text; an error quotes the file's values as JSON."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("tessellation JSON must be an object with 'depth', 'doe' and 'flips'")
@@ -279,24 +277,35 @@ class Tessellation:
                 raise ValueError(f"tessellation JSON has no {key!r} field")
         depth = data["depth"]
         if not isinstance(depth, int) or isinstance(depth, bool):
-            raise ValueError(f"tessellation 'depth' is not an integer: {depth!r}")
+            raise ValueError(f"tessellation 'depth' is not an integer: {json.dumps(depth)}")
         flips = data.get("flips", [])
         if not isinstance(flips, list):
-            raise ValueError(f"tessellation 'flips' is not a list: {flips!r}")
-        flips = [chord(*_point_pair(pq, f"flip {k}")) for k, pq in enumerate(flips)]
-        t = apply_flips(standard_tessellation(depth), flips)
-        if t.doe != _point_pair(data["doe"], "'doe'"):
-            got = [str(p) for p in t.doe]
-            raise ValueError(
-                f"tessellation 'doe' {data['doe']!r} does not match flip history (got {got!r})"
-            )
+            raise ValueError(f"tessellation 'flips' is not a list: {json.dumps(flips)}")
+        t = standard_tessellation(depth)
+        for k, pq in enumerate(flips):
+            with _reading(f"flip {k}"):
+                t = pachner_flip(t, chord(*_point_pair(pq)))
+        with _reading("'doe'"):
+            doe = _point_pair(data["doe"])
+        if t.doe != doe:
+            want, got = json.dumps(data["doe"]), json.dumps([str(p) for p in t.doe])
+            raise ValueError(f"tessellation 'doe' {want} does not match flip history (got {got})")
         return t
 
 
-def _point_pair(value, name: str) -> tuple[DyadicRational, DyadicRational]:
+@contextlib.contextmanager
+def _reading(name: str):
+    """Prefix an error raised while reading `name` with it, keeping its type."""
+    try:
+        yield
+    except (ValueError, ThompsonHoloError) as exc:
+        raise type(exc)(f"tessellation {name}: {exc}") from exc
+
+
+def _point_pair(value) -> tuple[DyadicRational, DyadicRational]:
     """Parse a JSON [p, q] pair of dyadic strings."""
     if not (isinstance(value, list) and len(value) == 2 and all(isinstance(x, str) for x in value)):
-        raise ValueError(f"tessellation {name} is not a [p, q] pair of strings: {value!r}")
+        raise ValueError(f"not a [p, q] pair of strings: {json.dumps(value)}")
     return DyadicRational.parse(value[0]), DyadicRational.parse(value[1])
 
 
@@ -320,24 +329,22 @@ def _flip_element(a: int, k: int) -> TreeDiagram:
 
     For that interval at level k >= 2 under its parent P, r is the tree
     rotation at P: both trees are the path from the root to P, and the range
-    tree splits the interval where the domain tree splits its sibling.
+    tree splits the interval where the domain tree splits its sibling; so
+    the domain tree is the sibling's range tree.
     """
     if k == 1:
         return _DOE_FLIP
-    return TreeDiagram(*_flip_paths(a, k, 0), 0)
+    return TreeDiagram(_flip_range(a ^ 1, k, 0), _flip_range(a, k, 0), 0)
 
 
-def _flip_paths(a: int, k: int, top: int) -> tuple[TTree, TTree]:
-    """r's domain and range trees below the node of level `top` on the path
-    to P: the path from it down to P, ending in r's two patterns at P."""
+def _flip_range(a: int, k: int, top: int) -> TTree:
+    """r's range tree below the node of level `top` on the path to P: the
+    path from it down to P, ending in the caret that splits the interval."""
     caret = TTree(LEAF, LEAF)
-    trees = (TTree(LEAF, caret), TTree(caret, LEAF))  # iv a left child
-    if a % 2:
-        trees = trees[::-1]
+    tree = TTree(LEAF, caret) if a % 2 else TTree(caret, LEAF)
     for j in range(1, k - top):  # up the path from P to level `top`
-        left = (a >> j) % 2 == 0
-        trees = tuple(TTree(t, LEAF) if left else TTree(LEAF, t) for t in trees)
-    return trees
+        tree = TTree(tree, LEAF) if (a >> j) % 2 == 0 else TTree(LEAF, tree)
+    return tree
 
 
 def _flip_product(f: TreeDiagram, a: int, k: int):
@@ -369,7 +376,7 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
     node, path, j, grown = f.domain_tree, [], 0, 0  # the path to iv, and its first leaf
     for t in range(k + 1):
         if node.left is None:  # domain leaf j at level t holds iv: graft
-            node = _flip_paths(a, k, t)[1] if t < k else TTree(LEAF, LEAF)
+            node = _flip_range(a, k, t) if t < k else TTree(LEAF, LEAF)
             b = (m + j) % n
             range_tree = _splice(_find_node(range_tree, b, 1)[1], node)
             grown = node.num_leaves - 1

@@ -172,6 +172,24 @@ class TestMatrixElement:
         assert code == 0
         assert out.splitlines()[:2] == ["1 0", "1 0"]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_routes_that_disagree_exit_1(self, capsys, monkeypatch, json_flag):
+        """Both values are printed, then the disagreement, with exit code 1."""
+        exact = cli.semicontinuous.vacuum_matrix_element
+        monkeypatch.setattr(
+            cli.semicontinuous,
+            "vacuum_matrix_element",
+            lambda f, V, route: exact(f, V, route) + (1e-9 if route == "diagram" else 0),
+        )
+        code, out, err = run(capsys, "matrix-element", "B", *json_flag)
+        assert (code, err) == (1, "")
+        if json_flag:
+            data = json.loads(out)
+            assert data["agree"] is False
+            assert data["diagram"][0] - data["action"][0] == pytest.approx(1e-9)
+        else:
+            assert out.splitlines() == ["0.5 0", "0.500000001 0", "routes disagree"]
+
 
 class TestOtherCommands:
     def test_flips(self, capsys):
@@ -207,6 +225,13 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["entropy_a"] == pytest.approx(data["entropy_b"], abs=1e-10)
         assert 0 < data["entropy_a"] <= data["rank_bound"]
+
+    def test_btz_entropy_zero_tensor(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("dims: 3 3 3\n")
+        code, out, err = run(capsys, "btz-entropy", "--halfwidth", "1", "--tensor", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: BTZ network contracted to zero\n"
 
     def test_btz_entropy_four_leg_tensor(self, capsys):
         code, out, err = run(
@@ -385,6 +410,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "ZZZ", "0")
         assert code == 1
         assert err
+
+    def test_tree_text_ending_inside_a_caret(self, capsys):
+        code, out, err = run(capsys, "reduce", "((..)|(..)")
+        assert (code, out) == (1, "")
+        assert err == "error: unbalanced parentheses in tree text\n"
 
 
 class TestParserReuse:

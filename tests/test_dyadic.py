@@ -33,13 +33,12 @@ dyadics = st.builds(
 )
 
 
-class TestDyadicRational:
-    @given(dyadics, dyadics)
-    def test_arithmetic_matches_fractions(self, x, y):
-        assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-        assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-        assert (x * y).as_fraction() == x.as_fraction() * y.as_fraction()
+def frac(x: DyadicRational) -> Fraction:
+    """x as a Fraction, from its integers alone."""
+    return Fraction(x.num, 2**x.exp)
 
+
+class TestDyadicRational:
     @given(dyadics)
     def test_canonical_form(self, x):
         assert x.exp == 0 or x.num % 2 == 1
@@ -48,18 +47,19 @@ class TestDyadicRational:
     def test_parse_round_trip(self, x):
         assert DyadicRational.parse(str(x)) == x
 
-    @given(dyadics, st.integers(min_value=-6, max_value=6))
-    def test_scale_pow2(self, x, k):
-        assert x.scale_pow2(k).as_fraction() == x.as_fraction() * Fraction(2) ** k
-
     @given(dyadics)
     def test_mod1_range(self, x):
         m = x.mod1()
         assert ZERO <= m < ONE
-        assert (x - m).as_fraction().denominator == 1
+        assert (frac(x) - frac(m)).denominator == 1
 
     def test_ordering(self):
         assert DyadicRational(1, 2) < HALF < DyadicRational(3, 2) < ONE
+
+    @given(dyadics, dyadics)
+    def test_order_matches_fractions(self, x, y):
+        fx, fy = frac(x), frac(y)
+        assert (x < y, x <= y, x > y, x == y) == (fx < fy, fx <= fy, fx > fy, fx == fy)
 
     def test_parse_examples(self):
         assert DyadicRational.parse("3/2^2") == DyadicRational(3, 2)
@@ -96,6 +96,21 @@ class TestStdDyadicInterval:
         left, right = StdDyadicInterval(0, 1).halves()
         assert left == StdDyadicInterval(0, 2)
         assert right == StdDyadicInterval(1, 2)
+
+    def test_from_endpoints_against_fractions(self):
+        """[p, q] is standard iff q - p is 1/2^n and p a multiple of it,
+        with 0 <= p and q <= 1."""
+        points = [Fraction(k, 32) for k in range(-8, 41)]
+        for x in points:
+            for y in points:
+                p, q = (DyadicRational(v.numerator, v.denominator.bit_length() - 1) for v in (x, y))
+                w = y - x
+                if w > 0 and w.numerator == 1 and (x / w).denominator == 1 and 0 <= x and y <= 1:
+                    n = w.denominator.bit_length() - 1
+                    assert StdDyadicInterval.from_endpoints(p, q) == StdDyadicInterval(int(x / w), n)
+                else:
+                    with pytest.raises(NotStandardDyadic):
+                        StdDyadicInterval.from_endpoints(p, q)
 
     def test_from_endpoints_rejects_non_standard(self):
         with pytest.raises(NotStandardDyadic):
@@ -208,7 +223,7 @@ class TestPairedWalk:
         """A 1200-deep right staircase against a 1200-deep left one."""
         count = 1200
         right = DyadicPartition(
-            [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+            [ZERO] + [DyadicRational(2**k - 1, k) for k in range(1, count)] + [ONE]
         )
         left = DyadicPartition([ZERO] + [DyadicRational(1, k) for k in range(1, count)] + [ONE])
         assert len(right) == len(left) == count
@@ -245,13 +260,13 @@ def leaf_breakpoints(t: TTree, a: int = 0, n: int = 0) -> list[DyadicRational]:
 
 
 def all_intervals_standard(points) -> bool:
-    pts = sorted(set(points))
-    try:
-        for left, right in zip(pts, pts[1:]):
-            StdDyadicInterval.from_endpoints(left, right)
-    except NotStandardDyadic:
-        return False
-    return pts[0] == ZERO and pts[-1] == ONE
+    """In Fractions: every gap is some 1/2^n and starts at a multiple of it."""
+    pts = sorted({frac(x) for x in points})
+    for left, right in zip(pts, pts[1:]):
+        w = right - left
+        if w.numerator != 1 or (left / w).denominator != 1:
+            return False
+    return pts[0] == 0 and pts[-1] == 1
 
 
 sixteenths = st.sets(st.integers(min_value=1, max_value=15)).map(
@@ -312,7 +327,7 @@ class TestTreeOperationsAgainstBreakpoints:
     def test_deep_staircase(self):
         """1200 intervals halving rightward: deeper than the recursion limit."""
         count = 1200
-        points = [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+        points = [ZERO] + [DyadicRational(2**k - 1, k) for k in range(1, count)] + [ONE]
         p = DyadicPartition(points)
         assert len(p) == count
         assert p.tree.num_leaves == count
@@ -326,7 +341,7 @@ class TestTreeOperationsAgainstBreakpoints:
         """Union, text form and internal intervals of the 1200-interval
         staircase also stay within the recursion limit."""
         count = 1200
-        points = [ZERO] + [ONE - DyadicRational(1, k) for k in range(1, count)] + [ONE]
+        points = [ZERO] + [DyadicRational(2**k - 1, k) for k in range(1, count)] + [ONE]
         p = DyadicPartition(points)
         assert common_refinement(p, p) == p
         assert common_refinement(p, DyadicPartition([ZERO, HALF, ONE])) == p
@@ -342,8 +357,9 @@ class TestTreeText:
         "text, message",
         [
             ("", "empty tree text"),
-            ("(", "empty tree text"),
-            ("(.", "empty tree text"),
+            ("(", "unbalanced parentheses in tree text"),
+            ("(.", "unbalanced parentheses in tree text"),
+            ("((..)", "unbalanced parentheses in tree text"),
             ("(.)", "unexpected character ')' in tree text"),
             ("x", "unexpected character 'x' in tree text"),
             ("( ..)", "unexpected character ' ' in tree text"),

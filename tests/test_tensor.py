@@ -119,6 +119,13 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_tensor("no-such-tensor")
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_rejected(self, entry):
+        arr = np.ones((2, 2), dtype=complex)
+        arr[1, 0] = entry
+        with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+            DenseTensor(arr)
+
     def test_text_round_trip(self):
         for t in (four_colour_tensor(), singlet_tensor(), qutrit_code_tensor()):
             assert DenseTensor.from_text(t.to_text()) == t

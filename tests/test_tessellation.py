@@ -1,6 +1,8 @@
 """Dyadic tessellations of the disc, Pachner flips and the group action."""
 
 import collections
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -17,7 +19,7 @@ import pytest
 
 import thompson_holo
 from thompson_holo import tessellation
-from thompson_holo.dyadic import LEAF, ZERO, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
+from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
 from thompson_holo.errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic
 from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
@@ -58,7 +60,7 @@ from thompson_holo.thompson import (
     random_element,
     reduce_diagram,
 )
-from test_thompson import expand_compose, to_pl_map
+from test_thompson import as_frac, expand_compose, pl_scan, to_pl_map
 
 
 def d(text: str) -> DyadicRational:
@@ -349,6 +351,16 @@ class TestFlipProduct:
         assert branches == {branch: 1}
         assert str(child.element) == product
 
+    def test_flip_elements_pinned(self):
+        """r for every interval at levels 2-8, each tree built as a range
+        tree (the domain tree is the sibling interval's), hashed against the
+        digest of the same elements built as two paths at once."""
+        h = hashlib.sha256()
+        for k in range(2, 9):
+            for a in range(2**k):
+                h.update((str(_flip_element(a, k)) + "\n").encode())
+        assert h.hexdigest() == "95f116bceb427c1f2b378d530ce2df79b303ae42064aca387e5d70ef61cbb578"
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -359,25 +371,56 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"depth": "x", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: 'x'"),
+            ({"depth": "x", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: \"x\""),
             (
                 {"depth": 3, "doe": ["0", "1/2^1"], "flips": "x"},
-                "tessellation 'flips' is not a list: 'x'",
+                "tessellation 'flips' is not a list: \"x\"",
             ),
             (
                 {"depth": 3, "doe": ["1/2^1", "0"], "flips": []},
-                "tessellation 'doe' ['1/2^1', '0'] does not match flip history "
-                "(got ['0', '1/2^1'])",
+                """tessellation 'doe' ["1/2^1", "0"] does not match flip history """
+                """(got ["0", "1/2^1"])""",
             ),
             ({"depth": 2.5, "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: 2.5"),
-            ({"depth": True, "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: True"),
-            ({"depth": "3", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: '3'"),
+            ({"depth": True, "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: true"),
+            ({"depth": "3", "doe": ["0", "1/2^1"]}, "tessellation 'depth' is not an integer: \"3\""),
+            (
+                {"depth": 3, "doe": ["0", "1/2^1"], "flips": {"a": 1}},
+                """tessellation 'flips' is not a list: {"a": 1}""",
+            ),
+            (
+                {"depth": 3, "doe": ["0"], "flips": []},
+                """tessellation 'doe': not a [p, q] pair of strings: ["0"]""",
+            ),
         ],
     )
     def test_from_json_rejects(self, data, message):
         with pytest.raises(ValueError) as err:
             Tessellation.from_json(json.dumps(data))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "flips, error, message",
+        [
+            ([["0", "0"]], ValueError, "a chord needs two distinct circle points"),
+            ([["0", None]], ValueError, """not a [p, q] pair of strings: ["0", null]"""),
+            ([["x", "0"]], ValueError, "cannot parse dyadic rational: 'x'"),
+            ([["1/3", "0"]], NotStandardDyadic, "denominator 3 is not a power of two"),
+            (
+                [["1/2^2", "1/2^1"], ["1/2^3", "1/2^1"]],
+                EdgeNotFound,
+                "1/2^3~1/2^1 is not an edge of this tessellation",
+            ),
+        ],
+    )
+    def test_from_json_names_the_flip(self, flips, error, message):
+        """An error raised while reading flip k keeps its type and is
+        prefixed with the flip's index."""
+        data = {"depth": 3, "doe": ["0", "1/2^1"], "flips": flips}
+        with pytest.raises(error) as err:
+            Tessellation.from_json(json.dumps(data))
+        assert type(err.value) is error
+        assert str(err.value) == f"tessellation flip {len(flips) - 1}: {message}"
 
     def test_action_result_has_no_history(self):
         t = apply_element(standard_tessellation(3), generator("B"))
@@ -872,20 +915,13 @@ class TestAgainstFaceWalk:
 
 def ref_standard_interval(c: Chord):
     """The standard interval (level >= 1) of c, by trying [a, b] and then,
-    when a is 0, [b, 1]."""
-    try:
-        iv = StdDyadicInterval.from_endpoints(c.a, c.b)
-        if iv.n >= 1:
-            return iv
-    except NotStandardDyadic:
-        pass
-    if c.a == ZERO:
-        try:
-            iv = StdDyadicInterval.from_endpoints(c.b, DyadicRational(1, 0))
-            if iv.n >= 1:
-                return iv
-        except NotStandardDyadic:
-            pass
+    when a is 0, [b, 1]: in Fractions, a width 1/2^n with n >= 1 and a left
+    end that is a multiple of it."""
+    x, y = as_frac(c.a), as_frac(c.b)
+    for lo, hi in [(x, y)] + ([(y, Fraction(1))] if x == 0 else []):
+        width = hi - lo
+        if width.numerator == 1 and width < 1 and (lo / width).denominator == 1:
+            return StdDyadicInterval(int(lo / width), width.denominator.bit_length() - 1)
     return None
 
 
@@ -898,7 +934,7 @@ def ref_default_apex(c: Chord, ccw_from_a: bool):
     iv = ref_standard_interval(c)
     if iv is None:
         return None
-    inside = _in_open_arc(iv.left + StdDyadicInterval(2 * iv.a, iv.n + 1).length, c.a, c.b)
+    inside = _in_open_arc(DyadicRational(2 * iv.a + 1, iv.n + 1), c.a, c.b)
     if inside == ccw_from_a:
         return iv.halves()[0].right.mod1()
     if iv.n == 1:
@@ -909,16 +945,7 @@ def ref_default_apex(c: Chord, ccw_from_a: bool):
 
 def ref_pl(f: TreeDiagram):
     """f as a function, by a linear scan over its PL pieces."""
-    pieces = to_pl_map(f).pieces
-
-    def image(x: DyadicRational) -> DyadicRational:
-        x = x.mod1()
-        for x0, x1, y0, k in pieces:
-            if x0 <= x < x1:
-                return (y0 + (x - x0).scale_pow2(k)).mod1()
-        raise ValueError(f"{x} not covered by any piece")
-
-    return image
+    return functools.partial(pl_scan, to_pl_map(f))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ def as_dyadic(q: Fraction) -> DyadicRational:
     return DyadicRational(q.numerator, q.denominator.bit_length() - 1)
 
 
+def as_frac(x: DyadicRational) -> Fraction:
+    return Fraction(x.num, 2**x.exp)
+
+
 class TestGenerators:
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_matches_piecewise_formula(self, name):
@@ -181,10 +185,11 @@ class PLMap:
     """Exact PL circle map: pieces (x0, x1, y0, slope_exp) with slope 2^slope_exp.
 
     Each piece maps [x0, x1) affinely onto [y0, y0 + (x1-x0)*2^slope_exp),
-    values taken mod 1.
+    values taken mod 1.  Ends are Fractions, built from the leaf intervals'
+    integers, so the scan does no dyadic arithmetic.
     """
 
-    pieces: tuple[tuple[DyadicRational, DyadicRational, DyadicRational, int], ...]
+    pieces: tuple[tuple[Fraction, Fraction, Fraction, int], ...]
 
 
 def to_pl_map(f: TreeDiagram) -> PLMap:
@@ -194,16 +199,18 @@ def to_pl_map(f: TreeDiagram) -> PLMap:
     pieces = []
     for j, d in enumerate(dom):
         r = rng[(f.marker + j) % n]
-        pieces.append((d.left, d.right, r.left, d.n - r.n))
+        pieces.append(
+            (Fraction(d.a, 2**d.n), Fraction(d.a + 1, 2**d.n), Fraction(r.a, 2**r.n), d.n - r.n)
+        )
     return PLMap(tuple(pieces))
 
 
 def pl_scan(pl: PLMap, x: DyadicRational) -> DyadicRational:
     """Reference evaluation: a linear scan over the pieces of a PL map."""
-    x = x.mod1()
+    x = as_frac(x) % 1
     for x0, x1, y0, k in pl.pieces:
         if x0 <= x < x1:
-            return (y0 + (x - x0).scale_pow2(k)).mod1()
+            return as_dyadic((y0 + (x - x0) * Fraction(2) ** k) % 1)
     raise ValueError(f"{x} not covered by any piece")
 
 
@@ -233,10 +240,7 @@ class TestPLMap:
     def test_slopes_are_powers_of_two(self):
         for seed in range(10):
             pl = to_pl_map(random_element(4, seed))
-            widths = sum(
-                (x1 - x0).as_fraction() * Fraction(2) ** k
-                for x0, x1, _, k in pl.pieces
-            )
+            widths = sum((x1 - x0) * Fraction(2) ** k for x0, x1, _, k in pl.pieces)
             assert widths == 1  # image tiles the circle exactly
 
     def test_bijective_on_grid(self):
