@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain error, 2 usage error.  Words are strings
 over {A,B,C,a,b,c} with lowercase meaning inverse, applied right to left;
 arguments containing '|' are parsed as explicit tree-diagram text instead.
+
+Each subcommand returns (exit code, JSON payload, text lines), and `main`
+alone writes stdout: the payload under --json, the lines otherwise.  An
+error raised by a subcommand is one line on stderr, exit code 1 and an
+empty stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ import numpy as np
 
 from . import approximation, semicontinuous, tensor, tessellation, thompson
 from .dyadic import DyadicPartition, DyadicRational
-from .errors import ThompsonHoloError
+from .errors import ResourceLimit, ThompsonHoloError
+
+
+_Result = tuple[int, dict, list[str]]
 
 
 def _fmt(x: float) -> str:
@@ -37,18 +45,9 @@ def _load_tensor(name: str) -> tensor.DenseTensor:
             return tensor.DenseTensor.from_text(fh.read())
 
 
-def _emit(args, payload: dict, text_lines):
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_verify_tensor(args) -> int:
+def _cmd_verify_tensor(args) -> _Result:
     t = _load_tensor(args.tensor)
     cert = tensor.verify_perfect(t)
-    c12 = cert.constant([0])
     payload = {
         "perfect": True,
         "rotation_invariant": cert.rotation_invariant,
@@ -58,72 +57,57 @@ def _cmd_verify_tensor(args) -> int:
             if k
         },
     }
-    _emit(
-        args,
-        payload,
-        [
-            "perfect: yes; rotation-invariant: "
-            + ("yes" if cert.rotation_invariant else "no")
-            + f"; 1→2 constant: {_fmt(c12)}"
-        ],
+    line = (
+        "perfect: yes; rotation-invariant: "
+        + ("yes" if cert.rotation_invariant else "no")
+        + f"; 1→2 constant: {_fmt(cert.constant([0]))}"
     )
-    return 0
+    return 0, payload, [line]
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> _Result:
     out = str(thompson.compose(_parse_element(args.f), _parse_element(args.g)))
-    _emit(args, {"element": out}, [out])
-    return 0
+    return 0, {"element": out}, [out]
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Result:
     out = str(thompson.reduce_diagram(_parse_element(args.f)))
-    _emit(args, {"element": out}, [out])
-    return 0
+    return 0, {"element": out}, [out]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Result:
     f = _parse_element(args.f)
-    x = DyadicRational.parse(args.x)
-    y = thompson.evaluate(f, x)
-    _emit(args, {"value": str(y)}, [str(y)])
-    return 0
+    y = str(thompson.evaluate(f, DyadicRational.parse(args.x)))
+    return 0, {"value": y}, [y]
 
 
-def _cmd_matrix_element(args) -> int:
+def _cmd_matrix_element(args) -> _Result:
     f = _parse_element(args.word)
     V = tensor.normalize_isometry(_load_tensor(args.tensor), [0])
-    routes = ["action", "diagram"] if args.route == "both" else [args.route]
-    # The action route holds d^n amplitudes for the n leaves of the reduced
-    # element, so above the cap "both" runs the diagram route alone.
-    d, n = V.leg_dims[0], max(thompson.reduce_diagram(f).num_leaves, 2)
-    cap = tensor.amplitude_cap()
-    over_cap = args.route == "both" and d**n > cap
-    if over_cap:
-        routes = ["diagram"]
-    values = {
-        r: semicontinuous.vacuum_matrix_element(f, V, r) for r in routes
-    }
-    if over_cap:
-        note = f"note: {d}^{n} amplitudes exceed the cap of {cap}; ran the diagram route only"
+    values, note = {}, None
+    for r in ["action", "diagram"] if args.route == "both" else [args.route]:
+        try:
+            values[r] = semicontinuous.vacuum_matrix_element(f, V, r)
+        except ResourceLimit as exc:
+            # the action route checks d^n amplitudes against the cap before
+            # it allocates; over the cap, "both" runs the diagram route alone
+            if r == "diagram" or args.route == "action":
+                raise
+            note = f"note: {exc}; ran the diagram route only"
+    if note:
         print(note, file=sys.stderr)
     payload = {r: [v.real, v.imag] for r, v in values.items()}
     lines = [f"{_fmt(v.real)} {_fmt(v.imag)}" for v in values.values()]
-    if len(values) == 2:
-        a, d = values["action"], values["diagram"]
-        agree = abs(a - d) <= 1e-12
-        payload["agree"] = agree
-        lines.append("routes agree" if agree else "routes disagree")
-        if not agree:
-            _emit(args, payload, lines)
-            return 1
-    _emit(args, payload, lines)
-    return 0
+    if len(values) < 2:
+        return 0, payload, lines
+    agree = abs(values["action"] - values["diagram"]) <= 1e-12
+    payload["agree"] = agree
+    lines.append("routes agree" if agree else "routes disagree")
+    return (0 if agree else 1), payload, lines
 
 
-def _cmd_approximate(args) -> int:
-    f = approximation.parse_map(args.map)
-    res = approximation.approximate(f, args.level)
+def _cmd_approximate(args) -> _Result:
+    res = approximation.approximate(approximation.parse_map(args.map), args.level)
     element, partition = str(res.element), str(res.range_partition)
     payload = {
         "element": element,
@@ -133,42 +117,30 @@ def _cmd_approximate(args) -> int:
         "range_partition": partition,
         "ties": len(res.ties),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"element: {element}",
-            f"sup_error: {_fmt(res.sup_error)}",
-            f"marker interval: {res.marker_interval}",
-            f"range partition: {partition}",
-            f"tie events: {len(res.ties)}",
-        ],
-    )
-    return 0
+    lines = [
+        f"element: {element}",
+        f"sup_error: {_fmt(res.sup_error)}",
+        f"marker interval: {res.marker_interval}",
+        f"range partition: {partition}",
+        f"tie events: {len(res.ties)}",
+    ]
+    return 0, payload, lines
 
 
-def _cmd_flips(args) -> int:
-    f = _parse_element(args.word)
-    seq = tessellation.flips_realizing(f, args.depth)
+def _cmd_flips(args) -> _Result:
+    seq = tessellation.flips_realizing(_parse_element(args.word), args.depth)
     payload = {"flips": [[str(c.a), str(c.b)] for c in seq]}
-    _emit(args, payload, [str(c) for c in seq] or ["(empty sequence)"])
-    return 0
+    return 0, payload, [str(c) for c in seq] or ["(empty sequence)"]
 
 
-def _cmd_btz_entropy(args) -> int:
-    V = _load_tensor(args.tensor)
-    state = semicontinuous.btz_state(args.halfwidth, V)
+def _cmd_btz_entropy(args) -> _Result:
+    state = semicontinuous.btz_state(args.halfwidth, _load_tensor(args.tensor))
     na, nb = state.num_a, state.num_b
     sa = semicontinuous.entanglement_entropy(state, range(na))
     sb = semicontinuous.entanglement_entropy(state, range(na, na + nb))
     bound = state.cut_bonds * float(np.log(state.tensor.leg_dims[0]))
     payload = {"entropy_a": sa, "entropy_b": sb, "rank_bound": bound}
-    _emit(
-        args,
-        payload,
-        [f"S(A): {_fmt(sa)}", f"S(B): {_fmt(sb)}", f"bound: {_fmt(bound)}"],
-    )
-    return 0
+    return 0, payload, [f"S(A): {_fmt(sa)}", f"S(B): {_fmt(sb)}", f"bound: {_fmt(bound)}"]
 
 
 def _parse_renderable(text: str):
@@ -182,12 +154,11 @@ def _parse_renderable(text: str):
     return _parse_element(text)
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> _Result:
     svg = tessellation.render_svg(_parse_renderable(args.object))
     with open(args.out, "w") as fh:
         fh.write(svg)
-    _emit(args, {"out": args.out}, [args.out])
-    return 0
+    return 0, {"out": args.out}, [args.out]
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,7 +205,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload) if args.json else "\n".join(lines))
+        return code
     except ThompsonHoloError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

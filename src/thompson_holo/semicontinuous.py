@@ -245,7 +245,10 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
 def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
     """Reflect-and-join evaluation of <Omega|pi(f)|Omega> from the reduced
     diagram: ket network from the domain tree, reflected (conjugated) bra
-    network from the range tree, leaves joined with the marker offset."""
+    network from the range tree, leaves joined with the marker offset.
+    The cap is read first, as the action route reads it, so that a bad
+    override fails here too, even where nothing is contracted."""
+    amplitude_cap()
     f = reduce_diagram(f)
     if f.domain_tree.is_leaf:
         return complex(1.0)

@@ -269,7 +269,10 @@ class Tessellation:
     @classmethod
     def from_json(cls, text: str) -> "Tessellation":
         """Replay to_json's text; an error quotes the file's values as JSON."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("tessellation JSON nests too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("tessellation JSON must be an object with 'depth', 'doe' and 'flips'")
         for key in ("depth", "doe"):

@@ -156,6 +156,18 @@ class TestMatrixElement:
         assert code == 1
         assert out == ""
         assert err.startswith("DimensionMismatch:")
+        assert len(err.splitlines()) == 1
+
+    def test_both_routes_over_cap_print_no_note_when_the_diagram_route_fails(
+        self, capsys, monkeypatch
+    ):
+        """The note follows the diagram route's answer: under a cap of 64 the
+        action route trips at 3^4 amplitudes, then the diagram route trips
+        too, and only its error is printed."""
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
+        code, out, err = run(capsys, "matrix-element", "B")
+        assert (code, out) == (1, "")
+        assert err == "ResourceLimit: a contraction intermediate of 81 entries exceeds the cap of 64\n"
 
     @pytest.mark.parametrize("route", ["action", "diagram", "both"])
     def test_four_leg_tensor_is_a_typed_error(self, capsys, route):
@@ -196,6 +208,14 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "flips", "B", "--depth", "4")
         assert code == 0
         assert out.strip() == "1/2^1~3/2^2"
+
+    def test_flips_that_miss_the_element(self, capsys, monkeypatch):
+        """flips_realizing replays its sequence as an oracle; a replay that
+        does not reach the element is a SearchExhausted error."""
+        monkeypatch.setattr(cli.tessellation, "apply_flips", lambda t, seq: t)
+        code, out, err = run(capsys, "flips", "B", "--depth", "4")
+        assert (code, out) == (1, "")
+        assert err == "SearchExhausted: flip sequence does not reproduce apply_element\n"
 
     def test_flips_identity(self, capsys):
         code, out, _ = run(capsys, "flips", "", "--depth", "3")
@@ -353,6 +373,15 @@ class TestBadFiles:
         assert out == ""
         assert err == f"error: tabulated map line 4: {message}\n"
 
+    def test_tessellation_file_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        svg = tmp_path / "n.svg"
+        code, out, err = run(capsys, "render", str(path), "--out", str(svg))
+        assert (code, out) == (1, "")
+        assert err == "error: tessellation JSON nests too deeply\n"
+        assert not svg.exists()
+
     def test_tessellation_file_round_trip(self, capsys, tmp_path):
         t = apply_flips(standard_tessellation(3), [chord(HALF, DyadicRational(3, 2))])
         path = tmp_path / "t.json"
@@ -390,6 +419,20 @@ class TestSizeChecks:
         assert code == 1
         assert out == ""
         assert err == "error: THOMPSON_HOLO_MAX_AMPLITUDES='abc' is not a positive integer\n"
+
+    @pytest.mark.parametrize("route", ["action", "diagram", "both"])
+    @pytest.mark.parametrize("word", ["", "B"])
+    def test_cap_override_is_validated_on_every_route(self, capsys, monkeypatch, route, word):
+        """matrix-element reads the cap before the four-leg check, and even
+        for the identity, which the diagram route answers without a
+        contraction."""
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "abc")
+        for tensor in ["four-colour", "qutrit-code"]:
+            code, out, err = run(
+                capsys, "matrix-element", word, "--route", route, "--tensor", tensor
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: THOMPSON_HOLO_MAX_AMPLITUDES='abc' is not a positive integer\n"
 
     def test_farey_labels_window(self, monkeypatch):
         monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "64")
@@ -624,6 +667,11 @@ class TestFuzz:
             ):
                 code = main(args)
         err = err.getvalue()
+        out = out.getvalue()
         assert code in (0, 1, 2), (args, err)
         if code == 1:
             assert err.split(": ", 1)[0] in ERROR_PREFIXES, (args, err)
+            assert out == "", (args, out)
+        if code == 0 and "--json" in args:
+            assert out.endswith("\n") and out.count("\n") == 1, (args, out)
+            assert isinstance(json.loads(out), dict), (args, out)

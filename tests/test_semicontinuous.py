@@ -325,6 +325,13 @@ class TestAction:
         with pytest.raises(ValueError):
             vacuum_matrix_element(identity(), V3, "sideways")
 
+    @pytest.mark.parametrize("route", ["action", "diagram"])
+    def test_bad_cap_override_fails_on_both_routes(self, monkeypatch, route):
+        """The identity needs no contraction, yet both routes read the cap."""
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", "abc")
+        with pytest.raises(ValueError, match="^THOMPSON_HOLO_MAX_AMPLITUDES='abc' is not"):
+            vacuum_matrix_element(identity(), V3, route)
+
 
 def element_with_leaves(leaves: int, seed: int):
     """A seeded random reduced element with exactly `leaves` leaves."""
@@ -431,6 +438,100 @@ class TestRandomElements:
         rhs = act(compose(f, g), s)
         assert lhs.norm() == pytest.approx(1.0, abs=1e-12)
         assert inner_product(lhs, rhs) == pytest.approx(1.0, abs=1e-12)
+
+
+def tait_colourings(f: TreeDiagram) -> int:
+    """The proper 3-edge-colourings of the cubic graph of f, by backtracking.
+
+    The graph has one vertex per internal node of either tree except the
+    two roots.  Edge e of the search is the edge above a node; the two
+    edges below a root are one edge, and domain leaf j is range leaf
+    (m + j) mod N, so a union-find merges those.  Domain vertices are
+    coloured top down, two choices each, and range vertices bottom up, where
+    both children's colours force the third; a class that meets no vertex
+    is a free loop, with three colours.
+    """
+    n, m = f.num_leaves, f.marker
+    ids, parent, vertices, leaves = itertools.count(), {}, ([], []), ([], [])
+
+    def find(e):
+        while parent.get(e, e) != e:
+            e = parent[e]
+        return e
+
+    for side, root in enumerate((f.domain_tree, f.range_tree)):
+        a, b = next(ids), next(ids)
+        parent[a] = b
+        stack = [(root.right, b), (root.left, a)]
+        while stack:
+            node, e = stack.pop()
+            if node.is_leaf:
+                leaves[side].append(e)
+            else:
+                left, right = next(ids), next(ids)
+                vertices[side].append((e, left, right))
+                stack += [(node.right, right), (node.left, left)]
+    for j, e in enumerate(leaves[0]):
+        x, y = find(e), find(leaves[1][(m + j) % n])
+        if x != y:
+            parent[x] = y
+    triples = [tuple(map(find, v)) for v in vertices[0] + vertices[1][::-1]]
+    free = {find(e) for e in range(next(ids))} - {c for t in triples for c in t}
+
+    def count(k, colour):
+        if k == len(triples):
+            return 1
+        total = 0
+        for cols in itertools.permutations(range(3)):
+            new = dict(zip(triples[k], cols))
+            if len(new) == 3 and all(colour.get(c, x) == x for c, x in new.items()):
+                total += count(k + 1, {**colour, **new})
+        return total
+
+    return 3 ** len(free) * count(0, {})
+
+
+def short_word_elements():
+    """The reduced elements of the words of at most 3 letters, with N >= 2."""
+    seen = {}
+    for n in range(4):
+        for letters in itertools.product("ABCabc", repeat=n):
+            f = parse_word("".join(letters))
+            if f.num_leaves >= 2:
+                seen.setdefault(str(f), f)
+    return list(seen.values())
+
+
+class TestFourColourTait:
+    """The four-colour tensor is |eps_abc| on 3 colours, so the diagram
+    route counts Tait colourings: <Omega|pi(f)|Omega> is the number of proper
+    3-edge-colourings of the cubic graph of f divided by 3 * 2^(N-2), a
+    count taken here by search, independent of any tensor."""
+
+    @pytest.mark.parametrize("word, count", [("B", 6), ("BBB", 6)])
+    def test_small_counts(self, word, count):
+        f = parse_word(word)
+        assert tait_colourings(f) == count
+        assert vacuum_matrix_element(f, V3, "diagram") == pytest.approx(
+            count / (3 * 2 ** (f.num_leaves - 2)), abs=1e-12
+        )
+
+    def check(self, f):
+        count = tait_colourings(f)
+        assert count > 0, str(f)
+        expected = count / (3 * 2 ** (f.num_leaves - 2))
+        assert abs(vacuum_matrix_element(f, V3, "diagram") - expected) <= 1e-12, str(f)
+
+    def test_short_words(self):
+        elements = short_word_elements()
+        assert len(elements) == 127
+        for f in elements:
+            self.check(f)
+
+    @pytest.mark.parametrize("leaves", range(2, 15))
+    def test_random_elements(self, leaves):
+        for seed in range(3):
+            self.check(element_with_leaves(leaves, 300 + 100 * seed + leaves))
 
 
 class TestGram:

@@ -20,7 +20,12 @@ import pytest
 import thompson_holo
 from thompson_holo import tessellation
 from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
-from thompson_holo.errors import EdgeNotFound, LabelNotRepresented, NotStandardDyadic
+from thompson_holo.errors import (
+    EdgeNotFound,
+    LabelNotRepresented,
+    NotStandardDyadic,
+    SearchExhausted,
+)
 from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
     _ALPHA,
@@ -392,11 +397,24 @@ class TestSerialization:
                 {"depth": 3, "doe": ["0"], "flips": []},
                 """tessellation 'doe': not a [p, q] pair of strings: ["0"]""",
             ),
+            # text given as a string is read as it stands: json.dumps cannot
+            # write these, and json.loads recurses on them
+            pytest.param(
+                "[" * 100000 + "]" * 100000,
+                "tessellation JSON nests too deeply",
+                id="deep-array",
+            ),
+            pytest.param(
+                '{"depth": 3, "doe": ["0", "1/2^1"], "flips": '
+                + "[" * 100000 + "]" * 100000 + "}",
+                "tessellation JSON nests too deeply",
+                id="deep-flips",
+            ),
         ],
     )
     def test_from_json_rejects(self, data, message):
         with pytest.raises(ValueError) as err:
-            Tessellation.from_json(json.dumps(data))
+            Tessellation.from_json(data if isinstance(data, str) else json.dumps(data))
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
@@ -615,6 +633,14 @@ class TestFlipsRealizing:
     def test_deterministic(self):
         f = parse_word("aC")
         assert flips_realizing(f, 5) == flips_realizing(f, 5)
+
+    def test_a_replay_that_misses_is_reported(self, monkeypatch):
+        """The sequence is replayed from tau_0 as an oracle; a replay that
+        does not reach f raises SearchExhausted."""
+        monkeypatch.setattr(tessellation, "apply_flips", lambda t, seq: t)
+        with pytest.raises(SearchExhausted) as err:
+            flips_realizing(parse_word("B"), 4)
+        assert str(err.value) == "flip sequence does not reproduce apply_element"
 
 
 class ScanTriangulation:
