@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,14 +27,14 @@ from .dyadic import (
     refines,
     tree_to_partition,
 )
-from .errors import DimensionMismatch, NotARefinement, ResourceLimit, TheoryMismatch
+from .errors import DimensionMismatch, NotARefinement, TheoryMismatch
 from .tensor import (
     DenseTensor,
     TensorNetwork,
     _check_cap,
     amplitude_cap,
     contract,
-    verify_perfect,
+    normalize_isometry,
 )
 from .thompson import TreeDiagram, _graft_images, reduce_diagram
 
@@ -73,41 +73,45 @@ def _normalized_splitter(V: DenseTensor) -> np.ndarray:
     NotPerfect on every call, since exceptions are not cached.
     """
     _check_three_legs(V)
-    cert = verify_perfect(V)
-    c = cert.constant([0])
-    W = np.asarray(V.flatten_map([0])) / math.sqrt(c)
+    W = normalize_isometry(V, [0]).flatten_map([0])
     W.setflags(write=False)
     return W
+
+
+def _set_amplitudes(state, amps, shape=None):
+    """Store `amps` on `state` as a read-only complex ndarray, reshaped to
+    `shape` when one is given and differs."""
+    arr = np.asarray(amps, dtype=complex)
+    if shape is not None and arr.shape != shape:
+        arr = arr.reshape(shape)
+    arr.setflags(write=False)
+    object.__setattr__(state, "amplitudes", arr)
+
+
+def _state_eq(self, other) -> bool:
+    """States of one class are equal when every field is, the amplitudes
+    by value.  A class that assigns this as `__eq__` is not hashable."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True, eq=False)
 class CutoffState:
     """A representative (cutoff, amplitudes) of a semicontinuous-limit state.
 
-    Two are equal when their cutoffs, tensors and amplitudes are; states
-    are not hashable."""
+    Amplitudes are stored read-only and complex.  Two are equal when their
+    cutoffs, tensors and amplitudes are; states are not hashable."""
 
     cutoff: DyadicPartition
     amplitudes: np.ndarray
     tensor: DenseTensor
 
     def __post_init__(self):
-        d = self.tensor.leg_dims[0]
-        n = len(self.cutoff)
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.shape != (d,) * n:
-            arr = arr.reshape((d,) * n)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        _set_amplitudes(self, self.amplitudes, (self.tensor.leg_dims[0],) * len(self.cutoff))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CutoffState):
-            return NotImplemented
-        return (
-            self.cutoff == other.cutoff
-            and self.tensor == other.tensor
-            and np.array_equal(self.amplitudes, other.amplitudes)
-        )
+    __eq__ = _state_eq
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -149,11 +153,7 @@ class FineGrainer:
         """The dense d^m x d^n isometry, for tests: `apply` on every basis vector."""
         d = self.tensor.leg_dims[0]
         n, m = len(self.source), len(self.target)
-        if d ** (n + m) > amplitude_cap():
-            raise ResourceLimit(
-                f"the {d}^{m} x {d}^{n} fine-graining matrix exceeds the cap "
-                f"of {amplitude_cap()} entries"
-            )
+        _check_cap(n + m, d, "fine-graining matrix entries")
         basis = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
         below = _leaf_subtrees(self.source.tree, self.target.tree)[0]
         return _grain(basis, below, self.tensor).reshape(d**m, d**n)
@@ -195,15 +195,15 @@ def fine_grainer(
 
 
 def _cup(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+    """The root's state on its two legs: the d x d identity over sqrt(d)."""
+    return np.eye(d, dtype=complex) / math.sqrt(d)
 
 
 def vacuum(gamma: DyadicPartition, V: DenseTensor) -> CutoffState:
     """The holographic state of the standard tessellation inside `gamma`."""
     if len(gamma) < 2:
         raise ValueError("the vacuum needs a cutoff with at least two intervals")
-    d = V.leg_dims[0]
-    base = CutoffState(BASE_PARTITION, _cup(d), V)
+    base = CutoffState(BASE_PARTITION, _cup(V.leg_dims[0]), V)
     if gamma == BASE_PARTITION:
         return base
     return fine_grainer(BASE_PARTITION, gamma, V).apply(base)
@@ -272,7 +272,7 @@ def _grain_like_side(tree: TTree, W3: DenseTensor, d: int, nodes, bonds):
     """Wire a cup at the root of `tree` and one copy of W3 (legs in, out,
     out) per internal node below it, numbered parent before children; return
     the open leaf legs, left to right."""
-    nodes.append(DenseTensor(np.eye(d) / math.sqrt(d)))
+    nodes.append(DenseTensor(_cup(d)))
     cup = len(nodes) - 1
     open_legs: list = []
     stack = [(tree.right, (cup, 1)), (tree.left, (cup, 0))]
@@ -346,8 +346,9 @@ class BTZState:
     triangle carries the same V.  `entanglement_entropy` relies on this for
     the A half and the B half, so a state built by hand must pass one shift
     within 1e-10 of its largest amplitude (`btz_state`'s skips the check),
-    and its halfwidth must be an int of at least 1.  Two are equal when
-    their halfwidths, tensors and amplitudes are; states are not hashable.
+    and its halfwidth must be an int of at least 1.  Amplitudes are stored
+    read-only and complex.  Two are equal when their halfwidths, tensors
+    and amplitudes are; states are not hashable.
     """
 
     halfwidth: int
@@ -356,22 +357,16 @@ class BTZState:
 
     def __post_init__(self):
         _check_halfwidth(self.halfwidth)
-        amps, n = np.asarray(self.amplitudes), self.num_a
+        amps, n = np.asarray(self.amplitudes, dtype=complex), self.num_a
         if amps.ndim != 2 * n:
             raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
         axes = np.roll(np.arange(n), 1)
         shifted, scale = amps.transpose([*axes, *(axes + n)]), np.max(np.abs(amps), initial=0)
         if shifted.shape != amps.shape or np.max(np.abs(shifted - amps), initial=0) > 1e-10 * scale:
             raise ValueError("BTZ amplitudes are not invariant under the joint cyclic shift")
+        _set_amplitudes(self, amps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BTZState):
-            return NotImplemented
-        return (
-            self.halfwidth == other.halfwidth
-            and self.tensor == other.tensor
-            and np.array_equal(self.amplitudes, other.amplitudes)
-        )
+    __eq__ = _state_eq
 
     @property
     def num_a(self) -> int:
@@ -413,9 +408,9 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     norm = np.linalg.norm(raw)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    amps = np.divide(raw, norm, order="C")
     state = object.__new__(BTZState)  # invariant by construction: skip the check
-    state.__dict__.update(halfwidth=halfwidth, amplitudes=amps, tensor=V)
+    state.__dict__.update(halfwidth=halfwidth, tensor=V)
+    _set_amplitudes(state, np.divide(raw, norm, order="C"))
     return state
 
 
@@ -436,7 +431,7 @@ def entanglement_entropy(state, subsystem) -> float:
     square matrix, transposed for the B half, and neither is copied when
     the amplitudes are C-contiguous.
     """
-    amps = np.asarray(state.amplitudes, dtype=complex)
+    amps = state.amplitudes
     n = amps.ndim
     sub = sorted(set(subsystem))
     if any(not 0 <= j < n for j in sub):

@@ -728,18 +728,22 @@ def _arc_path(p: DyadicRational, q: DyadicRational) -> str:
     return f"M {x1:.3f} {y1:.3f} A {r:.3f} {r:.3f} 0 0 {sweep} {x2:.3f} {y2:.3f}"
 
 
+def _chord_paths(chords: list[Chord], stroke: str, doe: Chord | None = None) -> list[str]:
+    """A path per chord but the doe, in the exact order of the chords' ends,
+    each read as an integer numerator over one power of two.  A chord given
+    twice, as a two-interval cutoff gives its diameter, is drawn twice."""
+    e = max(x.exp for c in chords + [doe] if c for x in c.endpoints())
+
+    def key(c: Chord) -> tuple[int, int]:
+        return c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)
+
+    skip = doe and key(doe)
+    keyed = [(k, c) for k, c in sorted((key(c), c) for c in chords) if k != skip]
+    return [f'<path d="{_arc_path(c.a, c.b)}" fill="none" {stroke}/>' for _, c in keyed]
+
+
 def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
-    chords, doe = t.window_edges(), t.doe_chord()
-    # each chord keyed by its ends' numerators over 2^e, to sort exactly
-    e = max(x.exp for c in chords + [doe] for x in c.endpoints())
-    keyed = {(c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)): c for c in chords}
-    keyed.pop((doe.a.num << (e - doe.a.exp), doe.b.num << (e - doe.b.exp)), None)
-    parts = []
-    for _, c in sorted(keyed.items()):
-        parts.append(
-            f'<path d="{_arc_path(c.a, c.b)}" fill="none" '
-            'stroke="black" stroke-width="1"/>'
-        )
+    parts = _chord_paths(t.window_edges(), 'stroke="black" stroke-width="1"', t.doe_chord())
     u, v = t.doe
     parts.append(
         f'<path d="{_arc_path(u, v)}" fill="none" stroke="red" '
@@ -800,11 +804,8 @@ def render_svg(obj, labels: bool = False) -> str:
         )
     elif isinstance(obj, DyadicPartition):
         parts.append(_DISC)
-        for c in sorted(interval_chord(iv) for iv in obj.intervals):
-            parts.append(
-                f'<path d="{_arc_path(c.a, c.b)}" fill="none" '
-                'stroke="blue" stroke-width="2"/>'
-            )
+        chords = [interval_chord(iv) for iv in obj.intervals]
+        parts.extend(_chord_paths(chords, 'stroke="blue" stroke-width="2"'))
     else:
         raise TypeError(f"cannot render object of type {type(obj).__name__}")
     parts.append("</svg>")

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -534,6 +536,156 @@ class TestFourColourTait:
             self.check(element_with_leaves(leaves, 300 + 100 * seed + leaves))
 
 
+DELTA, EPS = np.eye(2, dtype=int), np.array([[0, 1], [-1, 0]])
+
+
+def strand_pairs(tree: TTree) -> list:
+    """The Bell pairs of the singlet state on `tree`, as (u, v, M) with M a
+    2 x 2 integer matrix: the pair carries M[x_u, x_v] / sqrt(2).
+
+    A singlet leg is two qubit strands; strand 2j is leaf j's left strand
+    and 2j + 1 its right one.  W passes its input's left strand down the
+    left edge and its right strand down the right edge, and puts eps / sqrt(2)
+    on the inner strands of its children, so a non-root node that splits its
+    leaves at p pairs the right strand of leaf p - 1 with the left strand of
+    leaf p.  The cup is delta / sqrt(2) on each strand, so the root, split
+    at p, pairs the left strands of leaves 0 and p, and the right strands of
+    leaves p - 1 and n - 1.
+    """
+    n, p = tree.num_leaves, tree.left.num_leaves
+    pairs = [(0, 2 * p, DELTA), (2 * p - 1, 2 * n - 1, DELTA)]
+    stack = [(tree.left, 0), (tree.right, p)]
+    while stack:
+        node, lo = stack.pop()
+        if not node.is_leaf:
+            p = lo + node.left.num_leaves
+            pairs.append((2 * p - 1, 2 * p, EPS))
+            stack += [(node.left, lo), (node.right, p)]
+    return pairs
+
+
+def loop_value(f: TreeDiagram) -> Fraction:
+    """<Omega|pi(f)|Omega> for the singlet tensor, exactly, from loops of
+    strands, not from any contraction.
+
+    Domain strand 2j + s meets range strand 2((m + j) mod N) + s.  Each
+    strand lies on one domain pair and one range pair, so the pairs close
+    into loops, and a loop is worth the trace of its matrices' product.
+    Each of the 2N pairs carries 1/sqrt(2), so the value is the product of
+    the traces over 2^N: 0 or a signed power of two.
+    """
+    n, m = f.num_leaves, f.marker
+    if n == 1:
+        return Fraction(1)
+    ends = ({}, {})
+    for side, tree in enumerate((f.domain_tree, f.range_tree)):
+        for u, v, M in strand_pairs(tree):
+            if side:  # a range strand, renamed as the domain strand it meets
+                u, v = (2 * ((x // 2 - m) % n) + x % 2 for x in (u, v))
+            ends[side][u], ends[side][v] = (v, M), (u, M.T)
+    value, seen = Fraction(1, 2**n), set()
+    for start in range(2 * n):
+        if start in seen:
+            continue
+        product, strand = DELTA, start
+        while True:
+            for side in ends:
+                seen.add(strand)
+                strand, M = side[strand]
+                product = product @ M
+            if strand == start:
+                break
+        value *= int(np.trace(product))
+    return value
+
+
+def strand_entropy(tree: TTree, marker: int, legs) -> float:
+    """S(legs) of the singlet state on `tree` with leaf j on leg
+    (marker + j) mod n: log 2 per strand pair with one end in `legs`."""
+    n, legs = tree.num_leaves, set(legs)
+    cut = sum(
+        ((marker + u // 2) % n in legs) != ((marker + v // 2) % n in legs)
+        for u, v, _ in strand_pairs(tree)
+    )
+    return cut * math.log(2)
+
+
+def random_tree(rng: random.Random, leaves: int) -> TTree:
+    tree = TTree.parse("(..)")
+    while tree.num_leaves < leaves:
+        tree = _split_leaf(tree, rng.randrange(tree.num_leaves))
+    return tree
+
+
+class TestSingletStrands:
+    """The singlet tensor's states are products of strand pairs
+    (`strand_pairs`), so its coefficients are loop values and its
+    entropies are counts of cut pairs, read without linear algebra."""
+
+    S4 = singlet_tensor()
+
+    def check(self, f):
+        value = loop_value(f)
+        assert abs(vacuum_matrix_element(f, self.S4, "diagram") - value) <= 1e-12, str(f)
+        return value
+
+    def test_short_words(self):
+        elements = short_word_elements() + [identity()]
+        assert len(elements) == 128
+        values = Counter(self.check(f) for f in elements)
+        assert values == {Fraction(1, 4): 114, Fraction(1): 14}
+
+    @pytest.mark.parametrize("leaves", range(2, 41))
+    def test_random_diagrams(self, leaves):
+        """Unreduced too: the route reduces first, the loops do not."""
+        rng = random.Random(leaves)
+        for _ in range(3):
+            trees = random_tree(rng, leaves), random_tree(rng, leaves)
+            self.check(TreeDiagram(*trees, rng.randrange(leaves)))
+
+    def test_vacuum_entropies(self):
+        rng = random.Random(9)
+        for n in range(2, 10):
+            for _ in range(3):
+                tree = random_tree(rng, n)
+                state = vacuum(tree_to_partition(tree), self.S4)
+                for _ in range(8):
+                    legs = rng.sample(range(n), rng.randint(0, n))
+                    assert entanglement_entropy(state, legs) == pytest.approx(
+                        strand_entropy(tree, 0, legs), abs=1e-10
+                    ), (str(tree), legs)
+
+    def test_entropies_of_acted_vacua(self):
+        """pi(f) carries the pairs of f's domain tree to the range leaves,
+        shifted by the marker."""
+        rng = random.Random(10)
+        omega = vacuum(BASE_PARTITION, self.S4)
+        for n in range(2, 10):
+            for _ in range(3):
+                trees = random_tree(rng, n), random_tree(rng, n)
+                f = reduce_diagram(TreeDiagram(*trees, rng.randrange(n)))
+                m = f.num_leaves
+                if m == 1:
+                    continue
+                state = act(f, omega)
+                for _ in range(8):
+                    legs = rng.sample(range(m), rng.randint(0, m))
+                    assert entanglement_entropy(state, legs) == pytest.approx(
+                        strand_entropy(f.domain_tree, f.marker, legs), abs=1e-10
+                    ), (str(f), legs)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_btz_halves(self, h):
+        """Around the ring each triangle's boundary leg shares one singlet
+        with the next triangle's, and A and B alternate, so all 4h pairs
+        are cut."""
+        state = btz_state(h, self.S4)
+        for side in halves(state):
+            assert entanglement_entropy(state, side) == pytest.approx(
+                4 * h * math.log(2), abs=1e-12
+            )
+
+
 class TestGram:
     def test_identity_and_b(self):
         words = [identity(), parse_word("B")]
@@ -1027,6 +1179,37 @@ class TestSectorBlocksFromAmplitudes:
                 )
         else:
             assert np.array_equal(amps, reference)
+
+
+class TestStateStorage:
+    """Every state holds a read-only complex ndarray, however it was made."""
+
+    def test_amplitudes_cannot_be_written(self):
+        """Such a write once broke a BTZ state's joint-shift invariance:
+        after amplitudes[0, 1, 0, 0] += 0.5 at h = 1 the sector route read
+        S(A) = 1.399 and the general route 1.645."""
+        omega = vacuum(BASE_PARTITION, V3)
+        states = [
+            btz_state(1, V3),
+            BTZState(1, btz_state(1, V3).amplitudes.copy(), V3),
+            omega,
+            act(parse_word("B"), omega),
+            CutoffState(BASE_PARTITION, np.ones((3, 3)), V3),
+        ]
+        for state in states:
+            assert state.amplitudes.dtype == complex
+            with pytest.raises(ValueError):
+                state.amplitudes[(0, 1) + (0,) * (state.amplitudes.ndim - 2)] += 0.5
+
+    def test_nested_list_is_stored_as_a_complex_array(self):
+        state = btz_state(1, V3)
+        built = BTZState(1, state.amplitudes.real.tolist(), V3)
+        assert isinstance(built.amplitudes, np.ndarray)
+        assert built.amplitudes.dtype == complex and not built.amplitudes.flags.writeable
+        assert built == state
+
+    def test_one_value_rule(self):
+        assert CutoffState.__eq__ is BTZState.__eq__
 
 
 class TestStateEquality:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -440,6 +441,20 @@ class TestDeepTrees:
         assert reduce_diagram(f) == identity()
         assert compose(f, f) == identity()
         assert reduce_diagram(adjoin_caret(f, 1100)) == identity()
+
+    def test_unequal_deep_trees_are_told_apart_by_their_hashes(self):
+        """Two right combs of 4000 carets that differ only at the bottom.
+        Tree equality rejects unequal trees by their cached hashes; without
+        the cache it walks whole subtrees, and these two calls took 3.4 s,
+        against 0.05 s with it."""
+        a, b = TTree.parse("((..).)"), TTree.parse("(.(..))")
+        for _ in range(3998):
+            a, b = TTree(LEAF, a), TTree(LEAF, b)
+        f = TreeDiagram(a, b, 0)
+        start = time.perf_counter()
+        reduced, square = reduce_diagram(f), compose(f, f)
+        assert time.perf_counter() - start < 0.5
+        assert (reduced.num_leaves, square.num_leaves) == (4001, 4002)
 
 
 LETTERS = [_letter_element(c) for c in "ABCabc"]
