@@ -8,15 +8,18 @@ same number of pieces; the image of the origin picks the marker.
 A `CircleMap` keeps the values it computes on its 4096-point checking grid and
 serves them for every point on that grid: the level-n image points for n <= 12
 and the sup-norm samples for n <= 10 are read off the grid rather than
-recomputed.  So a map's `func` must be pure and must not be reassigned.  A
-Mobius map fills its grid from one shared table of roots of unity, with the
-same complex arithmetic its closure does per point.
+recomputed.  So a map's `func` must be pure and must not be reassigned.  The
+grid is checked as one float64 array.  A Mobius map fills it in arrays from a
+shared table of roots of unity, each step of CPython's complex arithmetic
+written out and rounded once, so its values are the closure's bit for bit
+wherever that arithmetic has no fused multiply-add (checked on x86-64).
 
-The image points are sorted once, so an interval's count is two bisections.
-The live intervals sit in one row per count, left to right: each step splits
-the first interval of the fullest row, whose others are its ties.  The split
-intervals give the range tree directly, and the sup-norm error reads each
-value of the element off the leaf intervals, exactly, with one bisection per
+The image points are sorted once.  The live intervals sit in one row per
+count, left to right, each with the index of its first point: each step splits
+the first interval of the fullest row, whose others are its ties, and one
+bisection inside its points counts both halves.  The split intervals, as
+integer pairs, give the range tree directly, and the sup-norm error reads each
+value of the element off the leaf pairs, exactly, with one bisection per
 sample; level 12 takes well under a second.
 """
 
@@ -25,8 +28,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dyadic import (
     LEAF,
@@ -69,34 +74,34 @@ class CircleMap:
     """
 
     def __init__(self, func, name: str = "custom"):
-        self.func = func
-        self.name = name
-        self._grid = [func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
-        self._check()
+        self.func, self.name = func, name
+        grid = [func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
+        self._keep(np.array(grid))
 
     @classmethod
-    def _from_grid(cls, func, name: str, grid: list[float]) -> CircleMap:
+    def _from_grid(cls, func, name: str, grid: np.ndarray) -> CircleMap:
         """The map of func whose grid values the caller computed, bit for bit
         as `__init__` would; the same check runs on them."""
         self = cls.__new__(cls)
-        self.func, self.name, self._grid = func, name, grid
-        self._check()
+        self.func, self.name = func, name
+        self._keep(grid)
         return self
 
-    def _check(self) -> None:
-        vals, name = self._grid, self.name
-        if not all(map(math.isfinite, vals)):
-            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
-            raise NotMonotone(f"map {name!r} is not finite at x={i / MONOTONE_SAMPLES}")
-        steps = [(b - a) % 1.0 for a, b in zip(vals, vals[1:] + vals[:1])]
-        if 0.0 in steps:
-            raise NotMonotone(
-                f"map {name!r} is not strictly increasing near x="
-                f"{steps.index(0.0) / MONOTONE_SAMPLES}"
-            )
-        total = round(sum(steps))
+    def _keep(self, vals: np.ndarray) -> None:
+        """Check the grid values, then keep them as a list for `_at`."""
+        if not (finite := np.isfinite(vals)).all():
+            x = int(np.argmin(finite)) / MONOTONE_SAMPLES
+            raise NotMonotone(f"map {self.name!r} is not finite at x={x}")
+        # numpy's float remainder is Python's float %, and the steps sum to within
+        # 1e-12 of the winding number in any order
+        steps = np.remainder(np.roll(vals, -1) - vals, 1.0)
+        if not steps.all():
+            x = int(np.argmin(steps)) / MONOTONE_SAMPLES
+            raise NotMonotone(f"map {self.name!r} is not strictly increasing near x={x}")
+        total = round(float(steps.sum()))
         if total != 1:
-            raise NotMonotone(f"map {name!r} has winding number {total}, expected 1")
+            raise NotMonotone(f"map {self.name!r} has winding number {total}, expected 1")
+        self._grid = vals.tolist()
 
     def __call__(self, x: float) -> float:
         return self.func(x % 1.0) % 1.0
@@ -119,12 +124,13 @@ def rotation_map(offset: DyadicRational) -> CircleMap:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_roots() -> tuple[complex, ...]:
-    """exp(2 pi i x) at the grid points x = i/4096, as mobius_map's closure
-    computes it."""
-    return tuple(
-        cmath.exp(2j * math.pi * (i / MONOTONE_SAMPLES)) for i in range(MONOTONE_SAMPLES)
-    )
+def _grid_roots() -> np.ndarray:
+    """Real and imaginary parts of exp(2 pi i x) at the grid points x = i/4096,
+    as mobius_map's closure computes it; read-only."""
+    roots = [cmath.exp(2j * math.pi * (i / MONOTONE_SAMPLES)) for i in range(MONOTONE_SAMPLES)]
+    parts = np.array([[z.real for z in roots], [z.imag for z in roots]])
+    parts.flags.writeable = False
+    return parts
 
 
 def mobius_map(a: float, b: float) -> CircleMap:
@@ -140,12 +146,23 @@ def mobius_map(a: float, b: float) -> CircleMap:
         img = (z - w) / (1 - wc * z)
         return (cmath.phase(img) / (2 * math.pi)) % 1.0
 
-    # func(x) % 1.0 on the grid, func's body inlined; the second % 1.0 turns
-    # a tiny negative phase's 1.0 into 0.0, as CircleMap's reduction does
-    grid = [
-        (cmath.phase((z - w) / (1 - wc * z)) / (2 * math.pi)) % 1.0 % 1.0
-        for z in _grid_roots()
-    ]
+    # func(x) % 1.0 on the grid, each step of CPython's complex arithmetic rounded
+    # once: z - w, 1 - conj(w) z, and their quotient by Smith's rule
+    zr, zi = _grid_roots()
+    nr, ni = zr - w.real, zi - w.imag
+    dr = 1.0 - (wc.real * zr - wc.imag * zi)
+    di = 0.0 - (wc.real * zi + wc.imag * zr)
+    first = np.abs(dr) >= np.abs(di)
+    big, small = np.where(first, dr, di), np.where(first, di, dr)
+    p, q = np.where(first, nr, ni), np.where(first, ni, nr)
+    ratio = small / big
+    denom = big + small * ratio
+    re = (p + q * ratio) / denom
+    im = np.where(first, q - p * ratio, p * ratio - q) / denom
+    # the phase by libm's atan2, as cmath.phase takes it; the second % 1.0
+    # turns a tiny negative phase's 1.0 into 0.0, as CircleMap's reduction does
+    phase = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, MONOTONE_SAMPLES)
+    grid = np.remainder(np.remainder(phase / (2 * math.pi), 1.0), 1.0)
     return CircleMap._from_grid(func, f"mobius:{a},{b}", grid)
 
 
@@ -242,33 +259,38 @@ def _greedy_range(points, n: int):
     range tree and the recorded tie events.
     """
     pts = sorted(points)
+    # rows[c] holds the live intervals of count c, left to right, as parallel lists
+    # of left ends, first indices in pts and intervals; the fullest count only falls
+    rows = {}
 
-    def left(iv: StdDyadicInterval) -> float:
-        return iv.a / (1 << iv.n)
+    def put(left: float, first: int, count: int, iv: StdDyadicInterval) -> None:
+        lefts, firsts, ivs = rows.setdefault(count, ([], [], []))
+        i = bisect_left(lefts, left)
+        lefts.insert(i, left)
+        firsts.insert(i, first)
+        ivs.insert(i, iv)
 
-    def count(iv: StdDyadicInterval) -> int:
-        return bisect_left(pts, (iv.a + 1) / (1 << iv.n)) - bisect_left(pts, left(iv))
-
-    # rows[c] holds the live intervals of count c, left to right; a split
-    # never raises a count, so the fullest count only goes down
-    root = StdDyadicInterval(0, 0)
-    top = count(root)
-    rows = {top: [root]}
-    split = set()
+    top = bisect_left(pts, 1.0)  # the points lie in [0, 1]
+    put(0.0, 0, top, StdDyadicInterval(0, 0))
+    split = {}  # (a, n) of each split interval -> those of its halves
     ties: list[TieEvent] = []
     for step in range(2**n - 1):
-        row = rows[top]
-        if len(row) > 1:
-            ties.append(TieEvent(step, top, row[0], tuple(row)))
-        chosen = row.pop(0)
-        if not row:
+        lefts, firsts, ivs = rows[top]
+        if len(ivs) > 1:
+            ties.append(TieEvent(step, top, ivs[0], tuple(ivs)))
+        left, first, chosen = lefts.pop(0), firsts.pop(0), ivs.pop(0)
+        if not ivs:
             del rows[top]
-        split.add(chosen)
-        for half in chosen.halves():
-            insort(rows.setdefault(count(half), []), half, key=left)
+        low, high = chosen.halves()
+        split[chosen.a, chosen.n] = (low.a, low.n), (high.a, high.n)
+        # the halves keep the chosen interval's float ends, so one bisection counts both
+        mid = high.a / (1 << high.n)
+        at = bisect_left(pts, mid, first, first + top)
+        put(left, first, at - first, low)
+        put(mid, at, first + top - at, high)
         while top not in rows:
             top -= 1
-    tree = _build(root, lambda iv: iv.halves() if iv in split else LEAF)
+    tree = _build((0, 0), lambda an: split.get(an, LEAF))
     return tree, tuple(ties)
 
 
@@ -309,13 +331,17 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
     # piece j maps domain leaf d onto range leaf r, the (marker + j)-th, by
     # x -> r.a/2^r.n + (x - d.a/2^d.n) 2^(d.n - r.n) mod 1; starts are the
     # d.a over the common denominator 2^depth
-    dom, rng = g.domain_tree.leaf_intervals(), g.range_tree.leaf_intervals()
+    dom, rng = (
+        [(a, n) for node, a, n in t._walk() if node.left is None]
+        for t in (g.domain_tree, g.range_tree)
+    )
     rng = rng[g.marker :] + rng[: g.marker]
-    pieces = [(d.n, r.a - d.a, r.n) for d, r in zip(dom, rng)]
-    depth = max(d.n for d in dom)
-    starts = [d.a << (depth - d.n) for d in dom]
+    pieces = [(d_n, r_a - d_a, r_n) for (d_a, d_n), (r_a, r_n) in zip(dom, rng)]
+    depth = max(d_n for _, d_n in dom)
+    starts = [d_a << (depth - d_n) for d_a, d_n in dom]
     xs = [i / samples for i in range(samples)]
-    xs.extend(d.a / (1 << d.n) for d in dom)
+    xs.extend(d_a / (1 << d_n) for d_a, d_n in dom)
+    at = f._at
     worst = 0.0
     for x in xs:
         num, den = (x % 1.0).as_integer_ratio()
@@ -325,5 +351,5 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
         # x = num/2^e, so g(x) = ((num << d.n) + ((r.a - d.a) << e)) / 2^(e + r.n)
         exp = e + r_n
         gx = ((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp)
-        worst = max(worst, circle_distance(f._at(num, e), gx))
+        worst = max(worst, circle_distance(at(num, e), gx))
     return worst

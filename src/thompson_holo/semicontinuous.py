@@ -357,7 +357,8 @@ class BTZState:
 
     def __post_init__(self):
         _check_halfwidth(self.halfwidth)
-        amps, n = np.asarray(self.amplitudes, dtype=complex), self.num_a
+        # a copy, so a writable base of the caller's array cannot edit the state
+        amps, n = np.array(self.amplitudes, dtype=complex), self.num_a
         if amps.ndim != 2 * n:
             raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
         axes = np.roll(np.arange(n), 1)

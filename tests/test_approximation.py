@@ -1,5 +1,6 @@
 """Greedy Thompson approximation of circle maps."""
 
+import cmath
 import heapq
 import math
 import random
@@ -184,14 +185,42 @@ def grid_maps():
     return maps
 
 
+# Parameters at the edges of the Mobius grid's array arithmetic: |w| near 1,
+# signed zeros, and |w| = 0.9999 in each quadrant.  Only |w| > 1/sqrt(2) makes
+# some denominator 1 - conj(w) z have |Im| > |Re|, the second branch of the
+# quotient's Smith rule.
+EDGE_SPECS = [
+    "mobius:0.99999999,0",
+    "mobius:0,0.9",
+    "mobius:-0.0,0.5",
+    "mobius:0.5,-0.0",
+    "mobius:0.59994,0.79992",
+    "mobius:-0.79992,0.59994",
+    "mobius:-0.59994,-0.79992",
+    "mobius:0.79992,-0.59994",
+]
+
+
+def edge_maps():
+    return [parse_map(spec) for spec in EDGE_SPECS]
+
+
 class TestGrid:
     """The kept checking grid is the map's own values, bit for bit, and the
     lookup serves them for exactly the points f would compute."""
 
-    @pytest.mark.parametrize("f", grid_maps(), ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", grid_maps() + edge_maps(), ids=lambda f: f.name)
     def test_grid_is_exact(self, f):
         ref = [f.func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
         assert list(map(float.hex, f._grid)) == list(map(float.hex, ref))
+
+    def test_edges_reach_both_branches_of_the_quotient(self):
+        roots = [cmath.exp(2j * math.pi * (i / MONOTONE_SAMPLES)) for i in range(MONOTONE_SAMPLES)]
+        branches = set()
+        for spec in EDGE_SPECS:
+            w = complex(*map(float, spec.split(":")[1].split(",")))
+            branches |= {abs(d.real) >= abs(d.imag) for d in (1 - w.conjugate() * z for z in roots)}
+        assert branches == {True, False}
 
     @pytest.mark.parametrize("f", grid_maps(), ids=lambda f: f.name)
     def test_lookup_matches_the_map(self, f):
@@ -217,8 +246,20 @@ class TestGrid:
                 "map 'custom' has winding number 4095, expected 1",
             ),
             (lambda: CircleMap(lambda x: (2 * x) % 1.0), "map 'custom' has winding number 2, expected 1"),
+            (
+                lambda: CircleMap(lambda x: x if x < 0.75 else math.nan, "late-nan"),
+                "map 'late-nan' is not finite at x=0.75",
+            ),
+            (
+                lambda: CircleMap(lambda x: math.inf if x == 0.25 else x, "one-inf"),
+                "map 'one-inf' is not finite at x=0.25",
+            ),
+            (
+                lambda: CircleMap(lambda x: min(x, 0.9), "capped"),
+                "map 'capped' is not strictly increasing near x=0.900146484375",
+            ),
         ],
-        ids=["nan", "constant", "flat", "reversed", "degree-2"],
+        ids=["nan", "constant", "flat", "reversed", "degree-2", "late-nan", "one-inf", "capped"],
     )
     def test_rejection_messages(self, make, message):
         with pytest.raises(NotMonotone) as info:

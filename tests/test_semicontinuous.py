@@ -1201,6 +1201,18 @@ class TestStateStorage:
             with pytest.raises(ValueError):
                 state.amplitudes[(0, 1) + (0,) * (state.amplitudes.ndim - 2)] += 0.5
 
+    def test_built_state_owns_its_amplitudes(self):
+        """A view handed to the constructor is frozen, but its base was once
+        left writable: after a[0, 1, 0, 0] += 0.5 on the base, S(A) of the
+        state read 1.3994 instead of 1.7918."""
+        a = btz_state(1, V3).amplitudes.copy()
+        state = BTZState(1, a[...], V3)
+        before = entanglement_entropy(state, range(state.num_a))
+        a[0, 1, 0, 0] += 0.5
+        assert entanglement_entropy(state, range(state.num_a)) == before
+        assert before == pytest.approx(math.log(6), abs=1e-12)
+        assert state == btz_state(1, V3)
+
     def test_nested_list_is_stored_as_a_complex_array(self):
         state = btz_state(1, V3)
         built = BTZState(1, state.amplitudes.real.tolist(), V3)
