@@ -297,7 +297,8 @@ class DyadicPartition:
 
     @property
     def breakpoints(self) -> tuple[DyadicRational, ...]:
-        return tuple([iv.left for iv in self.tree.leaf_intervals()] + [ONE])
+        lefts = [DyadicRational(a, n) for node, a, n in self.tree._walk() if node.is_leaf]
+        return tuple(lefts + [ONE])
 
     def __len__(self) -> int:
         return self.tree.num_leaves

@@ -80,10 +80,16 @@ def _normalized_splitter(V: DenseTensor) -> np.ndarray:
 
 def _set_amplitudes(state, amps, shape=None):
     """Store `amps` on `state` as a read-only complex ndarray, reshaped to
-    `shape` when one is given and differs."""
+    `shape` when one is given and differs, and copied when it views memory
+    that some writable base could still change."""
     arr = np.asarray(amps, dtype=complex)
     if shape is not None and arr.shape != shape:
         arr = arr.reshape(shape)
+    base = arr.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        arr = arr.copy()
     arr.setflags(write=False)
     object.__setattr__(state, "amplitudes", arr)
 
@@ -166,7 +172,11 @@ def _grain(amps: np.ndarray, below: list[TTree], V: DenseTensor) -> np.ndarray:
     Leaves are taken right to left, and below each the right child before
     the left one, so that the axes of the legs not yet expanded stay put;
     trailing axes ride along untouched, so stacked kets grain together.  W
-    is fetched only when some below[j] has a caret.
+    is fetched only when some below[j] has a caret.  When some caret is
+    grained, the result views a fresh product whose memory is read-only,
+    so a state keeps it (or a transpose of it) without a copy; otherwise
+    `amps` is returned as it is (callers pass a state's amplitudes, which
+    are read-only already).
     """
     if all(t.is_leaf for t in below):
         return amps
@@ -181,6 +191,7 @@ def _grain(amps: np.ndarray, below: list[TTree], V: DenseTensor) -> np.ndarray:
         block = amps.reshape(math.prod(shape[:axis]), d, -1)
         amps = (W @ block).reshape(shape[:axis] + (d, d) + shape[axis + 1 :])
         stack += [(axis, tree.left), (axis + 1, tree.right)]
+    amps.base.setflags(write=False)
     return amps
 
 
@@ -357,8 +368,7 @@ class BTZState:
 
     def __post_init__(self):
         _check_halfwidth(self.halfwidth)
-        # a copy, so a writable base of the caller's array cannot edit the state
-        amps, n = np.array(self.amplitudes, dtype=complex), self.num_a
+        amps, n = np.asarray(self.amplitudes, dtype=complex), self.num_a
         if amps.ndim != 2 * n:
             raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
         axes = np.roll(np.arange(n), 1)

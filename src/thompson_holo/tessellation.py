@@ -321,23 +321,6 @@ _QUAD = TTree(TTree(LEAF, LEAF), TTree(LEAF, LEAF))
 # The doe flip of tau_0: the quad (0, 1/4, 1/2, 3/4) gets the diagonal
 # 3/4 -> 1/4 as its doe, so this element has order 4.
 _DOE_FLIP = TreeDiagram(_QUAD, _QUAD, 3)
-# The generators of T's presentation as the mapping class group Pt of the
-# Farey tessellation: alpha of order 4 and beta = CC of order 3.
-_ALPHA = inverse(_DOE_FLIP)
-_BETA = TreeDiagram.parse("(.(..))|(.(..))@1")
-
-
-def _flip_element(a: int, k: int) -> TreeDiagram:
-    """The element r with r(tau_0) = tau_0 flipped at the chord of [a/2^k, (a+1)/2^k].
-
-    For that interval at level k >= 2 under its parent P, r is the tree
-    rotation at P: both trees are the path from the root to P, and the range
-    tree splits the interval where the domain tree splits its sibling; so
-    the domain tree is the sibling's range tree.
-    """
-    if k == 1:
-        return _DOE_FLIP
-    return TreeDiagram(_flip_range(a ^ 1, k, 0), _flip_range(a, k, 0), 0)
 
 
 def _flip_range(a: int, k: int, top: int) -> TTree:
@@ -351,8 +334,13 @@ def _flip_range(a: int, k: int, top: int) -> TTree:
 
 
 def _flip_product(f: TreeDiagram, a: int, k: int):
-    """f r for the r of _flip_element(a, k), and a map that agrees with f on
-    the closure of iv = [a/2^k, (a+1)/2^k]'s parent P.
+    """f r, for r the element with r(tau_0) = tau_0 flipped at the chord of
+    iv = [a/2^k, (a+1)/2^k], and a map that agrees with f on the closure of
+    iv's parent P.
+
+    For k >= 2, r is the tree rotation at P: both of its trees are the path
+    from the root to P, and its range tree (`_flip_range`) splits iv where
+    its domain tree splits iv's sibling.
 
     The doe flip (k = 1) is the general product `_right_multiply`.  Else one
     descent of f's domain tree along the path to iv, and one rule:

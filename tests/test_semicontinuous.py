@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -45,8 +46,6 @@ from thompson_holo.tensor import (
     verify_perfect,
 )
 from thompson_holo.tessellation import (
-    _ALPHA,
-    _BETA,
     apply_element,
     chord,
     pachner_flip,
@@ -62,6 +61,8 @@ from thompson_holo.thompson import (
     random_element,
     reduce_diagram,
 )
+
+from test_tessellation import ALPHA, BETA
 
 
 V3 = four_colour_tensor()
@@ -355,7 +356,7 @@ class TestPtRelatorsOnStates:
     applied to states one factor at a time: pi(alpha) and pi(beta) are
     unitaries, so each relator must bring a state back to itself."""
 
-    a, b, A, B = _ALPHA, _BETA, inverse(_ALPHA), inverse(_BETA)
+    a, b, A, B = ALPHA, BETA, inverse(ALPHA), inverse(BETA)
     x, y = [b, a, b], [a, a, b, a, b, a, a]
     RELATORS = {
         "alpha^4": [a] * 4,
@@ -719,6 +720,17 @@ class TestGram:
         assert np.abs(G - ref).max() <= 1e-12
         assert np.array_equal(G, G.conj().T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
+
+    @pytest.mark.parametrize("V, rank", [(V3, 32), (singlet_tensor(), 25)], ids=["four-colour", "singlet"])
+    def test_rank_words_up_to_three(self, V, rank):
+        """The bulk span of the 128 reduced elements of words of at most 3 letters, within 60 s."""
+        start = time.perf_counter()
+        words = [identity()] + short_word_elements()
+        assert len(words) == 128
+        G = gram_matrix(words, V)
+        assert time.perf_counter() - start < 60
+        assert np.array_equal(G, G.conj().T)
+        assert np.count_nonzero(np.linalg.eigvalsh(G) > 1e-9) == rank
 
     def test_empty(self):
         assert gram_matrix([], V3).shape == (0, 0)
@@ -1212,6 +1224,18 @@ class TestStateStorage:
         assert entanglement_entropy(state, range(state.num_a)) == before
         assert before == pytest.approx(math.log(6), abs=1e-12)
         assert state == btz_state(1, V3)
+
+    def test_built_cutoff_state_owns_its_amplitudes(self):
+        """A view of a writable base, or a flat array to reshape, was once
+        frozen while its base stayed writable: base[0, 0] += 0.5 moved the
+        norm to 1.352.  `act` still keeps a transposed view, not a copy."""
+        for view in (lambda base: base[...], np.ravel):
+            base = np.eye(3, dtype=complex) / math.sqrt(3)
+            state = CutoffState(BASE_PARTITION, view(base), V3)
+            base[0, 0] += 0.5
+            assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        moved = act(parse_word("C"), vacuum(BASE_PARTITION, V3))
+        assert not moved.amplitudes.flags.c_contiguous
 
     def test_nested_list_is_stored_as_a_complex_array(self):
         state = btz_state(1, V3)

@@ -6,18 +6,14 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
-import thompson_holo
 from thompson_holo import tessellation
 from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
 from thompson_holo.errors import (
@@ -28,14 +24,12 @@ from thompson_holo.errors import (
 )
 from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
-    _ALPHA,
-    _BETA,
     _DOE_FLIP,
     E0,
     Chord,
     FareyLabeling,
     Tessellation,
-    _flip_element,
+    _flip_range,
     _standard_interval_of,
     _Triangulation,
     _chord_pairs,
@@ -65,7 +59,22 @@ from thompson_holo.thompson import (
     random_element,
     reduce_diagram,
 )
+from test_contract import python
 from test_thompson import as_frac, expand_compose, pl_scan, to_pl_map
+
+
+# The generators of T's presentation as the mapping class group Pt of the
+# Farey tessellation: alpha of order 4 and beta = CC of order 3.
+ALPHA = TreeDiagram.parse("((..)(..))|((..)(..))@1")
+BETA = TreeDiagram.parse("(.(..))|(.(..))@1")
+
+
+def flip_element(a: int, k: int) -> TreeDiagram:
+    """The r of `_flip_product`: for k >= 2 its domain tree is the range
+    tree of the interval's sibling."""
+    if k == 1:
+        return _DOE_FLIP
+    return TreeDiagram(_flip_range(a ^ 1, k, 0), _flip_range(a, k, 0), 0)
 
 
 def d(text: str) -> DyadicRational:
@@ -247,12 +256,12 @@ def assert_diff_is_derived(t: Tessellation):
 
 
 def assert_flip_matches_product(t: Tessellation, edge: Chord, branches: collections.Counter):
-    """t flipped at `edge` has the element f _flip_element(a, k), by the
+    """t flipped at `edge` has the element f flip_element(a, k), by the
     general product, and carries the diff derived from that element."""
     (a, k), _ = t._edge_interval(edge)
     t._diff  # cached, so the flip carries it
     child = pachner_flip(t, edge)
-    product = _right_multiply(t.element, _flip_element(a, k))
+    product = _right_multiply(t.element, flip_element(a, k))
     assert child.element == product, (str(t.element), a, k)
     assert_diff_is_derived(child)
     branches[flip_branch(t.element, a, k, product)] += 1
@@ -296,8 +305,11 @@ class TestFlipProduct:
 
     def test_only_the_doe_flip_takes_the_general_product(self, monkeypatch):
         """Over the seeded walks and the 344-leaf replay, pachner_flip calls
-        `_right_multiply` once per doe flip and for no other flip."""
-        replay, calls = flips_realizing(random_element(1600, 3), 6), []
+        `_right_multiply` once per doe flip and for no other flip; the
+        replay makes exactly 2 such calls, all within 60 s."""
+        start = time.perf_counter()
+        f = random_element(1600, 3)
+        replay, calls = flips_realizing(f, 6), []
         general = tessellation._right_multiply
         monkeypatch.setattr(
             tessellation, "_right_multiply", lambda f, g: calls.append(g) or general(f, g)
@@ -311,11 +323,14 @@ class TestFlipProduct:
                     e = t.doe_chord() if rng.random() < 0.1 else edges[int(rng.random() * len(edges))]
                     does += e == t.doe_chord()
                     t = pachner_flip(t, e)
-        t = standard_tessellation(6)
+        t, before, replay_does = standard_tessellation(6), len(calls), 0
         for e in replay:
-            does += e == t.doe_chord()
+            replay_does += e == t.doe_chord()
             t = pachner_flip(t, e)
-        assert calls == [_DOE_FLIP] * does and does > 2
+        assert time.perf_counter() - start < 60
+        assert t.element == f
+        assert len(calls) - before == replay_does == 2
+        assert calls == [_DOE_FLIP] * (does + replay_does) and does > 0
 
     @pytest.mark.parametrize(
         "element, a, k, branch, product",
@@ -363,7 +378,7 @@ class TestFlipProduct:
         h = hashlib.sha256()
         for k in range(2, 9):
             for a in range(2**k):
-                h.update((str(_flip_element(a, k)) + "\n").encode())
+                h.update((str(flip_element(a, k)) + "\n").encode())
         assert h.hexdigest() == "95f116bceb427c1f2b378d530ce2df79b303ae42064aca387e5d70ef61cbb578"
 
 
@@ -774,18 +789,12 @@ class TestFlipConstruction:
         first = flips_realizing(x, 5)
         flips_realizing(y, 5)
         assert flips_realizing(x, 5) == first
-        fresh = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from thompson_holo.tessellation import flips_realizing\n"
-                "from thompson_holo.thompson import parse_word\n"
-                "print(' '.join(map(str, flips_realizing(parse_word('aCb'), 5))))",
-            ],
-            capture_output=True,
-            text=True,
+        fresh = python(
+            "-c",
+            "from thompson_holo.tessellation import flips_realizing\n"
+            "from thompson_holo.thompson import parse_word\n"
+            "print(' '.join(map(str, flips_realizing(parse_word('aCb'), 5))))",
             check=True,
-            env={**os.environ, "PYTHONPATH": str(Path(thompson_holo.__file__).parents[1])},
         )
         assert fresh.stdout.split() == [str(c) for c in first]
 
@@ -802,17 +811,17 @@ class TestPtRelations:
     on its generators alpha (the inverse doe flip) and beta (CC)."""
 
     def test_generators(self):
-        assert _ALPHA == inverse(_DOE_FLIP)
-        assert reduce_diagram(_BETA) == reduce_diagram(parse_word("CC"))
+        assert ALPHA == inverse(_DOE_FLIP)
+        assert reduce_diagram(BETA) == reduce_diagram(parse_word("CC"))
 
-    @pytest.mark.parametrize("g, order", [(_ALPHA, 4), (_BETA, 3)], ids=["alpha", "beta"])
+    @pytest.mark.parametrize("g, order", [(ALPHA, 4), (BETA, 3)], ids=["alpha", "beta"])
     def test_order(self, g, order):
         powers = [reduce_diagram(product(*[g] * k)) for k in range(1, order + 1)]
         assert all(str(p) != ".|.@0" for p in powers[:-1])
         assert str(powers[-1]) == ".|.@0"
 
     def test_relators(self):
-        a, b = _ALPHA, _BETA
+        a, b = ALPHA, BETA
         x = product(b, a, b)
         y = product(a, a, b, a, b, a, a)
         relators = {
@@ -1130,7 +1139,7 @@ class TestAgainstDiffReference:
             for _ in range(rng.randint(1, 40)):
                 edges = t.window_edges()
                 e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
-                flip = _flip_element(*t._edge_interval(e)[0])
+                flip = flip_element(*t._edge_interval(e)[0])
                 composed = expand_compose(t.element, flip)
                 t, r = pachner_flip(t, e), ref_flip(r, e)
                 assert t.element == composed
