@@ -18,9 +18,16 @@ The image points are sorted once.  The live intervals sit in one row per
 count, left to right, each with the index of its first point: each step splits
 the first interval of the fullest row, whose others are its ties, and one
 bisection inside its points counts both halves.  The split intervals, as
-integer pairs, give the range tree directly, and the sup-norm error reads each
-value of the element off the leaf pairs, exactly, with one bisection per
-sample; level 12 takes well under a second.
+integer pairs, give the range tree directly; level 12 takes well under a
+second.
+
+The sup-norm error reads each value of the element off the leaf pairs (a, n),
+exactly.  When no leaf of either tree is deeper than 53 levels, every piece end
+a/2^n, every offset and every x 2^k mod 1 is an exact float64, and each value
+is one float addition or subtraction of exact operands, rounded once to nearest
+as an integer numerator over its power of two would be: so one float64 pass
+over all samples gives the same bits.  Deeper trees run an integer loop, one
+bisection per sample.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ __all__ = [
 MONOTONE_SAMPLES = 2**12
 # grid point i is i/2^_GRID_BITS
 _GRID_BITS = MONOTONE_SAMPLES.bit_length() - 1
+# the deepest leaf whose interval ends are exact float64s: the mantissa's bits
+_FLOAT_DEPTH = 53
 
 
 class CircleMap:
@@ -88,7 +97,8 @@ class CircleMap:
         return self
 
     def _keep(self, vals: np.ndarray) -> None:
-        """Check the grid values, then keep them as a list for `_at`."""
+        """Check the grid values, then keep them read-only, as an array for
+        `sup_norm_error` and as a list for `_at`."""
         if not (finite := np.isfinite(vals)).all():
             x = int(np.argmin(finite)) / MONOTONE_SAMPLES
             raise NotMonotone(f"map {self.name!r} is not finite at x={x}")
@@ -101,7 +111,8 @@ class CircleMap:
         total = round(float(steps.sum()))
         if total != 1:
             raise NotMonotone(f"map {self.name!r} has winding number {total}, expected 1")
-        self._grid = vals.tolist()
+        vals.flags.writeable = False
+        self._values, self._grid = vals, vals.tolist()
 
     def __call__(self, x: float) -> float:
         return self.func(x % 1.0) % 1.0
@@ -114,13 +125,21 @@ class CircleMap:
         return self(num / (1 << e))
 
 
+def _grid_points() -> np.ndarray:
+    """The grid points i/4096, each exact."""
+    return np.arange(MONOTONE_SAMPLES) / MONOTONE_SAMPLES
+
+
 def identity_map() -> CircleMap:
-    return CircleMap(lambda x: x, "identity")
+    return CircleMap._from_grid(lambda x: x, "identity", _grid_points())
 
 
 def rotation_map(offset: DyadicRational) -> CircleMap:
     off = float(offset.mod1())
-    return CircleMap(lambda x: (x + off) % 1.0, f"rotation:{offset.mod1()}")
+    # x + off lies in [0, 2), where numpy's remainder is Python's float % and
+    # lands in [0, 1), so CircleMap's own % 1.0 leaves it as it is
+    grid = np.remainder(_grid_points() + off, 1.0)
+    return CircleMap._from_grid(lambda x: (x + off) % 1.0, f"rotation:{offset.mod1()}", grid)
 
 
 @functools.lru_cache(maxsize=1)
@@ -323,19 +342,52 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
 def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
     """sup |f - g| over a grid plus g's breakpoints, with circle distance.
 
+    Piece j maps domain leaf d onto range leaf r, the (marker + j)-th, by
+    x -> (x 2^(d.n - r.n) + v) mod 1 with v = ((r.a - d.a) mod 2^r.n)/2^r.n.
+    When no leaf of g's two trees is deeper than 53, the float mantissa,
+    every operand below is an exact float: the piece ends d.a/2^d.n, v and
+    1 - v, and u = (x 2^(d.n - r.n)) mod 1.  So one float64 pass finds each
+    sample's piece by `np.searchsorted` over the piece starts and takes g(x)
+    as u + v, or as u - (1 - v) when u >= 1 - v, one operation rounded once
+    to nearest: each value is the float of g's exact image of x, the same
+    as an integer numerator divided by its power of two.  Deeper trees, whose
+    piece ends are not floats, run `_sup_norm_exact`'s integer loop.  f is
+    read off the kept grid where a sample lies on it and called elsewhere; a
+    NaN distance is skipped.
+    """
+    dom, rng = g.domain_tree._leaf_ends(), g.range_tree._leaf_ends()
+    rng = rng[g.marker :] + rng[: g.marker]
+    if max(n for _, n in dom + rng) > _FLOAT_DEPTH:
+        return _sup_norm_exact(f, dom, rng, samples)
+    (d_a, d_n), (r_a, r_n) = np.array(dom).T, np.array(rng).T
+    starts = np.ldexp(d_a.astype(float), -d_n)
+    v = np.ldexp(((r_a - d_a) % np.left_shift(1, r_n)).astype(float), -r_n)
+    xs = np.concatenate((np.arange(samples) / samples, starts))
+    j = np.searchsorted(starts, xs, side="right") - 1
+    u = np.remainder(np.ldexp(xs, (d_n - r_n)[j]), 1.0)
+    v, w = v[j], 1.0 - v[j]
+    gx = np.where(u >= w, u - w, u + v)
+    index = xs * MONOTONE_SAMPLES  # a whole number on the grid
+    on = index == np.floor(index)
+    fx = np.empty_like(xs)
+    fx[on] = f._values[index[on].astype(np.intp)]
+    if not on.all():
+        fx[~on] = [f(x) for x in xs[~on].tolist()]
+    # circle_distance in arrays; Python's max skips a NaN, so drop them
+    dist = np.remainder(np.abs(fx - gx), 1.0)
+    dist = np.minimum(dist, 1.0 - dist)
+    return float(dist[~np.isnan(dist)].max(initial=0.0))
+
+
+def _sup_norm_exact(f: CircleMap, dom, rng, samples: int) -> float:
+    """`sup_norm_error` for trees of any depth, over the (a, n) pairs of the
+    domain leaves and of the range leaves they map onto.
+
     Each sample x is read exactly as num/2^e, its piece found by bisecting
     the piece starts, and g(x) computed as an integer numerator over
-    2^(e + r.n); the one int/int division rounds correctly, so each value is
-    the float of g's exact image of x.
+    2^(e + r.n); the one int/int division rounds correctly.
     """
-    # piece j maps domain leaf d onto range leaf r, the (marker + j)-th, by
-    # x -> r.a/2^r.n + (x - d.a/2^d.n) 2^(d.n - r.n) mod 1; starts are the
-    # d.a over the common denominator 2^depth
-    dom, rng = (
-        [(a, n) for node, a, n in t._walk() if node.left is None]
-        for t in (g.domain_tree, g.range_tree)
-    )
-    rng = rng[g.marker :] + rng[: g.marker]
+    # starts are the d.a over the common denominator 2^depth
     pieces = [(d_n, r_a - d_a, r_n) for (d_a, d_n), (r_a, r_n) in zip(dom, rng)]
     depth = max(d_n for _, d_n in dom)
     starts = [d_a << (depth - d_n) for d_a, d_n in dom]

@@ -26,6 +26,21 @@ __all__ = [
 ]
 
 
+def _lowest_terms(num: int, exp: int) -> tuple[int, int]:
+    """num / 2^exp with exp == 0 or num odd: one shift by the trailing zeros;
+    0 -> 0/2^0."""
+    if exp and not num & 1:
+        shift = min((num & -num).bit_length() - 1, exp) if num else exp
+        return num >> shift, exp - shift
+    return num, exp
+
+
+def _dyadic_text(num: int, exp: int) -> str:
+    """The text of num / 2^exp in lowest terms: "a/2^n", or the integer."""
+    num, exp = _lowest_terms(num, exp)
+    return f"{num}/2^{exp}" if exp else str(num)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class DyadicRational:
@@ -38,10 +53,10 @@ class DyadicRational:
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
         num, exp = self.num, self.exp
-        if exp and not num & 1:  # one shift by the trailing zeros; 0 -> 0/2^0
-            shift = min((num & -num).bit_length() - 1, exp) if num else exp
-            object.__setattr__(self, "num", num >> shift)
-            object.__setattr__(self, "exp", exp - shift)
+        if exp and not num & 1:
+            num, exp = _lowest_terms(num, exp)
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "exp", exp)
 
     def mod1(self) -> "DyadicRational":
         """Reduce into [0, 1) as a circle point."""
@@ -61,9 +76,7 @@ class DyadicRational:
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/2^{self.exp}"
+        return _dyadic_text(self.num, self.exp)
 
     def __repr__(self) -> str:
         return f"DyadicRational({self})"
@@ -236,9 +249,13 @@ class TTree:
             if node.left is not None:
                 stack += [(node.right, 2 * a + 1, n + 1), (node.left, 2 * a, n + 1)]
 
+    def _leaf_ends(self) -> list[tuple[int, int]]:
+        """(a, n) of each leaf interval [a/2^n, (a+1)/2^n], left to right."""
+        return [(a, n) for node, a, n in self._walk() if node.left is None]
+
     def leaf_intervals(self) -> list[StdDyadicInterval]:
         """Intervals of the leaves, left to right, under dyadic subdivision of [0,1]."""
-        return [StdDyadicInterval(a, n) for node, a, n in self._walk() if node.is_leaf]
+        return [StdDyadicInterval(a, n) for a, n in self._leaf_ends()]
 
     def internal_intervals(self) -> list[StdDyadicInterval]:
         """Intervals of the internal nodes (including the root if internal)."""
@@ -297,8 +314,7 @@ class DyadicPartition:
 
     @property
     def breakpoints(self) -> tuple[DyadicRational, ...]:
-        lefts = [DyadicRational(a, n) for node, a, n in self.tree._walk() if node.is_leaf]
-        return tuple(lefts + [ONE])
+        return tuple([DyadicRational(a, n) for a, n in self.tree._leaf_ends()] + [ONE])
 
     def __len__(self) -> int:
         return self.tree.num_leaves
@@ -312,7 +328,7 @@ class DyadicPartition:
         return hash(self.tree)
 
     def __str__(self) -> str:
-        return ", ".join(str(p) for p in self.breakpoints)
+        return ", ".join([_dyadic_text(a, n) for a, n in self.tree._leaf_ends()] + ["1"])
 
     def __repr__(self) -> str:
         return f"DyadicPartition({self})"

@@ -79,19 +79,25 @@ def _normalized_splitter(V: DenseTensor) -> np.ndarray:
 
 
 def _set_amplitudes(state, amps, shape=None):
-    """Store `amps` on `state` as a read-only complex ndarray, reshaped to
-    `shape` when one is given and differs, and copied when it views memory
-    that some writable base could still change."""
+    """Store a read-only complex copy of `amps` on `state`, reshaped to `shape`
+    when one is given and differs: no view the caller holds reaches it."""
     arr = np.asarray(amps, dtype=complex)
     if shape is not None and arr.shape != shape:
         arr = arr.reshape(shape)
-    base = arr.base
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is not None:
-        arr = arr.copy()
+    arr = arr.copy()
     arr.setflags(write=False)
     object.__setattr__(state, "amplitudes", arr)
+
+
+def _built(cls, amps: np.ndarray, **fields):
+    """A state of class `cls` holding `amps` as it is, frozen in place, with no
+    check: for arrays this module has just made, which no caller holds (a
+    grained product's base is frozen by `_grain`).  The public constructors
+    copy instead."""
+    amps.setflags(write=False)
+    state = object.__new__(cls)
+    state.__dict__.update(fields, amplitudes=amps)
+    return state
 
 
 def _state_eq(self, other) -> bool:
@@ -107,8 +113,9 @@ def _state_eq(self, other) -> bool:
 class CutoffState:
     """A representative (cutoff, amplitudes) of a semicontinuous-limit state.
 
-    Amplitudes are stored read-only and complex.  Two are equal when their
-    cutoffs, tensors and amplitudes are; states are not hashable."""
+    The constructor stores the amplitudes as a read-only complex copy.  Two
+    are equal when their cutoffs, tensors and amplitudes are; states are not
+    hashable."""
 
     cutoff: DyadicPartition
     amplitudes: np.ndarray
@@ -152,7 +159,8 @@ class FineGrainer:
         if self.source == self.target:
             return state
         below = _leaf_subtrees(self.source.tree, self.target.tree)[0]
-        return CutoffState(self.target, _grain(state.amplitudes, below, self.tensor), state.tensor)
+        amps = _grain(state.amplitudes, below, self.tensor)
+        return _built(CutoffState, amps, cutoff=self.target, tensor=state.tensor)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -214,7 +222,7 @@ def vacuum(gamma: DyadicPartition, V: DenseTensor) -> CutoffState:
     """The holographic state of the standard tessellation inside `gamma`."""
     if len(gamma) < 2:
         raise ValueError("the vacuum needs a cutoff with at least two intervals")
-    base = CutoffState(BASE_PARTITION, _cup(V.leg_dims[0]), V)
+    base = _built(CutoffState, _cup(V.leg_dims[0]), cutoff=BASE_PARTITION, tensor=V)
     if gamma == BASE_PARTITION:
         return base
     return fine_grainer(BASE_PARTITION, gamma, V).apply(base)
@@ -246,7 +254,9 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
     amps = _grain(s.amplitudes, below, s.tensor)
     range_tree, marker = _graft_images(f, below_f)
     perm = [(k - marker) % n for k in range(n)]
-    return CutoffState(tree_to_partition(range_tree), amps.transpose(perm), s.tensor)
+    return _built(
+        CutoffState, amps.transpose(perm), cutoff=tree_to_partition(range_tree), tensor=s.tensor
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +367,9 @@ class BTZState:
     triangle carries the same V.  `entanglement_entropy` relies on this for
     the A half and the B half, so a state built by hand must pass one shift
     within 1e-10 of its largest amplitude (`btz_state`'s skips the check),
-    and its halfwidth must be an int of at least 1.  Amplitudes are stored
-    read-only and complex.  Two are equal when their halfwidths, tensors
-    and amplitudes are; states are not hashable.
+    and its halfwidth must be an int of at least 1.  The constructor stores
+    the amplitudes as a read-only complex copy.  Two are equal when their
+    halfwidths, tensors and amplitudes are; states are not hashable.
     """
 
     halfwidth: int
@@ -368,14 +378,14 @@ class BTZState:
 
     def __post_init__(self):
         _check_halfwidth(self.halfwidth)
-        amps, n = np.asarray(self.amplitudes, dtype=complex), self.num_a
+        _set_amplitudes(self, self.amplitudes)
+        amps, n = self.amplitudes, self.num_a
         if amps.ndim != 2 * n:
             raise ValueError(f"halfwidth {self.halfwidth} needs {2 * n} legs, not {amps.ndim}")
         axes = np.roll(np.arange(n), 1)
         shifted, scale = amps.transpose([*axes, *(axes + n)]), np.max(np.abs(amps), initial=0)
         if shifted.shape != amps.shape or np.max(np.abs(shifted - amps), initial=0) > 1e-10 * scale:
             raise ValueError("BTZ amplitudes are not invariant under the joint cyclic shift")
-        _set_amplitudes(self, amps)
 
     __eq__ = _state_eq
 
@@ -419,10 +429,8 @@ def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
     norm = np.linalg.norm(raw)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    state = object.__new__(BTZState)  # invariant by construction: skip the check
-    state.__dict__.update(halfwidth=halfwidth, tensor=V)
-    _set_amplitudes(state, np.divide(raw, norm, order="C"))
-    return state
+    amps = np.asarray(np.divide(raw, norm, order="C"), dtype=complex)
+    return _built(BTZState, amps, halfwidth=halfwidth, tensor=V)  # invariant by construction
 
 
 def entanglement_entropy(state, subsystem) -> float:

@@ -133,11 +133,6 @@ def _window_index(c: Chord) -> int:
     return (1 << k) - 3 + a if k > 1 else 0
 
 
-def _leaf_ends(tree: TTree) -> list[tuple[int, int]]:
-    """Left end a/2^k of each leaf interval, as (a, k), left to right."""
-    return [(a, k) for node, a, k in tree._walk() if node.left is None]
-
-
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
@@ -190,7 +185,7 @@ class Tessellation:
         # turned by the marker.  So sorted index pairs give sorted chords.
         f = self.element
         n = f.num_leaves
-        ends = _leaf_ends(f.range_tree)
+        ends = f.range_tree._leaf_ends()
         old = _chord_pairs(f.range_tree, 0, n)
         new = _chord_pairs(f.domain_tree, f.marker, n)
         return tuple(
@@ -522,7 +517,7 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
     special = {x for m in t._diff[0] + t._diff[1] for x in m.endpoints()}
     f = t.element
-    n, m, ends = f.num_leaves, f.marker, _leaf_ends(f.range_tree)
+    n, m, ends = f.num_leaves, f.marker, f.range_tree._leaf_ends()
 
     u, v = t.doe
     out = [(u, (0, 1)), (v, (1, 0))]

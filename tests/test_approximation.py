@@ -8,6 +8,7 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
+from thompson_holo import approximation
 from thompson_holo.approximation import (
     MONOTONE_SAMPLES,
     CircleMap,
@@ -32,6 +33,8 @@ from thompson_holo.thompson import (
     random_element,
     reduce_diagram,
 )
+
+from test_contract import APPROXIMATION_SPECS
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +443,72 @@ class TestReferences:
             res = approximate(f, n)
             assert res.marker_interval == 0
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_sup_norm_of_random_elements(self, seed):
-        f = seeded_mobius(100 + seed)
-        g = random_element(1 + 3 * seed, seed)
-        assert sup_norm_error(f, g) == evaluate_sup_norm_error(f, g)
+    @staticmethod
+    def sup_norm_case(case):
+        """(f, g, samples): cases 0-29 are seeded Mobius maps against random
+        elements at 1024 samples; 30-33 take 3, 300, 1000 and 8192 samples,
+        the last reaching points off the 4096-point grid; 34 is the
+        clustered map; 35-45 are approximants at levels 1-11.  Case 30 is
+        the half turn against its own element, so the error is the rounding
+        of f(x) = x + 1/2 alone: rounding g(x) = x - 1/2 as f does (first
+        x + 1/2, then - 1) would read 0.0."""
+        if case < 30:
+            return seeded_mobius(100 + case), random_element(1 + 3 * case, case), 1024
+        if case == 30:
+            return parse_map("rotation:1/2^1"), TreeDiagram.parse("(..)|(..)@1"), 3
+        if case < 34:
+            samples = (300, 1000, 8192)[case - 31]
+            return seeded_mobius(100 + case), random_element(40, case), samples
+        if case == 34:
+            return clustered_map(), random_element(25, case), 1024
+        f, n = seeded_mobius(100 + case), case - 34
+        return f, approximate(f, n).element, max(4 * 2**n, 256)
+
+    @pytest.mark.parametrize("case", range(46))
+    def test_sup_norm_of_random_elements(self, case):
+        f, g, samples = self.sup_norm_case(case)
+        assert sup_norm_error(f, g, samples) == evaluate_sup_norm_error(f, g, samples)
+
+    DEEP_COMB = "(." * 120 + "." + ")" * 120
+    DEEP_LEFT = "(" * 120 + "." + ".)" * 120
 
     def test_sup_norm_of_a_deep_element(self):
         """Breakpoints finer than a float's mantissa: the pieces are still
         found and evaluated exactly."""
-        comb = "(." * 120 + "." + ")" * 120
-        left = "(" * 120 + "." + ".)" * 120
+        comb, left = self.DEEP_COMB, self.DEEP_LEFT
         f = mobius_map(0.3, 0.1)
         for text in (f"{comb}|{left}@0", f"{left}|{comb}@7", f"{comb}|{comb}@3"):
             g = TreeDiagram.parse(text)
             assert sup_norm_error(f, g, 300) == evaluate_sup_norm_error(f, g, 300)
+
+    def test_integer_loop_only_beyond_the_mantissa(self, monkeypatch):
+        """The integer loop runs for the 120-deep comb and for no approximant
+        of the pinned specs at levels 0-13: the float pass serves them all."""
+        runs = []
+        exact = approximation._sup_norm_exact
+
+        def recorded(*args):
+            runs.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(approximation, "_sup_norm_exact", recorded)
+        f = mobius_map(0.3, 0.1)
+        comb = TreeDiagram.parse(f"{self.DEEP_COMB}|{self.DEEP_COMB}@3")
+        assert sup_norm_error(f, comb, 300) == evaluate_sup_norm_error(f, comb, 300)
+        assert len(runs) == 1
+        approximants = 0
+        for spec in APPROXIMATION_SPECS:
+            try:
+                f = parse_map(spec)
+            except (ValueError, NotMonotone):
+                continue
+            for n in range(14):
+                try:
+                    approximate(f, n)
+                except (ValueError, DegenerateImage, NotMonotone):
+                    continue
+                approximants += 1
+        assert len(runs) == 1 and approximants == 8 * 13
 
 
 class TestTabulatedReference:

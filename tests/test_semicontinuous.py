@@ -1237,6 +1237,24 @@ class TestStateStorage:
         moved = act(parse_word("C"), vacuum(BASE_PARTITION, V3))
         assert not moved.amplitudes.flags.c_contiguous
 
+    def test_a_view_made_before_freezing_cannot_reach_the_state(self):
+        """A state once kept an array whose bases were all read-only, but a
+        view made before the freeze stayed writable: w[0, 0] += 0.5 moved a
+        CutoffState's norm to 1.3518.  Both public constructors copy."""
+        a = np.eye(3, dtype=complex) / math.sqrt(3)
+        w = a[...]
+        a.setflags(write=False)
+        state = CutoffState(BASE_PARTITION, a, V3)
+        w[0, 0] += 0.5
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        b = btz_state(1, V3).amplitudes.copy()
+        w = b[...]
+        b.setflags(write=False)
+        state = BTZState(1, b, V3)
+        w[0, 1, 0, 0] += 0.5
+        assert state == btz_state(1, V3)
+        assert entanglement_entropy(state, range(state.num_a)) == pytest.approx(math.log(6), abs=1e-12)
+
     def test_nested_list_is_stored_as_a_complex_array(self):
         state = btz_state(1, V3)
         built = BTZState(1, state.amplitudes.real.tolist(), V3)

@@ -244,7 +244,7 @@ def assert_diff_is_derived(t: Tessellation):
     f = t.element
     n = f.num_leaves
     old, new = _chord_pairs(f.range_tree, 0, n), _chord_pairs(f.domain_tree, f.marker, n)
-    ends = tessellation._leaf_ends(f.range_tree)
+    ends = f.range_tree._leaf_ends()
     top = max(k for _, k in ends)
     index = {a << (top - k): i for i, (a, k) in enumerate(ends)}
 
