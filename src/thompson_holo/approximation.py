@@ -5,14 +5,14 @@ greedily subdivides the range, always splitting the interval holding the
 most image points (ties to the leftmost), until domain and range have the
 same number of pieces; the image of the origin picks the marker.
 
-A `CircleMap` keeps the values it computes on its 4096-point checking grid and
-serves them for every point on that grid: the level-n image points for n <= 12
-and the sup-norm samples for n <= 10 are read off the grid rather than
-recomputed.  So a map's `func` must be pure and must not be reassigned.  The
-grid is checked as one float64 array.  A Mobius map fills it in arrays from a
-shared table of roots of unity, each step of CPython's complex arithmetic
-written out and rounded once, so its values are the closure's bit for bit
-wherever that arithmetic has no fused multiply-add (checked on x86-64).
+A `CircleMap` keeps its values on its 4096-point checking grid once, as one
+read-only float64 array checked in arrays, and `CircleMap._sample` is the one
+rule that reads f: the kept value where x*4096 is whole, the closure elsewhere,
+for the level-n image points and every sup-norm sample alike.  So a map's
+`func` must be pure and must not be reassigned.  A Mobius map fills its grid in
+arrays from a shared table of roots of unity, each step of CPython's complex
+arithmetic written out and rounded once, so its values are the closure's bit
+for bit wherever that arithmetic has no fused multiply-add (checked on x86-64).
 
 The image points are sorted once.  The live intervals sit in one row per
 count, left to right, each with the index of its first point: each step splits
@@ -21,13 +21,13 @@ bisection inside its points counts both halves.  The split intervals, as
 integer pairs, give the range tree directly; level 12 takes well under a
 second.
 
-The sup-norm error reads each value of the element off the leaf pairs (a, n),
-exactly.  When no leaf of either tree is deeper than 53 levels, every piece end
-a/2^n, every offset and every x 2^k mod 1 is an exact float64, and each value
-is one float addition or subtraction of exact operands, rounded once to nearest
-as an integer numerator over its power of two would be: so one float64 pass
-over all samples gives the same bits.  Deeper trees run an integer loop, one
-bisection per sample.
+The sup norm is one pipeline: the samples and g's breakpoints, f at them by
+`_sample`, then the circle distance and its maximum in arrays; only g(x), read
+exactly off the leaf pairs (a, n), has two routes.  When no leaf of either tree
+is deeper than 53 levels, every piece end a/2^n, offset and x 2^k mod 1 is an
+exact float64, and each value is one float addition or subtraction rounded once
+to nearest, as an integer numerator over its power of two would be: one float64
+pass gives the same bits.  Deeper trees run `_exact_images`, one bisection each.
 """
 
 from __future__ import annotations
@@ -63,12 +63,9 @@ __all__ = [
     "mobius_map",
     "tabulated_map",
     "parse_map",
-    "circle_distance",
 ]
 
 MONOTONE_SAMPLES = 2**12
-# grid point i is i/2^_GRID_BITS
-_GRID_BITS = MONOTONE_SAMPLES.bit_length() - 1
 # the deepest leaf whose interval ends are exact float64s: the mantissa's bits
 _FLOAT_DEPTH = 53
 
@@ -78,8 +75,8 @@ class CircleMap:
 
     Monotonicity and winding are checked on a fixed sampling grid at
     construction.  The grid values func(i/4096) % 1.0 are kept and served
-    for grid points afterwards, so `func` must be pure and must not be
-    reassigned; off the grid the map stays a black box.
+    by `_sample` for grid points afterwards, so `func` must be pure and must
+    not be reassigned; off the grid the map stays a black box.
     """
 
     def __init__(self, func, name: str = "custom"):
@@ -97,8 +94,7 @@ class CircleMap:
         return self
 
     def _keep(self, vals: np.ndarray) -> None:
-        """Check the grid values, then keep them read-only, as an array for
-        `sup_norm_error` and as a list for `_at`."""
+        """Check the grid values, then keep them read-only for `_sample`."""
         if not (finite := np.isfinite(vals)).all():
             x = int(np.argmin(finite)) / MONOTONE_SAMPLES
             raise NotMonotone(f"map {self.name!r} is not finite at x={x}")
@@ -112,17 +108,21 @@ class CircleMap:
         if total != 1:
             raise NotMonotone(f"map {self.name!r} has winding number {total}, expected 1")
         vals.flags.writeable = False
-        self._values, self._grid = vals, vals.tolist()
+        self._values = vals
 
     def __call__(self, x: float) -> float:
         return self.func(x % 1.0) % 1.0
 
-    def _at(self, num: int, e: int) -> float:
-        """f(num/2^e) for 0 <= num < 2^e: the kept value when the point is on
-        the grid, where num/2^e and (num << (12 - e))/4096 are the same float."""
-        if e <= _GRID_BITS:
-            return self._grid[num << (_GRID_BITS - e)]
-        return self(num / (1 << e))
+    def _sample(self, xs: np.ndarray) -> np.ndarray:
+        """f at the points xs of [0, 1): the kept value where x*4096, an exact
+        product, is a whole number, and the closure elsewhere."""
+        index = xs * MONOTONE_SAMPLES
+        on = index == np.floor(index)
+        fx = np.empty_like(xs)
+        fx[on] = self._values[index[on].astype(np.intp)]
+        if not on.all():
+            fx[~on] = [self(x) for x in xs[~on].tolist()]
+        return fx
 
 
 def _grid_points() -> np.ndarray:
@@ -266,11 +266,6 @@ class ApproximationResult:
     ties: tuple[TieEvent, ...]
 
 
-def circle_distance(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
 def _greedy_range(points, n: int):
     """Split [0,1] until 2^n pieces, always splitting the fullest interval.
 
@@ -315,11 +310,11 @@ def _greedy_range(points, n: int):
 
 def approximate(f: CircleMap, n: int) -> ApproximationResult:
     """Level-n Thompson-T approximation of the circle map f."""
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("level must be at least 1")
     _check_cap(n, 2, "image points", f"level {n}: ")
     m = 2**n
-    points = [f._at(j, n) for j in range(m)]
+    points = f._sample(np.arange(m) / m).tolist()
     if not all(map(math.isfinite, points)):
         raise NotMonotone(f"map {f.name!r} is not finite at level {n}")
     if len(set(points)) < m:
@@ -351,57 +346,50 @@ def sup_norm_error(f: CircleMap, g: TreeDiagram, samples: int = 1024) -> float:
     as u + v, or as u - (1 - v) when u >= 1 - v, one operation rounded once
     to nearest: each value is the float of g's exact image of x, the same
     as an integer numerator divided by its power of two.  Deeper trees, whose
-    piece ends are not floats, run `_sup_norm_exact`'s integer loop.  f is
-    read off the kept grid where a sample lies on it and called elsewhere; a
-    NaN distance is skipped.
+    piece ends are not floats, take g(x) from `_exact_images`.  f is read by
+    `CircleMap._sample`, and a NaN distance is skipped.
     """
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     dom, rng = g.domain_tree._leaf_ends(), g.range_tree._leaf_ends()
     rng = rng[g.marker :] + rng[: g.marker]
+    # a leaf start within 2^-54 of 1 rounds to 1.0, the circle point 0
+    starts = [a / (1 << n) for a, n in dom]
+    xs = np.remainder(np.concatenate((np.arange(samples) / samples, starts)), 1.0)
     if max(n for _, n in dom + rng) > _FLOAT_DEPTH:
-        return _sup_norm_exact(f, dom, rng, samples)
-    (d_a, d_n), (r_a, r_n) = np.array(dom).T, np.array(rng).T
-    starts = np.ldexp(d_a.astype(float), -d_n)
-    v = np.ldexp(((r_a - d_a) % np.left_shift(1, r_n)).astype(float), -r_n)
-    xs = np.concatenate((np.arange(samples) / samples, starts))
-    j = np.searchsorted(starts, xs, side="right") - 1
-    u = np.remainder(np.ldexp(xs, (d_n - r_n)[j]), 1.0)
-    v, w = v[j], 1.0 - v[j]
-    gx = np.where(u >= w, u - w, u + v)
-    index = xs * MONOTONE_SAMPLES  # a whole number on the grid
-    on = index == np.floor(index)
-    fx = np.empty_like(xs)
-    fx[on] = f._values[index[on].astype(np.intp)]
-    if not on.all():
-        fx[~on] = [f(x) for x in xs[~on].tolist()]
-    # circle_distance in arrays; Python's max skips a NaN, so drop them
-    dist = np.remainder(np.abs(fx - gx), 1.0)
+        gx = _exact_images(xs, dom, rng)
+    else:
+        (d_a, d_n), (r_a, r_n) = np.array(dom).T, np.array(rng).T
+        v = np.ldexp(((r_a - d_a) % np.left_shift(1, r_n)).astype(float), -r_n)
+        j = np.searchsorted(starts, xs, side="right") - 1
+        u = np.remainder(np.ldexp(xs, (d_n - r_n)[j]), 1.0)
+        v, w = v[j], 1.0 - v[j]
+        gx = np.where(u >= w, u - w, u + v)
+    # circle distance in arrays; Python's max skips a NaN, so drop them
+    dist = np.remainder(np.abs(f._sample(xs) - gx), 1.0)
     dist = np.minimum(dist, 1.0 - dist)
     return float(dist[~np.isnan(dist)].max(initial=0.0))
 
 
-def _sup_norm_exact(f: CircleMap, dom, rng, samples: int) -> float:
-    """`sup_norm_error` for trees of any depth, over the (a, n) pairs of the
-    domain leaves and of the range leaves they map onto.
+def _exact_images(xs: np.ndarray, dom, rng) -> np.ndarray:
+    """g(x) for the points xs of [0, 1) and trees of any depth, from the
+    (a, n) pairs of the domain leaves and of the range leaves they map onto.
 
-    Each sample x is read exactly as num/2^e, its piece found by bisecting
-    the piece starts, and g(x) computed as an integer numerator over
+    Each x is read exactly as num/2^e, its piece found by bisecting the
+    piece starts, and g(x) computed as an integer numerator over
     2^(e + r.n); the one int/int division rounds correctly.
     """
     # starts are the d.a over the common denominator 2^depth
     pieces = [(d_n, r_a - d_a, r_n) for (d_a, d_n), (r_a, r_n) in zip(dom, rng)]
     depth = max(d_n for _, d_n in dom)
     starts = [d_a << (depth - d_n) for d_a, d_n in dom]
-    xs = [i / samples for i in range(samples)]
-    xs.extend(d_a / (1 << d_n) for d_a, d_n in dom)
-    at = f._at
-    worst = 0.0
-    for x in xs:
-        num, den = (x % 1.0).as_integer_ratio()
+    gx = []
+    for x in xs.tolist():
+        num, den = x.as_integer_ratio()
         e = den.bit_length() - 1
         key = num << (depth - e) if e <= depth else num >> (e - depth)
         d_n, shift, r_n = pieces[bisect_right(starts, key) - 1]
         # x = num/2^e, so g(x) = ((num << d.n) + ((r.a - d.a) << e)) / 2^(e + r.n)
         exp = e + r_n
-        gx = ((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp)
-        worst = max(worst, circle_distance(at(num, e), gx))
-    return worst
+        gx.append(((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp))
+    return np.array(gx)

@@ -6,6 +6,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 from thompson_holo import approximation
@@ -15,7 +16,6 @@ from thompson_holo.approximation import (
     TieEvent,
     _greedy_range,
     approximate,
-    circle_distance,
     identity_map,
     mobius_map,
     parse_map,
@@ -99,6 +99,11 @@ def float_marker(intervals, image):
     rounded up to 1.0 falls past the last one and takes interval 0."""
     marker = bisect_right([float(iv.left) for iv in intervals], image) - 1
     return 0 if image >= float(intervals[marker].right) else marker
+
+
+def circle_distance(x, y):
+    d = abs(x - y) % 1.0
+    return min(d, 1.0 - d)
 
 
 def evaluate_sup_norm_error(f, g, samples=1024):
@@ -215,7 +220,7 @@ class TestGrid:
     @pytest.mark.parametrize("f", grid_maps() + edge_maps(), ids=lambda f: f.name)
     def test_grid_is_exact(self, f):
         ref = [f.func(i / MONOTONE_SAMPLES) % 1.0 for i in range(MONOTONE_SAMPLES)]
-        assert list(map(float.hex, f._grid)) == list(map(float.hex, ref))
+        assert list(map(float.hex, f._values.tolist())) == list(map(float.hex, ref))
 
     def test_edges_reach_both_branches_of_the_quotient(self):
         roots = [cmath.exp(2j * math.pi * (i / MONOTONE_SAMPLES)) for i in range(MONOTONE_SAMPLES)]
@@ -231,9 +236,8 @@ class TestGrid:
         xs = [i / MONOTONE_SAMPLES for i in range(MONOTONE_SAMPLES)]
         xs += [rng.random() for _ in range(45)]
         xs += [(2 * rng.randrange(4096) + 1) / 8192 for _ in range(5)]
-        for x in xs:
-            num, den = x.as_integer_ratio()
-            assert f._at(num, den.bit_length() - 1).hex() == f(x).hex(), x
+        for x, fx in zip(xs, f._sample(np.array(xs)).tolist()):
+            assert fx.hex() == f(x).hex(), x
 
     @pytest.mark.parametrize(
         "make, message",
@@ -324,8 +328,31 @@ class TestApproximate:
             approximate(gappy, 13)
 
     def test_level_validated(self):
-        with pytest.raises(ValueError):
-            approximate(identity_map(), 0)
+        for level in (0, -3, True, False, 2.5, 3.0):
+            with pytest.raises(ValueError, match="^level must be at least 1$"):
+                approximate(identity_map(), level)
+
+    def test_level_may_be_a_numpy_integer(self):
+        res = approximate(mobius_map(0.3, 0.1), np.int64(5))
+        assert res.n == 5 and res.element == approximate(mobius_map(0.3, 0.1), 5).element
+
+    def test_closure_never_called_on_the_grid(self):
+        """After construction every grid value is read from the kept grid: at
+        level 13 only the 4096 odd image points and the off-grid sup-norm
+        samples and breakpoints reach the closure."""
+        calls = []
+        mobius = mobius_map(0.3, 0.1)
+
+        def counted(x):
+            calls.append(x)
+            return mobius.func(x)
+
+        f = CircleMap(counted, "counted")
+        calls.clear()
+        res = approximate(f, 13)
+        assert not [x for x in calls if (x * MONOTONE_SAMPLES).is_integer()]
+        assert len(calls) == 36864
+        assert res.sup_error == approximate(mobius, 13).sup_error
 
 
 class TestTies:
@@ -353,6 +380,11 @@ class TestSupNorm:
         f = rotation_map(DyadicRational.parse("1/2^2"))
         res = approximate(f, 2)
         assert sup_norm_error(f, res.element) == 0.0
+
+    def test_negative_samples_rejected(self):
+        f = rotation_map(DyadicRational.parse("1/2^1"))
+        with pytest.raises(ValueError, match="^samples must be at least 0$"):
+            sup_norm_error(f, identity(), samples=-5)
 
 
 class TestParseMap:
@@ -485,13 +517,13 @@ class TestReferences:
         """The integer loop runs for the 120-deep comb and for no approximant
         of the pinned specs at levels 0-13: the float pass serves them all."""
         runs = []
-        exact = approximation._sup_norm_exact
+        exact = approximation._exact_images
 
         def recorded(*args):
             runs.append(args)
             return exact(*args)
 
-        monkeypatch.setattr(approximation, "_sup_norm_exact", recorded)
+        monkeypatch.setattr(approximation, "_exact_images", recorded)
         f = mobius_map(0.3, 0.1)
         comb = TreeDiagram.parse(f"{self.DEEP_COMB}|{self.DEEP_COMB}@3")
         assert sup_norm_error(f, comb, 300) == evaluate_sup_norm_error(f, comb, 300)
