@@ -59,7 +59,9 @@ class DyadicRational:
             object.__setattr__(self, "exp", exp)
 
     def mod1(self) -> "DyadicRational":
-        """Reduce into [0, 1) as a circle point."""
+        """Reduce into [0, 1) as a circle point; a point there is itself."""
+        if not self.num >> self.exp:
+            return self
         return DyadicRational(self.num & ((1 << self.exp) - 1), self.exp)
 
     def __lt__(self, other: "DyadicRational") -> bool:
@@ -109,12 +111,18 @@ ONE = DyadicRational(1, 0)
 HALF = DyadicRational(1, 1)
 
 
-def _interval_of(p: DyadicRational, q: DyadicRational) -> tuple[int, int] | None:
-    """(a, k) with [p, q] = [a/2^k, (a+1)/2^k], if any: read in integers
-    over the finer denominator 2^k."""
-    k = max(p.exp, q.exp)
-    a = p.num << (k - p.exp)
-    return (a, k) if (q.num << (k - q.exp)) - a == 1 else None
+def _interval_of(pn: int, pe: int, qn: int, qe: int) -> tuple[int, int] | None:
+    """(a, k) with [p, q] = [a/2^k, (a+1)/2^k] for p = pn/2^pe and
+    q = qn/2^qe, in lowest terms or not, if any: read in integers over the
+    finer denominator 2^e, where q - p must be a power of two 2^s <= 2^e
+    that divides p, and then k = e - s."""
+    e = max(pe, qe)
+    p = pn << (e - pe)
+    w = (qn << (e - qe)) - p
+    if w <= 0 or w & (w - 1) or p & (w - 1) or w >> e > 1:
+        return None
+    s = w.bit_length() - 1
+    return p >> s, e - s
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ class StdDyadicInterval:
     @classmethod
     def from_endpoints(cls, left: DyadicRational, right: DyadicRational) -> "StdDyadicInterval":
         """Build from endpoints; raises NotStandardDyadic if not of a/2^n form."""
-        if (ak := _interval_of(left, right)) is None:
+        if (ak := _interval_of(left.num, left.exp, right.num, right.exp)) is None:
             raise NotStandardDyadic(f"[{left}, {right}] is not standard dyadic")
         return cls(*ak)
 
@@ -263,24 +271,49 @@ class TTree:
 
     def leaf_containing(self, x: DyadicRational) -> tuple[int, StdDyadicInterval]:
         """Index and interval of the leaf whose half-open interval holds x in
-        [0,1): one descent, going right where x's next binary digit is 1."""
-        node, a, n, index = self, 0, 0, 0
-        while not node.is_leaf:
-            n += 1
-            bit = (x.num >> (x.exp - n)) & 1 if n <= x.exp else 0
-            a, index = 2 * a + bit, index + bit * node.left.num_leaves
-            node = node.right if bit else node.left
+        [0,1) (`_leaf_of_point`)."""
+        index, a, n = self._leaf_of_point(x.num, x.exp)
         return index, StdDyadicInterval(a, n)
 
     def leaf_at(self, index: int) -> StdDyadicInterval:
-        """Interval of leaf `index`, by one descent on the leaf counts."""
-        node, a, n = self, 0, 0
-        while not node.is_leaf:
+        """Interval of leaf `index` (`_leaf_of_index`)."""
+        return StdDyadicInterval(*self._leaf_of_index(index))
+
+    def _leaf_of_point(self, num: int, exp: int) -> tuple[int, int, int]:
+        """(index, a, n) of the leaf [a/2^n, (a+1)/2^n] whose half-open
+        interval holds num/2^exp mod 1: one descent, going right where the
+        next of the exp binary digits of num is 1, then left."""
+        num &= (1 << exp) - 1
+        node, index, n = self, 0, 0
+        for bit in bin(num | (1 << exp))[3:]:  # past "0b1": num's exp digits
+            if node.left is None:
+                break
+            if bit == "1":
+                index += node.left.num_leaves
+                node = node.right
+            else:
+                node = node.left
             n += 1
-            bit = int(index >= node.left.num_leaves)
-            a, index = 2 * a + bit, index - bit * node.left.num_leaves
-            node = node.right if bit else node.left
-        return StdDyadicInterval(a, n)
+        while node.left is not None:
+            node = node.left
+            n += 1
+        return index, num >> (exp - n) if n <= exp else num << (n - exp), n
+
+    def _leaf_of_index(self, index: int) -> tuple[int, int]:
+        """(a, n) of leaf `index`, [a/2^n, (a+1)/2^n]: one descent on the
+        leaf counts."""
+        node, a, n = self, 0, 0
+        while node.left is not None:
+            k = node.left.num_leaves
+            if index >= k:
+                index -= k
+                a = 2 * a + 1
+                node = node.right
+            else:
+                a *= 2
+                node = node.left
+            n += 1
+        return a, n
 
 
 LEAF = TTree()

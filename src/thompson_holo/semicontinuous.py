@@ -352,7 +352,8 @@ def gram_matrix(words, V: DenseTensor) -> np.ndarray:
 
 
 def _check_halfwidth(halfwidth):
-    if not isinstance(halfwidth, (int, np.integer)) or halfwidth < 1:
+    is_int = isinstance(halfwidth, (int, np.integer)) and not isinstance(halfwidth, bool)
+    if not is_int or halfwidth < 1:
         raise ValueError("halfwidth must be at least 1")
 
 
@@ -367,9 +368,10 @@ class BTZState:
     triangle carries the same V.  `entanglement_entropy` relies on this for
     the A half and the B half, so a state built by hand must pass one shift
     within 1e-10 of its largest amplitude (`btz_state`'s skips the check),
-    and its halfwidth must be an int of at least 1.  The constructor stores
-    the amplitudes as a read-only complex copy.  Two are equal when their
-    halfwidths, tensors and amplitudes are; states are not hashable.
+    and its halfwidth must be an int of at least 1, not a bool.  The
+    constructor stores the amplitudes as a read-only complex copy.  Two are
+    equal when their halfwidths, tensors and amplitudes are; states are not
+    hashable.
     """
 
     halfwidth: int

@@ -14,7 +14,12 @@ one path under a domain leaf of f and under its image until P and iv are
 domain nodes, then rotate f's domain tree at P in place, with at most one
 collapse when nothing was grafted.  The doe flip takes the general product.
 A flip also carries the diff when the parent's is cached: one chord goes out
-and one comes in, so the child's diff is two sorted-tuple edits.
+and one comes in, so the child's diff is two sorted-tuple edits.  The window's
+gaps, the sorted window indices of the removed chords, ride along the same
+way, one index in and one out.  The flip path runs on integers: the edge's
+ends and the new chord's are read through f or f^-1 as integer pairs by
+`evaluate`'s descents, with no interval object built, and chords compare
+their ends as integers.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from fractions import Fraction
 from .dyadic import (
     HALF,
     LEAF,
-    ONE,
     ZERO,
     DyadicPartition,
     DyadicRational,
@@ -46,6 +50,7 @@ from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
     _affine_image,
+    _evaluate_pair,
     _right_multiply,
     adjoin_caret,
     evaluate,
@@ -70,15 +75,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True)
 class Chord:
-    """Unordered geodesic between two distinct circle points, stored sorted."""
+    """Unordered geodesic between two distinct circle points, stored sorted.
+    Chords order by (a, b), compared as integers over the finer power of two."""
 
     a: DyadicRational
     b: DyadicRational
 
     def endpoints(self):
         return (self.a, self.b)
+
+    def __lt__(self, other: "Chord") -> bool:
+        if not isinstance(other, Chord):
+            return NotImplemented
+        x, y = self.a, other.a
+        if x.num == y.num and x.exp == y.exp:  # canonical, so equal ends
+            x, y = self.b, other.b
+        d = x.exp - y.exp
+        return x.num < y.num << d if d >= 0 else x.num << -d < y.num
 
     def __str__(self) -> str:
         return f"{self.a}~{self.b}"
@@ -95,26 +111,43 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
     return chord(iv.left, iv.right)
 
 
+def _arc_interval(pn: int, pe: int, qn: int, qe: int) -> tuple[tuple[int, int], bool] | None:
+    """The tau_0 interval [a/2^k, (a+1)/2^k] (k >= 1) whose chord joins the
+    distinct circle points p = pn/2^pe and q = qn/2^qe of [0, 1), given in
+    either order and in lowest terms or not, as ((a, k), whether p is its
+    left end), if any: the arc between them, or the arc from one to 1 when
+    the other is 0."""
+    if ak := _interval_of(pn, pe, qn, qe):
+        return ak, True
+    if ak := _interval_of(qn, qe, pn, pe):
+        return ak, False
+    if pn == 0 and (ak := _interval_of(qn, qe, 1, 0)):
+        return ak, False
+    if qn == 0 and (ak := _interval_of(pn, pe, 1, 0)):
+        return ak, True
+    return None
+
+
 def _standard_interval_of(c: Chord) -> tuple[int, int] | None:
-    """The tau_0 interval [a/2^k, (a+1)/2^k] (k >= 1) whose chord is c, as
-    (a, k), if any: [c.a, c.b], or the complementary arc [c.b, 1] when c.a
-    is 0."""
-    return _interval_of(c.a, c.b) or (_interval_of(c.b, ONE) if c.a.num == 0 else None)
+    """The tau_0 interval (a, k) whose chord is c, if any."""
+    found = _arc_interval(c.a.num, c.a.exp, c.b.num, c.b.exp)
+    return found and found[0]
 
 
 E0 = chord(ZERO, HALF)
 
 
-def _tau0_apexes(a: int, k: int) -> tuple[DyadicRational, DyadicRational]:
+def _tau0_apexes(a: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Third vertices of the two tau_0 faces beside the chord of
-    [a/2^k, (a+1)/2^k]: inside it (swept counterclockwise from a/2^k), its
-    midpoint; then outside it, its parent's other end."""
-    inside = DyadicRational(2 * a + 1, k + 1)
+    [a/2^k, (a+1)/2^k], as integer pairs (num, exp): inside it (swept
+    counterclockwise from a/2^k), its midpoint; then outside it, its
+    parent's other end."""
+    inside = (2 * a + 1, k + 1)
     if k == 1:  # the other side of e0 is the middle of the complementary half
-        return inside, DyadicRational(3 - 2 * a, 2)
+        return inside, (3 - 2 * a, 2)
     if a % 2 == 0:  # a left child: the parent's right end, 1 for the point 0
-        return inside, DyadicRational(a + 2, k)
-    return inside, DyadicRational(a - 1, k)
+        return inside, (a + 2, k)
+    return inside, (a - 1, k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,9 +197,10 @@ class Tessellation:
     absent here), `added` (present non-tau_0 chords) and `doe` (the oriented
     distinguished edge) are derived from it and cached; a Pachner flip of a
     tessellation whose diff is cached hands the child its diff with one chord
-    out and one chord in, instead of deriving it.  `depth` bounds the
-    rendered/enumerated window; `flips` is the construction history when
-    known (None after a group action).
+    out and one chord in, instead of deriving it, and its window's gaps
+    (`_gaps`) the same way when they are cached.  `depth`, a non-negative
+    int and not a bool, bounds the rendered/enumerated window; `flips` is
+    the construction history when known (None after a group action).
     """
 
     depth: int
@@ -174,6 +208,8 @@ class Tessellation:
     flips: tuple[Chord, ...] | None = ()
 
     def __post_init__(self):
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
+            raise ValueError(f"depth must be an int, not {type(self.depth).__name__}")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
 
@@ -193,6 +229,12 @@ class Tessellation:
             for s in (old - new, new - old)
         )
 
+    @functools.cached_property
+    def _gaps(self) -> tuple[int, ...]:
+        """The window indices of the removed chords, sorted: where
+        window_edges cuts tau_0's chords."""
+        return tuple(sorted(map(_window_index, self._diff[0])))
+
     @property
     def removed(self) -> frozenset[Chord]:
         return frozenset(self._diff[0])
@@ -205,15 +247,17 @@ class Tessellation:
     def doe(self) -> tuple[DyadicRational, DyadicRational]:
         return (evaluate(self.element, ZERO), evaluate(self.element, HALF))
 
-    def _edge_interval(self, c: Chord) -> tuple[tuple[int, int], DyadicRational]:
-        """The tau_0 interval (a, k) whose chord is f^-1(c), with p = f^-1(c.a);
+    def _edge_interval(self, c: Chord) -> tuple[tuple[int, int], bool]:
+        """The tau_0 interval (a, k) whose chord is f^-1(c), and whether
+        f^-1(c.a) is its left end, both ends read by `_evaluate_pair`;
         EdgeNotFound unless c is an edge here."""
         g = inverse(self.element)
-        p = evaluate(g, c.a)
-        ak = _standard_interval_of(chord(p, evaluate(g, c.b)))
-        if ak is None:
+        found = _arc_interval(
+            *_evaluate_pair(g, c.a.num, c.a.exp), *_evaluate_pair(g, c.b.num, c.b.exp)
+        )
+        if found is None:
             raise EdgeNotFound(f"{c} is not an edge of this tessellation")
-        return ak, p
+        return found
 
     def doe_chord(self) -> Chord:
         return chord(*self.doe)
@@ -229,7 +273,9 @@ class Tessellation:
         plus every added chord."""
         _check_cap(self.depth + 3, 2, "window chords", f"depth {self.depth}: ")
         window, out, start = _standard_window(self.depth), [], 0
-        for i in sorted(i for i in map(_window_index, self._diff[0]) if i < len(window)):
+        for i in self._gaps:
+            if i >= len(window):
+                break
             out += window[start:i]
             start = i + 1
         out += window[start:] + self._diff[1]
@@ -239,10 +285,10 @@ class Tessellation:
         """Third vertex of the face adjacent to c on the selected side: f of
         the tau_0 apex beside f^-1(c).  f keeps the orientation, so the side
         swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a)."""
-        (a, k), p = self._edge_interval(c)
+        (a, k), p_left = self._edge_interval(c)
         inside, outside = _tau0_apexes(a, k)
-        return evaluate(
-            self.element, inside if (p == DyadicRational(a, k)) == ccw_from_a else outside
+        return DyadicRational(
+            *_evaluate_pair(self.element, *(inside if p_left == ccw_from_a else outside))
         )
 
     # -- serialization ------------------------------------------------------
@@ -330,8 +376,8 @@ def _flip_range(a: int, k: int, top: int) -> TTree:
 
 def _flip_product(f: TreeDiagram, a: int, k: int):
     """f r, for r the element with r(tau_0) = tau_0 flipped at the chord of
-    iv = [a/2^k, (a+1)/2^k], and a map that agrees with f on the closure of
-    iv's parent P.
+    iv = [a/2^k, (a+1)/2^k], and a map of integer pairs (num, exp) that
+    agrees with f (`_evaluate_pair`) on the closure of iv's parent P.
 
     For k >= 2, r is the tree rotation at P: both of its trees are the path
     from the root to P, and its range tree (`_flip_range`) splits iv where
@@ -355,7 +401,7 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
       to the inner node's image, walked back up, finds the largest match,
       the only collapse.
     """
-    image = functools.partial(evaluate, f)
+    image = functools.partial(_evaluate_pair, f)
     if k == 1:
         return _right_multiply(f, _DOE_FLIP), image
     n, m, range_tree = f.num_leaves, f.marker, f.range_tree
@@ -368,8 +414,8 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
             grown = node.num_leaves - 1
             m += grown if b < m else 0
             if t < k:
-                piece = (StdDyadicInterval(a >> (k - t), t), f.range_tree.leaf_at(b))
-                image = lambda x: _affine_image(x, *piece)
+                piece = (a >> (k - t), t, *f.range_tree._leaf_of_index(b))
+                image = lambda num, exp: _affine_image(num, exp, *piece)
         if t < k:
             right = (a >> (k - 1 - t)) & 1
             path.append((node, right))
@@ -421,29 +467,48 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     the child's is carried: `edge` goes out, and f of the opposite diagonal
     of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes
     in; after a graft above f^-1(edge)'s level both images are read off the
-    affine piece of f holding P, with no descent.
+    affine piece of f holding P, with no descent.  The window's gaps, the
+    sorted window indices of the removed chords, are carried the same way
+    when cached: an index goes in when `edge` joins the removed chords, and
+    one goes out when the new chord leaves them.
     """
-    a, k = t._edge_interval(edge)[0]
+    (a, k), _ = t._edge_interval(edge)
     flips = None if t.flips is None else t.flips + (edge,)
     element, image = _flip_product(t.element, a, k)
     child = Tessellation(t.depth, element, flips)
     if "_diff" in vars(t):
-        new = chord(*map(image, _tau0_apexes(a, k)))
+        gone = chord(edge.a, edge.b)
+        new = chord(*(DyadicRational(*image(*x)) for x in _tau0_apexes(a, k)))
         removed, added = t._diff
-        added, removed = _drop_or_insert(added, removed, chord(edge.a, edge.b))
-        removed, added = _drop_or_insert(removed, added, new)
+        added, removed, was_added = _drop_or_insert(added, removed, gone)
+        removed, added, was_removed = _drop_or_insert(removed, added, new)
         object.__setattr__(child, "_diff", (removed, added))
+        if "_gaps" in vars(t):
+            gaps = t._gaps
+            if not was_added:
+                gaps = _toggle(gaps, _window_index(gone))
+            if was_removed:
+                gaps = _toggle(gaps, _window_index(new))
+            object.__setattr__(child, "_gaps", gaps)
     return child
 
 
 def _drop_or_insert(source: tuple[Chord, ...], target: tuple[Chord, ...], c: Chord):
     """Drop c from the sorted tuple `source` if it is there, else insert it
-    into the sorted tuple `target`; returns both."""
+    into the sorted tuple `target`; returns both, and whether c was dropped."""
     i = bisect.bisect_left(source, c)
     if i < len(source) and source[i] == c:
-        return source[:i] + source[i + 1 :], target
+        return source[:i] + source[i + 1 :], target, True
     j = bisect.bisect_left(target, c)
-    return source, target[:j] + (c,) + target[j:]
+    return source, target[:j] + (c,) + target[j:], False
+
+
+def _toggle(items: tuple, x) -> tuple:
+    """The sorted tuple `items` with x dropped if it is there, else inserted."""
+    i = bisect.bisect_left(items, x)
+    if i < len(items) and items[i] == x:
+        return items[:i] + items[i + 1 :]
+    return items[:i] + (x,) + items[i:]
 
 
 def apply_flips(t: Tessellation, edges) -> Tessellation:
@@ -652,9 +717,11 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     node, and the general product, itself path copies, for the at most four
     doe flips.  So the whole costs O(n * depth) for the trees' depth, which
     is quadratic only for combs.  `depth` only sets the window of the
-    standard tessellation that the replay starts from, and a negative one
-    raises ValueError; the sequence does not depend on it.
+    standard tessellation that the replay starts from, and a negative or
+    non-integer one raises ValueError before any work; the sequence does not
+    depend on it.
     """
+    start = standard_tessellation(depth)
     f = reduce_diagram(f)
     g = _split_root_children(f)
     n, m = g.num_leaves, g.marker
@@ -682,7 +749,7 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
         cur.flip(cur.doe)
     points = [iv.left for iv in g.range_tree.leaf_intervals()]
     seq = [chord(points[i], points[j]) for (i, j), _ in cur.flipped]
-    if apply_flips(standard_tessellation(depth), seq).element != f:
+    if apply_flips(start, seq).element != f:
         raise SearchExhausted("flip sequence does not reproduce apply_element")
     return seq
 

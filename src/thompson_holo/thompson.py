@@ -17,7 +17,6 @@ from .dyadic import (
     LEAF,
     DyadicPartition,
     DyadicRational,
-    StdDyadicInterval,
     TTree,
     _build,
     _find_node,
@@ -108,23 +107,31 @@ def generator(name: str) -> TreeDiagram:
 
 
 def evaluate(f: TreeDiagram, x: DyadicRational) -> DyadicRational:
-    """Exact image of the circle point x under f, read off the two trees:
-    one descent finds the domain leaf j holding x, a second the range leaf
-    (marker + j) mod n, and the affine piece between them maps x."""
-    x = x.mod1()
-    j, d = f.domain_tree.leaf_containing(x)
-    return _affine_image(x, d, f.range_tree.leaf_at((f.marker + j) % f.num_leaves))
+    """Exact image of the circle point x (read mod 1) under f, in O(depth):
+    one descent of the domain tree finds the leaf j holding x, a second the
+    range leaf (marker + j) mod n, and the affine piece between them maps
+    x.  All three run on integers (`_evaluate_pair`, which the tessellation
+    layer calls directly), and the only object built is the result."""
+    return DyadicRational(*_evaluate_pair(f, x.num, x.exp))
 
 
-def _affine_image(
-    x: DyadicRational, d: StdDyadicInterval, r: StdDyadicInterval
-) -> DyadicRational:
-    """x under the affine map of the dyadic interval d onto r, mod 1; x may be
-    anywhere in d's closure, so d's right end goes to r's."""
-    # r.left + (x - d.left) * 2^(d.n - r.n), over the denominator 2^(x.exp + r.n)
-    exp = x.exp + r.n
-    num = (x.num << d.n) + ((r.a - d.a) << x.exp)
-    return DyadicRational(num % (1 << exp), exp)
+def _evaluate_pair(f: TreeDiagram, num: int, exp: int) -> tuple[int, int]:
+    """`evaluate` at the circle point num/2^exp, as an integer pair
+    (num', exp') with 0 <= num' < 2^exp', not always in lowest terms."""
+    num &= (1 << exp) - 1
+    j, da, dn = f.domain_tree._leaf_of_point(num, exp)
+    ra, rn = f.range_tree._leaf_of_index((f.marker + j) % f.num_leaves)
+    return _affine_image(num, exp, da, dn, ra, rn)
+
+
+def _affine_image(num: int, exp: int, da: int, dn: int, ra: int, rn: int) -> tuple[int, int]:
+    """num/2^exp under the affine map of [da/2^dn, (da+1)/2^dn] onto
+    [ra/2^rn, (ra+1)/2^rn], mod 1, as an integer pair over 2^(exp + rn); the
+    point may be anywhere in the first interval's closure, so its right end
+    goes to the second's."""
+    # ra/2^rn + (x - da/2^dn) * 2^(dn - rn), over the denominator 2^(exp + rn)
+    e = exp + rn
+    return ((num << dn) + ((ra - da) << exp)) & ((1 << e) - 1), e
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from thompson_holo.dyadic import (
     ZERO,
     _find_node,
     _graft,
+    _interval_of,
     _leaf_subtrees,
     _splice,
     common_refinement,
@@ -111,6 +112,21 @@ class TestStdDyadicInterval:
                 else:
                     with pytest.raises(NotStandardDyadic):
                         StdDyadicInterval.from_endpoints(p, q)
+
+    def test_interval_of_any_terms(self):
+        """The integer test reads p and q in lowest terms or not: written
+        over 2^(exp + s) for s = 0..3, each pair gets the answer the
+        Fraction rule gives, and a width above 1 is never standard."""
+        points = [Fraction(k, 16) for k in range(-8, 41)]
+        for x in points:
+            for y in points:
+                w = y - x
+                ok = w > 0 and w.numerator == 1 and (x / w).denominator == 1
+                want = (int(x / w), w.denominator.bit_length() - 1) if ok else None
+                for s in range(4):
+                    pn, qn = (int(v * 2 ** (4 + s)) for v in (x, y))
+                    assert _interval_of(pn, 4 + s, qn, 4 + s) == want, (x, y, s)
+                    assert _interval_of(pn, 4 + s, int(y * 16), 4) == want, (x, y, s)
 
     def test_from_endpoints_rejects_non_standard(self):
         with pytest.raises(NotStandardDyadic):

@@ -819,7 +819,13 @@ class TestBTZ:
         with pytest.raises(ValueError, match="halfwidth must be at least 1"):
             btz_state(1.5, V3)
 
-    @pytest.mark.parametrize("halfwidth", [0, 1.5])
+    @pytest.mark.parametrize("halfwidth", [True, False])
+    def test_bool_halfwidth_rejected(self, halfwidth):
+        """A bool is an int to isinstance, but not a halfwidth."""
+        with pytest.raises(ValueError, match="^halfwidth must be at least 1$"):
+            btz_state(halfwidth, V3)
+
+    @pytest.mark.parametrize("halfwidth", [0, 1.5, True, False])
     def test_hand_built_halfwidth_validation(self, halfwidth):
         with pytest.raises(ValueError, match="halfwidth must be at least 1"):
             BTZState(halfwidth, np.array(1.0), V3)

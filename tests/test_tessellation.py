@@ -124,6 +124,35 @@ class TestStandardSet:
         assert _standard_interval_of(ch("1/2^2", "3/2^2")) is None  # not an interval chord
 
 
+class TestChordOrder:
+    """Chord order against comparing (Fraction(a), Fraction(b)): seeded
+    points from a small pool, so that many chords share an end, and exponents
+    past 64 bits; built sorted by `chord` and unsorted by hand."""
+
+    def test_against_fractions(self):
+        rng = random.Random(35)
+        pool = [d("0"), d("1/2^1")]
+        for _ in range(10):
+            exp = rng.choice([1, 2, 3, 7, 63, 64, 65, 130])
+            pool.append(DyadicRational(rng.randrange(1 << exp), exp))
+        chords = []
+        for _ in range(80):
+            p, q = rng.sample(pool, 2)
+            if p == q:
+                continue
+            chords.append(chord(p, q) if rng.random() < 0.6 else Chord(p, q))
+        assert any(c.a > c.b for c in chords) and len({c.a for c in chords}) < len(chords)
+        for x, y in itertools.product(chords, repeat=2):
+            fx, fy = (as_frac(x.a), as_frac(x.b)), (as_frac(y.a), as_frac(y.b))
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                fx < fy, fx <= fy, fx > fy, fx >= fy, fx == fy
+            ), (str(x), str(y))
+
+    def test_other_types_do_not_order(self):
+        with pytest.raises(TypeError):
+            E0 < (0, 1)
+
+
 class TestFaceApex:
     def test_base_faces_next_to_e0(self):
         t = standard_tessellation(3)
@@ -459,6 +488,31 @@ class TestSerialization:
         t = apply_element(standard_tessellation(3), generator("B"))
         with pytest.raises(ValueError):
             t.to_json()
+
+
+class TestDepthValidated:
+    """A depth is a non-negative int, not a bool, as from_json reads it."""
+
+    @pytest.mark.parametrize("depth", [True, False, 2.5, 3.0, "3", None])
+    def test_non_integer_depth(self, depth):
+        message = f"^depth must be an int, not {type(depth).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            standard_tessellation(depth)
+        with pytest.raises(ValueError, match=message):
+            Tessellation(depth, generator("B"))
+        with pytest.raises(ValueError, match=message):
+            flips_realizing(parse_word("B"), depth)
+
+    @pytest.mark.parametrize("depth", [-1, -7])
+    def test_negative_depth(self, depth):
+        with pytest.raises(ValueError, match="^depth must be non-negative$"):
+            standard_tessellation(depth)
+        with pytest.raises(ValueError, match="^depth must be non-negative$"):
+            flips_realizing(parse_word("B"), depth)
+
+    def test_depth_zero(self):
+        assert len(standard_tessellation(0).window_edges()) == 2**3 - 3
+        assert flips_realizing(parse_word("B"), 0) == flips_realizing(parse_word("B"), 6)
 
 
 class TestApplyElement:
@@ -1303,6 +1357,71 @@ class TestAgainstViewReference:
         for seed in range(2):
             f = random_element(word_length, seed)
             assert_views_match_reference(apply_element(standard_tessellation(4), f))
+
+
+def seeded_walk(rng: random.Random, t: Tessellation, flips: int) -> tuple[list[Chord], int]:
+    """`flips` seeded flips from t, about one in six of them a doe flip: the
+    edges flipped, and the number of doe flips."""
+    edges, does = [], 0
+    for _ in range(flips):
+        window = t.window_edges()
+        e = t.doe_chord() if rng.random() < 0.15 else window[int(rng.random() * len(window))]
+        does += e == t.doe_chord()
+        edges.append(e)
+        t = pachner_flip(t, e)
+    return edges, does
+
+
+class TestCarriedWindow:
+    """The window's gaps, the sorted window indices of the removed chords,
+    ride through a flip with the diff."""
+
+    def test_carried_window_equals_derived(self):
+        """At every step of three seeded 40-flip walks at depths 4-6, doe
+        flips included, the carried window equals that of a fresh
+        Tessellation, whose diff and gaps are derived from its trees."""
+        rng = random.Random(3535)
+        for depth in (4, 5, 6):
+            t = standard_tessellation(depth)
+            edges, does = seeded_walk(rng, t, 40)
+            assert does > 0
+            for e in edges:
+                t = pachner_flip(t, e)
+                assert "_gaps" in vars(t), "the flip did not carry the gaps"
+                fresh = Tessellation(depth, t.element, t.flips)
+                assert t.window_edges() == fresh.window_edges(), (depth, str(t.element))
+                assert t._gaps == fresh._gaps
+                assert t._diff == fresh._diff
+
+    def test_replay_reads_two_window_indices_and_builds_no_interval(self, monkeypatch):
+        """Replaying a seeded 40-flip walk from a tessellation whose diff is
+        cached, reading the window at every step as the walk did, calls
+        `_window_index` at most twice per flip (an index in, an index out),
+        and pachner_flip builds no StdDyadicInterval: both chord ends and
+        both apexes are read as integer pairs."""
+        rng = random.Random(3536)
+        edges, does = seeded_walk(rng, standard_tessellation(6), 40)
+        assert does > 0
+        start = standard_tessellation(6)
+        start.window_edges()  # caches the diff and the gaps
+        index_calls, built = [], []
+        window_index, post_init = tessellation._window_index, StdDyadicInterval.__post_init__
+        monkeypatch.setattr(
+            tessellation, "_window_index", lambda c: index_calls.append(c) or window_index(c)
+        )
+        monkeypatch.setattr(
+            StdDyadicInterval, "__post_init__", lambda iv: built.append(iv) or post_init(iv)
+        )
+        t = start
+        for e in edges:
+            t.window_edges()
+            before = len(built)
+            t = pachner_flip(t, e)
+            assert len(built) == before, [str(iv) for iv in built[before:]]
+        monkeypatch.undo()
+        assert 0 < len(index_calls) <= 2 * len(edges)
+        assert t.window_edges() == Tessellation(6, t.element).window_edges()
+        assert t.element == apply_flips(standard_tessellation(6), edges).element
 
 
 class TestActionCommutesWithFlips:

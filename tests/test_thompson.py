@@ -236,6 +236,32 @@ class TestEvaluateAgainstPLScan:
             for x in GRID:
                 assert evaluate(f, as_dyadic(x)) == pl_scan(pl, as_dyadic(x))
 
+    def test_deep_trees(self):
+        """Trees 70-200 levels deep, past 64-bit numerators: combs against
+        each other and a random word's product, at leaf breakpoints, just
+        below them, just below 1 and at seeded points finer than any leaf."""
+        rng = random.Random(35)
+        left, right = LEAF, LEAF
+        for _ in range(120):
+            left, right = TTree(left, LEAF), TTree(LEAF, right)
+        elements = [
+            TreeDiagram(left, right, 7),
+            TreeDiagram(right, left, 0),
+            random_element(1600, 3),
+        ]
+        for f in elements:
+            depth = max(n for _, n in f.domain_tree._leaf_ends() + f.range_tree._leaf_ends())
+            assert depth > 64
+            pl = to_pl_map(f)
+            ends = rng.sample(f.domain_tree.leaf_intervals(), 40)
+            points = [iv.left for iv in ends]
+            points += [DyadicRational((iv.a << 3) - 1, iv.n + 3) for iv in ends if iv.a]
+            points += [DyadicRational((1 << e) - 1, e) for e in (1, 2, 63, 64, 65, depth, depth + 9)]
+            points += [DyadicRational(rng.randrange(1 << e), e) for e in range(60, depth + 12, 7)]
+            points += [DyadicRational(rng.randrange(-(1 << 70), 1 << 70), 66) for _ in range(5)]
+            for x in points:
+                assert evaluate(f, x) == pl_scan(pl, x), (str(f)[:40], str(x))
+
 
 class TestPLMap:
     def test_slopes_are_powers_of_two(self):
