@@ -50,7 +50,7 @@ from .dyadic import (
 )
 from .errors import DegenerateImage, NotMonotone
 from .tensor import _check_cap
-from .thompson import TreeDiagram
+from .thompson import TreeDiagram, _affine_image
 
 __all__ = [
     "CircleMap",
@@ -376,11 +376,11 @@ def _exact_images(xs: np.ndarray, dom, rng) -> np.ndarray:
     (a, n) pairs of the domain leaves and of the range leaves they map onto.
 
     Each x is read exactly as num/2^e, its piece found by bisecting the
-    piece starts, and g(x) computed as an integer numerator over
-    2^(e + r.n); the one int/int division rounds correctly.
+    piece starts, and g(x) computed by `_affine_image` as an integer
+    numerator over 2^(e + r.n); the one int/int division rounds correctly.
     """
     # starts are the d.a over the common denominator 2^depth
-    pieces = [(d_n, r_a - d_a, r_n) for (d_a, d_n), (r_a, r_n) in zip(dom, rng)]
+    pieces = [(d_a, d_n, r_a, r_n) for (d_a, d_n), (r_a, r_n) in zip(dom, rng)]
     depth = max(d_n for _, d_n in dom)
     starts = [d_a << (depth - d_n) for d_a, d_n in dom]
     gx = []
@@ -388,8 +388,6 @@ def _exact_images(xs: np.ndarray, dom, rng) -> np.ndarray:
         num, den = x.as_integer_ratio()
         e = den.bit_length() - 1
         key = num << (depth - e) if e <= depth else num >> (e - depth)
-        d_n, shift, r_n = pieces[bisect_right(starts, key) - 1]
-        # x = num/2^e, so g(x) = ((num << d.n) + ((r.a - d.a) << e)) / 2^(e + r.n)
-        exp = e + r_n
-        gx.append(((num << d_n) + (shift << e)) % (1 << exp) / (1 << exp))
+        gnum, gexp = _affine_image(num, e, *pieces[bisect_right(starts, key) - 1])
+        gx.append(gnum / (1 << gexp))
     return np.array(gx)

@@ -275,10 +275,6 @@ class TTree:
         index, a, n = self._leaf_of_point(x.num, x.exp)
         return index, StdDyadicInterval(a, n)
 
-    def leaf_at(self, index: int) -> StdDyadicInterval:
-        """Interval of leaf `index` (`_leaf_of_index`)."""
-        return StdDyadicInterval(*self._leaf_of_index(index))
-
     def _leaf_of_point(self, num: int, exp: int) -> tuple[int, int, int]:
         """(index, a, n) of the leaf [a/2^n, (a+1)/2^n] whose half-open
         interval holds num/2^exp mod 1: one descent, going right where the

@@ -13,13 +13,13 @@ every flip but the doe flip makes f r without building r, in O(depth): graft
 one path under a domain leaf of f and under its image until P and iv are
 domain nodes, then rotate f's domain tree at P in place, with at most one
 collapse when nothing was grafted.  The doe flip takes the general product.
-A flip also carries the diff when the parent's is cached: one chord goes out
-and one comes in, so the child's diff is two sorted-tuple edits.  The window's
-gaps, the sorted window indices of the removed chords, ride along the same
-way, one index in and one out.  The flip path runs on integers: the edge's
-ends and the new chord's are read through f or f^-1 as integer pairs by
-`evaluate`'s descents, with no interval object built, and chords compare
-their ends as integers.
+A flip also carries the diff when the parent's is cached.  A tau_0 chord is
+named by its window position alone, so the diff is the sorted positions of
+the removed chords and the sorted added chords; the flipped edge and the new
+chord each join or leave the list their kind names.  The flip path runs on
+integers: the edge's ends and the new chord's are read through f or f^-1 as
+integer pairs by `evaluate`'s descents, with no interval object built, and
+chords compare their ends as integers.
 """
 
 from __future__ import annotations
@@ -128,12 +128,6 @@ def _arc_interval(pn: int, pe: int, qn: int, qe: int) -> tuple[tuple[int, int], 
     return None
 
 
-def _standard_interval_of(c: Chord) -> tuple[int, int] | None:
-    """The tau_0 interval (a, k) whose chord is c, if any."""
-    found = _arc_interval(c.a.num, c.a.exp, c.b.num, c.b.exp)
-    return found and found[0]
-
-
 E0 = chord(ZERO, HALF)
 
 
@@ -150,20 +144,28 @@ def _tau0_apexes(a: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return inside, (a - 1, k)
 
 
+def _window_chord(i: int) -> Chord:
+    """The tau_0 chord at window position i: e0 at 0, then the chord of
+    [a/2^k, (a+1)/2^k] at 2^k - 3 + a, level by level."""
+    k = (i + 3).bit_length() - 1
+    a = i + 3 - (1 << k)
+    return chord(DyadicRational(a, k), DyadicRational(a + 1, k))
+
+
+def _window_index(c: Chord) -> int | None:
+    """The window position of c (`_window_chord`), or None when c is not a
+    tau_0 chord."""
+    found = _arc_interval(c.a.num, c.a.exp, c.b.num, c.b.exp)
+    if found is None:
+        return None
+    (a, k), _ = found
+    return (1 << k) - 3 + a if k > 1 else 0
+
+
 @functools.lru_cache(maxsize=8)
 def _standard_window(depth: int) -> tuple[Chord, ...]:
-    """The chords of tau_0 at levels <= depth+2: e0, then level by level."""
-    return (E0,) + tuple(
-        interval_chord(StdDyadicInterval(a, n))
-        for n in range(2, depth + 3)
-        for a in range(2**n)
-    )
-
-
-def _window_index(c: Chord) -> int:
-    """Position in _standard_window of the chord of [a/2^k, (a+1)/2^k]."""
-    a, k = _standard_interval_of(c)
-    return (1 << k) - 3 + a if k > 1 else 0
+    """The chords of tau_0 at levels <= depth+2, in window order."""
+    return tuple(map(_window_chord, range(2 ** (depth + 3) - 3)))
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:
@@ -196,11 +198,11 @@ class Tessellation:
     that equal tessellations have equal elements.  `removed` (tau_0 chords
     absent here), `added` (present non-tau_0 chords) and `doe` (the oriented
     distinguished edge) are derived from it and cached; a Pachner flip of a
-    tessellation whose diff is cached hands the child its diff with one chord
-    out and one chord in, instead of deriving it, and its window's gaps
-    (`_gaps`) the same way when they are cached.  `depth`, a non-negative
-    int and not a bool, bounds the rendered/enumerated window; `flips` is
-    the construction history when known (None after a group action).
+    tessellation whose diff is cached hands the child its diff, toggling the
+    flipped edge and the new chord, instead of deriving it.  `depth`, a
+    non-negative int and not a bool, bounds the rendered/enumerated window;
+    `flips` is the construction history when known (None after a group
+    action).
     """
 
     depth: int
@@ -214,7 +216,9 @@ class Tessellation:
             raise ValueError("depth must be non-negative")
 
     @functools.cached_property
-    def _diff(self) -> tuple[tuple[Chord, ...], tuple[Chord, ...]]:
+    def _diff(self) -> tuple[tuple[int, ...], tuple[Chord, ...]]:
+        """The window positions of the removed tau_0 chords and the added
+        chords, both sorted."""
         # Both trees' chords as diagonals of the polygon on the range tree's
         # leaf points, which increase with the index: f(tau_0) keeps tau_0
         # outside the range tree, and inside it has the domain tree's chords
@@ -224,20 +228,16 @@ class Tessellation:
         ends = f.range_tree._leaf_ends()
         old = _chord_pairs(f.range_tree, 0, n)
         new = _chord_pairs(f.domain_tree, f.marker, n)
-        return tuple(
-            tuple(Chord(DyadicRational(*ends[i]), DyadicRational(*ends[j])) for i, j in sorted(s))
-            for s in (old - new, new - old)
-        )
 
-    @functools.cached_property
-    def _gaps(self) -> tuple[int, ...]:
-        """The window indices of the removed chords, sorted: where
-        window_edges cuts tau_0's chords."""
-        return tuple(sorted(map(_window_index, self._diff[0])))
+        def chord_of(i: int, j: int) -> Chord:
+            return Chord(DyadicRational(*ends[i]), DyadicRational(*ends[j]))
+
+        removed = sorted(_window_index(chord_of(*p)) for p in old - new)
+        return tuple(removed), tuple(chord_of(*p) for p in sorted(new - old))
 
     @property
     def removed(self) -> frozenset[Chord]:
-        return frozenset(self._diff[0])
+        return frozenset(map(_window_chord, self._diff[0]))
 
     @property
     def added(self) -> frozenset[Chord]:
@@ -273,7 +273,7 @@ class Tessellation:
         plus every added chord."""
         _check_cap(self.depth + 3, 2, "window chords", f"depth {self.depth}: ")
         window, out, start = _standard_window(self.depth), [], 0
-        for i in self._gaps:
+        for i in self._diff[0]:
             if i >= len(window):
                 break
             out += window[start:i]
@@ -467,40 +467,24 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     the child's is carried: `edge` goes out, and f of the opposite diagonal
     of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes
     in; after a graft above f^-1(edge)'s level both images are read off the
-    affine piece of f holding P, with no descent.  The window's gaps, the
-    sorted window indices of the removed chords, are carried the same way
-    when cached: an index goes in when `edge` joins the removed chords, and
-    one goes out when the new chord leaves them.
+    affine piece of f holding P, with no descent.  `edge` is an edge of t
+    and the new chord crosses it, so each is toggled in the list its kind
+    names: the removed positions for a tau_0 chord, else the added chords.
     """
     (a, k), _ = t._edge_interval(edge)
     flips = None if t.flips is None else t.flips + (edge,)
     element, image = _flip_product(t.element, a, k)
     child = Tessellation(t.depth, element, flips)
     if "_diff" in vars(t):
-        gone = chord(edge.a, edge.b)
         new = chord(*(DyadicRational(*image(*x)) for x in _tau0_apexes(a, k)))
         removed, added = t._diff
-        added, removed, was_added = _drop_or_insert(added, removed, gone)
-        removed, added, was_removed = _drop_or_insert(removed, added, new)
+        for c in (chord(edge.a, edge.b), new):
+            if (i := _window_index(c)) is None:
+                added = _toggle(added, c)
+            else:
+                removed = _toggle(removed, i)
         object.__setattr__(child, "_diff", (removed, added))
-        if "_gaps" in vars(t):
-            gaps = t._gaps
-            if not was_added:
-                gaps = _toggle(gaps, _window_index(gone))
-            if was_removed:
-                gaps = _toggle(gaps, _window_index(new))
-            object.__setattr__(child, "_gaps", gaps)
     return child
-
-
-def _drop_or_insert(source: tuple[Chord, ...], target: tuple[Chord, ...], c: Chord):
-    """Drop c from the sorted tuple `source` if it is there, else insert it
-    into the sorted tuple `target`; returns both, and whether c was dropped."""
-    i = bisect.bisect_left(source, c)
-    if i < len(source) and source[i] == c:
-        return source[:i] + source[i + 1 :], target, True
-    j = bisect.bisect_left(target, c)
-    return source, target[:j] + (c,) + target[j:], False
 
 
 def _toggle(items: tuple, x) -> tuple:
@@ -580,7 +564,7 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     if max_exponent is None:
         max_exponent = t.depth + 2
     _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
-    special = {x for m in t._diff[0] + t._diff[1] for x in m.endpoints()}
+    special = {x for c in t.removed | t.added for x in c.endpoints()}
     f = t.element
     n, m, ends = f.num_leaves, f.marker, f.range_tree._leaf_ends()
 

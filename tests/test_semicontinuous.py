@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from thompson_holo.dyadic import (
+    LEAF,
     ONE,
     DyadicPartition,
     common_refinement,
@@ -685,6 +686,44 @@ class TestSingletStrands:
             assert entanglement_entropy(state, side) == pytest.approx(
                 4 * h * math.log(2), abs=1e-12
             )
+
+
+def balanced_tree(k: int) -> TTree:
+    """The balanced tree of level k, with 2^k leaves."""
+    tree = LEAF
+    for _ in range(k):
+        tree = TTree(tree, tree)
+    return tree
+
+
+class TestDyadicRotations:
+    """The vacuum on the dyadic rotations R_{a/2^k} = (T_k, T_k, a), for the
+    balanced level-k tree T_k.  phi(a) = <Omega|pi(R_{a/2^k})|Omega> is
+    positive-definite on Z/2^k, so its DFT over 2^k, p_k, is a probability
+    vector, and p_k(0) is the weight of the rotation-invariant part."""
+
+    @pytest.mark.parametrize(
+        "V, p0, tol",
+        [
+            (V3, [1, 0.75, 0.4219, 0.2225, 0.1115, 0.0557], 1e-4),
+            (singlet_tensor(), [1 / 4 + 3 / 4 * 2 ** (1 - k) for k in range(1, 7)], 1e-12),
+        ],
+        ids=["four-colour", "singlet"],
+    )
+    def test_spectrum(self, V, p0, tol):
+        """For k <= 6: the four-colour p_k(0) to 1e-4, the singlet's closed
+        form 1/4 + (3/4) 2^(1-k) to 1e-12."""
+        for k, want in enumerate(p0, start=1):
+            tree = balanced_tree(k)
+            phi = [
+                vacuum_matrix_element(TreeDiagram(tree, tree, a), V, "diagram")
+                for a in range(2**k)
+            ]
+            p = np.fft.fft(phi) / 2**k
+            assert np.abs(p.imag).max() <= 1e-12, k
+            assert p.real.min() >= -1e-15, k
+            assert abs(p.real.sum() - 1) <= 1e-12, k
+            assert abs(p[0].real - want) <= tol, k
 
 
 class TestGram:

@@ -30,18 +30,20 @@ from thompson_holo.tessellation import (
     FareyLabeling,
     Tessellation,
     _flip_range,
-    _standard_interval_of,
     _Triangulation,
     _chord_pairs,
     _normalize_label,
     _render_tessellation,
     _render_tree,
     _standard_window,
+    _window_chord,
+    _window_index,
     apply_element,
     apply_flips,
     chord,
     farey_labels,
     flips_realizing,
+    interval_chord,
     pachner_flip,
     render_svg,
     standard_tessellation,
@@ -111,7 +113,7 @@ class TestStandardSet:
             for b in pts:
                 if a == b:
                     continue
-                got = _standard_interval_of(
+                got = _window_index(
                     chord(
                         DyadicRational(a.numerator, a.denominator.bit_length() - 1),
                         DyadicRational(b.numerator, b.denominator.bit_length() - 1),
@@ -120,8 +122,8 @@ class TestStandardSet:
                 assert (got is not None) == oracle_standard(a, b), (a, b)
 
     def test_e0(self):
-        assert _standard_interval_of(E0) is not None
-        assert _standard_interval_of(ch("1/2^2", "3/2^2")) is None  # not an interval chord
+        assert _window_index(E0) == 0
+        assert _window_index(ch("1/2^2", "3/2^2")) is None  # not an interval chord
 
 
 class TestChordOrder:
@@ -206,7 +208,7 @@ class TestPachnerFlip:
         t.window_edges()  # caches tau_0's diff, so the flip carries it
         t2 = pachner_flip(t, Chord(d("1/2^1"), d("1/2^2")))
         assert "_diff" in vars(t2)
-        assert t2._diff == ((ch("1/2^2", "1/2^1"),), (ch("0", "3/2^3"),))
+        assert t2._diff == ((2,), (ch("0", "3/2^3"),))  # 2: the chord of [1/4, 1/2]
         assert (t2.removed, t2.added) == ref_diff(t2)
         t3 = pachner_flip(t2, Chord(d("3/2^3"), d("0")))
         assert t3._diff == t._diff
@@ -267,9 +269,10 @@ def flip_branch(f: TreeDiagram, a: int, k: int, product: TreeDiagram) -> str:
 
 
 def assert_diff_is_derived(t: Tessellation):
-    """t's cached diff, as sorted tuples, is the one derived from its
-    element's trees: compared as pairs of range leaf indices, which order
-    chords as their points do, so deep trees cost no chord per step."""
+    """t's cached diff, sorted window positions and sorted added chords, is
+    the one derived from its element's trees: compared as pairs of range
+    leaf indices, which order chords as their points do, so deep trees cost
+    no chord per step but the removed ones."""
     f = t.element
     n = f.num_leaves
     old, new = _chord_pairs(f.range_tree, 0, n), _chord_pairs(f.domain_tree, f.marker, n)
@@ -281,7 +284,9 @@ def assert_diff_is_derived(t: Tessellation):
         return [tuple(index.get(x.num << (top - x.exp)) for x in c.endpoints()) for c in chords]
 
     removed, added = vars(t)["_diff"]
-    assert (pairs(removed), pairs(added)) == (sorted(old - new), sorted(new - old)), str(f)
+    assert list(removed) == sorted(set(removed)), str(f)
+    got = (sorted(pairs(map(_window_chord, removed))), pairs(added))
+    assert got == (sorted(old - new), sorted(new - old)), str(f)
 
 
 def assert_flip_matches_product(t: Tessellation, edge: Chord, branches: collections.Counter):
@@ -1299,10 +1304,13 @@ def assert_views_match_reference(t: Tessellation):
 
 def assert_carried_diff_matches_reference(t: Tessellation):
     """t's diff was carried through its last flip and equals the
-    tree-derived reference, as sorted tuples."""
+    tree-derived reference: the removed chords' window positions and the
+    added chords, as sorted tuples."""
     assert "_diff" in vars(t), "the flip did not carry the diff"
     removed, added = ref_diff(t)
-    assert t._diff == (tuple(sorted(removed)), tuple(sorted(added))), str(t.element)
+    want = (tuple(sorted(map(_window_index, removed))), tuple(sorted(added)))
+    assert t._diff == want, str(t.element)
+    assert (t.removed, t.added) == (removed, added), str(t.element)
 
 
 class TestAgainstViewReference:
@@ -1373,25 +1381,66 @@ def seeded_walk(rng: random.Random, t: Tessellation, flips: int) -> tuple[list[C
 
 
 class TestCarriedWindow:
-    """The window's gaps, the sorted window indices of the removed chords,
-    ride through a flip with the diff."""
+    """A tau_0 chord is named by its window position: the removed chords
+    ride through a flip as sorted positions, beside the added chords."""
+
+    def test_window_position_round_trip(self):
+        """Every tau_0 chord of levels <= 12 sits at 2^k - 3 + a, e0 at 0
+        from both of its intervals, and decodes back to itself."""
+        for k in range(1, 13):
+            for a in range(2**k):
+                c = interval_chord(StdDyadicInterval(a, k))
+                i = _window_index(c)
+                assert i == ((1 << k) - 3 + a if k > 1 else 0), (a, k)
+                assert _window_chord(i) == c, (a, k)
+
+    def test_window_index_of_other_chords_is_none(self):
+        """Seeded chords between points of exponent <= 10 have a window
+        position exactly when the oracle calls them tau_0 chords."""
+        rng = random.Random(3537)
+        others = 0
+        for _ in range(3000):
+            exps = (rng.randint(0, 10), rng.randint(1, 10))
+            ends = [Fraction(rng.randrange(2**e), 2**e) for e in exps]
+            if ends[0] == ends[1]:
+                continue
+            c = chord(*(DyadicRational(x.numerator, x.denominator.bit_length() - 1) for x in ends))
+            i = _window_index(c)
+            if oracle_standard(*ends):
+                assert _window_chord(i) == c, str(c)
+            else:
+                assert i is None, str(c)
+                others += 1
+        assert others > 2000
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_standard_window_is_level_by_level(self, depth):
+        """The window is e0, then tau_0's chords level by level, left to
+        right: the enumeration the positions encode."""
+        levels = tuple(
+            interval_chord(StdDyadicInterval(a, n))
+            for n in range(2, depth + 3)
+            for a in range(2**n)
+        )
+        assert _standard_window(depth) == (E0,) + levels
 
     def test_carried_window_equals_derived(self):
-        """At every step of three seeded 40-flip walks at depths 4-6, doe
-        flips included, the carried window equals that of a fresh
-        Tessellation, whose diff and gaps are derived from its trees."""
+        """At every step of seeded 40-flip walks at depths 0-6, doe flips
+        included, the carried diff and window equal those of a fresh
+        Tessellation, whose diff is derived from its trees, and the removed
+        and added chords equal the reference's."""
         rng = random.Random(3535)
-        for depth in (4, 5, 6):
+        for depth in range(7):
             t = standard_tessellation(depth)
             edges, does = seeded_walk(rng, t, 40)
             assert does > 0
             for e in edges:
                 t = pachner_flip(t, e)
-                assert "_gaps" in vars(t), "the flip did not carry the gaps"
+                assert "_diff" in vars(t), "the flip did not carry the diff"
                 fresh = Tessellation(depth, t.element, t.flips)
                 assert t.window_edges() == fresh.window_edges(), (depth, str(t.element))
-                assert t._gaps == fresh._gaps
                 assert t._diff == fresh._diff
+                assert (t.removed, t.added) == ref_diff(t)
 
     def test_replay_reads_two_window_indices_and_builds_no_interval(self, monkeypatch):
         """Replaying a seeded 40-flip walk from a tessellation whose diff is
@@ -1403,7 +1452,7 @@ class TestCarriedWindow:
         edges, does = seeded_walk(rng, standard_tessellation(6), 40)
         assert does > 0
         start = standard_tessellation(6)
-        start.window_edges()  # caches the diff and the gaps
+        start.window_edges()  # caches the diff
         index_calls, built = [], []
         window_index, post_init = tessellation._window_index, StdDyadicInterval.__post_init__
         monkeypatch.setattr(
