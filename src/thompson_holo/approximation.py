@@ -14,10 +14,10 @@ arrays from a shared table of roots of unity, each step of CPython's complex
 arithmetic written out and rounded once, so its values are the closure's bit
 for bit wherever that arithmetic has no fused multiply-add (checked on x86-64).
 
-The image points are sorted once.  The live intervals sit in one row per
-count, left to right, each with the index of its first point: each step splits
-the first interval of the fullest row, whose others are its ties, and one
-bisection inside its points counts both halves.  The split intervals, as
+The image points are sorted once.  The non-empty live intervals sit in one
+row per count, ordered by first image point, which is left to right: each step
+splits the first interval of the fullest row, whose others are its ties, and
+one bisection inside its points counts both halves.  The split intervals, as
 integer pairs, give the range tree directly; level 12 takes well under a
 second.
 
@@ -205,7 +205,7 @@ def tabulated_map(pairs) -> CircleMap:
         # the first piece whose closed interval holds x
         i = max(bisect_left(xs, x) - 1, 0)
         if not xs[i] <= x <= xs[i + 1]:  # only a NaN lies in no piece
-            return lift[-1] % 1.0
+            return x
         if xs[i + 1] == xs[i]:
             return lift[i] % 1.0
         t = (x - xs[i]) / (xs[i + 1] - xs[i])
@@ -273,35 +273,36 @@ def _greedy_range(points, n: int):
     range tree and the recorded tie events.
     """
     pts = sorted(points)
-    # rows[c] holds the live intervals of count c, left to right, as parallel lists
-    # of left ends, first indices in pts and intervals; the fullest count only falls
+    # rows[c] holds the live intervals of count c >= 1 as parallel lists of first
+    # indices in pts and intervals, by first index, so left to right.  The fullest
+    # count only falls and stays >= 1, since the counts sum to m - 1 or m (the m
+    # distinct points hold at most one 1.0): an empty interval is never split.
     rows = {}
 
-    def put(left: float, first: int, count: int, iv: StdDyadicInterval) -> None:
-        lefts, firsts, ivs = rows.setdefault(count, ([], [], []))
-        i = bisect_left(lefts, left)
-        lefts.insert(i, left)
-        firsts.insert(i, first)
-        ivs.insert(i, iv)
+    def put(first: int, count: int, iv: StdDyadicInterval) -> None:
+        if count:
+            firsts, ivs = rows.setdefault(count, ([], []))
+            i = bisect_left(firsts, first)
+            firsts.insert(i, first)
+            ivs.insert(i, iv)
 
     top = bisect_left(pts, 1.0)  # the points lie in [0, 1]
-    put(0.0, 0, top, StdDyadicInterval(0, 0))
+    put(0, top, StdDyadicInterval(0, 0))
     split = {}  # (a, n) of each split interval -> those of its halves
     ties: list[TieEvent] = []
     for step in range(2**n - 1):
-        lefts, firsts, ivs = rows[top]
+        firsts, ivs = rows[top]
         if len(ivs) > 1:
             ties.append(TieEvent(step, top, ivs[0], tuple(ivs)))
-        left, first, chosen = lefts.pop(0), firsts.pop(0), ivs.pop(0)
+        first, chosen = firsts.pop(0), ivs.pop(0)
         if not ivs:
             del rows[top]
         low, high = chosen.halves()
         split[chosen.a, chosen.n] = (low.a, low.n), (high.a, high.n)
-        # the halves keep the chosen interval's float ends, so one bisection counts both
-        mid = high.a / (1 << high.n)
-        at = bisect_left(pts, mid, first, first + top)
-        put(left, first, at - first, low)
-        put(mid, at, first + top - at, high)
+        # the halves keep the chosen interval's points, so one bisection counts both
+        at = bisect_left(pts, high.a / (1 << high.n), first, first + top)
+        put(first, at - first, low)
+        put(at, first + top - at, high)
         while top not in rows:
             top -= 1
     tree = _build((0, 0), lambda an: split.get(an, LEAF))
@@ -324,8 +325,7 @@ def approximate(f: CircleMap, n: int) -> ApproximationResult:
     range_tree, ties = _greedy_range(points, n)
     # the leaf holding the image of 0, read exactly; 1.0 is the circle point 0
     num, den = points[0].as_integer_ratio()
-    x = DyadicRational(num, den.bit_length() - 1).mod1()
-    marker = range_tree.leaf_containing(x)[0]
+    marker = range_tree._leaf_of_point(num, den.bit_length() - 1)[0]
     domain = LEAF
     for _ in range(n):
         domain = TTree(domain, domain)

@@ -257,6 +257,16 @@ class TTree:
             if node.left is not None:
                 stack += [(node.right, 2 * a + 1, n + 1), (node.left, 2 * a, n + 1)]
 
+    def _spans(self):
+        """(node, first leaf index, leaf count) for every internal node, parent
+        first, then the left subtree; an explicit stack, for deep trees."""
+        stack = [(self, 0)]
+        while stack:
+            node, a = stack.pop()
+            if node.left is not None:
+                yield node, a, node.num_leaves
+                stack += [(node.right, a + node.left.num_leaves), (node.left, a)]
+
     def _leaf_ends(self) -> list[tuple[int, int]]:
         """(a, n) of each leaf interval [a/2^n, (a+1)/2^n], left to right."""
         return [(a, n) for node, a, n in self._walk() if node.left is None]
@@ -268,12 +278,6 @@ class TTree:
     def internal_intervals(self) -> list[StdDyadicInterval]:
         """Intervals of the internal nodes (including the root if internal)."""
         return [StdDyadicInterval(a, n) for node, a, n in self._walk() if not node.is_leaf]
-
-    def leaf_containing(self, x: DyadicRational) -> tuple[int, StdDyadicInterval]:
-        """Index and interval of the leaf whose half-open interval holds x in
-        [0,1) (`_leaf_of_point`)."""
-        index, a, n = self._leaf_of_point(x.num, x.exp)
-        return index, StdDyadicInterval(a, n)
 
     def _leaf_of_point(self, num: int, exp: int) -> tuple[int, int, int]:
         """(index, a, n) of the leaf [a/2^n, (a+1)/2^n] whose half-open

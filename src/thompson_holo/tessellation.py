@@ -176,17 +176,7 @@ def _chord_pairs(tree: TTree, shift: int, n: int) -> set[tuple[int, int]]:
     """Chords of the non-root internal nodes of a tree with n leaves, as pairs
     of leaf indices (first leaf, one past the last) + shift, mod n.  A node
     of n-1 leaves spans a polygon side and is left out."""
-    out = set()
-    stack = [(tree, 0)]
-    while stack:
-        node, a = stack.pop()
-        if node.is_leaf:
-            continue
-        k = node.num_leaves
-        if k < n - 1:
-            out.add(_pair((a + shift) % n, (a + k + shift) % n))
-        stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
-    return out
+    return {_pair((a + shift) % n, (a + k + shift) % n) for _, a, k in tree._spans() if k < n - 1}
 
 
 @dataclass(frozen=True)
@@ -235,11 +225,11 @@ class Tessellation:
         removed = sorted(_window_index(chord_of(*p)) for p in old - new)
         return tuple(removed), tuple(chord_of(*p) for p in sorted(new - old))
 
-    @property
+    @functools.cached_property
     def removed(self) -> frozenset[Chord]:
         return frozenset(map(_window_chord, self._diff[0]))
 
-    @property
+    @functools.cached_property
     def added(self) -> frozenset[Chord]:
         return frozenset(self._diff[1])
 
@@ -731,7 +721,7 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     if cur.doe != goal.doe:
         cur.flip(cur.doe)
         cur.flip(cur.doe)
-    points = [iv.left for iv in g.range_tree.leaf_intervals()]
+    points = [DyadicRational(a, k) for a, k in g.range_tree._leaf_ends()]
     seq = [chord(points[i], points[j]) for (i, j), _ in cur.flipped]
     if apply_flips(start, seq).element != f:
         raise SearchExhausted("flip sequence does not reproduce apply_element")

@@ -156,13 +156,7 @@ def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
     leaf n-1 to leaf 0, so neither does a match.
     """
     n, m = f.num_leaves, f.marker
-    range_nodes = {}
-    stack = [(f.range_tree, 0)]
-    while stack:
-        node, a = stack.pop()
-        if not node.is_leaf:
-            range_nodes[a, node.num_leaves] = node
-            stack += [(node.left, a), (node.right, a + node.left.num_leaves)]
+    range_nodes = {(a, k): node for node, a, k in f.range_tree._spans()}
     domain_blocks, range_blocks = set(), set()
     stack = [(f.domain_tree, 0)]
     while stack:

@@ -4,6 +4,7 @@ import cmath
 import heapq
 import math
 import random
+import time
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestCircleMap:
     def test_wraps_input(self):
         f = rotation_map(DyadicRational.parse("1/2^2"))
         assert f(1.25) == pytest.approx(0.5)
+
+    def test_nan_maps_to_nan(self):
+        """Every kind of map, a tabulated one with or without a sample at 0."""
+        maps = [
+            identity_map(),
+            rotation_map(DyadicRational.parse("3/2^3")),
+            mobius_map(0.3, 0.1),
+            tabulated_map([(0.0, 0.0), (0.5, 0.5)]),
+            tabulated_map([(0.1, 0.3), (0.6, 0.7)]),
+        ]
+        for f in maps:
+            assert math.isnan(f(math.nan)), f.name
 
 
 def grid_maps():
@@ -512,6 +525,16 @@ class TestReferences:
         for text in (f"{comb}|{left}@0", f"{left}|{comb}@7", f"{comb}|{comb}@3"):
             g = TreeDiagram.parse(text)
             assert sup_norm_error(f, g, 300) == evaluate_sup_norm_error(f, g, 300)
+
+    def test_sup_norm_of_a_1342_leaf_element(self):
+        """random_element(6400, 3) has 1342 leaves at depth 809, so g(x) comes
+        from `_exact_images`: its piece table and one bisection per sample
+        took 6-11 ms here, one `_evaluate_pair` descent per sample 216 ms."""
+        f, g = mobius_map(0.3, 0.1), random_element(6400, 3)
+        start = time.perf_counter()
+        err = sup_norm_error(f, g, 1024)
+        assert time.perf_counter() - start < 0.1
+        assert err == 0.49938244918841457
 
     def test_integer_loop_only_beyond_the_mantissa(self, monkeypatch):
         """The integer loop runs for the 120-deep comb and for no approximant

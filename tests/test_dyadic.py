@@ -57,6 +57,10 @@ class TestDyadicRational:
     def test_ordering(self):
         assert DyadicRational(1, 2) < HALF < DyadicRational(3, 2) < ONE
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+            DyadicRational(1, -1)
+
     @given(dyadics, dyadics)
     def test_order_matches_fractions(self, x, y):
         fx, fy = frac(x), frac(y)
@@ -153,6 +157,15 @@ class TestTTree:
         assert TTree.parse("((..)(.(..)))").num_leaves == 5
         assert LEAF.num_leaves == 1
 
+    def test_one_child_rejected(self):
+        with pytest.raises(ValueError, match="^internal nodes need exactly two children$"):
+            TTree(LEAF, None)
+
+    def test_hash_collision_still_compares_leaf_counts(self):
+        caret, three = TTree.parse("(..)"), TTree.parse("(.(..))")
+        three._hash = caret._hash
+        assert caret != three and three != caret
+
 
 class TestDyadicPartition:
     def test_rejects_non_standard(self):
@@ -164,6 +177,11 @@ class TestDyadicPartition:
         assert len(p) == 3
         assert str(p) == "0, 1/2^1, 3/2^2, 1"
 
+    def test_equality_with_another_type(self):
+        p = DyadicPartition.parse("0, 1/2^1, 1")
+        assert p.__eq__(p.tree) is NotImplemented
+        assert p != p.tree and p != str(p)
+
     def test_tree_bijection(self):
         for text in ["(..)", "((..).)", "((..)(.(..)))"]:
             t = TTree.parse(text)
@@ -171,9 +189,9 @@ class TestDyadicPartition:
 
     def test_leaf_containing(self):
         p = DyadicPartition.parse("0, 1/2^1, 3/2^2, 1")
-        assert p.tree.leaf_containing(ZERO)[0] == 0
-        assert p.tree.leaf_containing(HALF)[0] == 1
-        assert p.tree.leaf_containing(DyadicRational(7, 3))[0] == 2
+        assert p.tree._leaf_of_point(ZERO.num, ZERO.exp)[0] == 0
+        assert p.tree._leaf_of_point(HALF.num, HALF.exp)[0] == 1
+        assert p.tree._leaf_of_point(7, 3)[0] == 2
 
 
 def random_partition(draw_tree) -> DyadicPartition:
@@ -316,7 +334,8 @@ class TestTreeOperationsAgainstBreakpoints:
     @given(trees, dyadics)
     def test_leaf_containing_is_bisection(self, t, x):
         p = tree_to_partition(t)
-        assert t.leaf_containing(x.mod1())[0] == bisect.bisect_right(p.breakpoints, x.mod1()) - 1
+        y = x.mod1()
+        assert t._leaf_of_point(y.num, y.exp)[0] == bisect.bisect_right(p.breakpoints, y) - 1
 
     @given(sixteenths)
     def test_constructor_accepts_exactly_the_standard_sets(self, points):

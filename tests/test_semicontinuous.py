@@ -495,6 +495,12 @@ def tait_colourings(f: TreeDiagram) -> int:
     return 3 ** len(free) * count(0, {})
 
 
+def tait_value(f: TreeDiagram) -> Fraction:
+    """<Omega|pi(f)|Omega> for the four-colour tensor, exactly: the Tait
+    count over 3 * 2^(N-2)."""
+    return Fraction(tait_colourings(f), 3 * 2 ** (f.num_leaves - 2))
+
+
 def short_word_elements():
     """The reduced elements of the words of at most 3 letters, with N >= 2."""
     seen = {}
@@ -703,27 +709,46 @@ class TestDyadicRotations:
     vector, and p_k(0) is the weight of the rotation-invariant part."""
 
     @pytest.mark.parametrize(
-        "V, p0, tol",
+        "V, p0, tol, exact, exact_levels",
         [
-            (V3, [1, 0.75, 0.4219, 0.2225, 0.1115, 0.0557], 1e-4),
-            (singlet_tensor(), [1 / 4 + 3 / 4 * 2 ** (1 - k) for k in range(1, 7)], 1e-12),
+            (V3, [1, 0.75, 0.4219, 0.2225, 0.1115, 0.0557], 1e-4, tait_value, 3),
+            (
+                singlet_tensor(),
+                [1 / 4 + 3 / 4 * 2 ** (1 - k) for k in range(1, 7)],
+                1e-12,
+                loop_value,
+                6,
+            ),
         ],
         ids=["four-colour", "singlet"],
     )
-    def test_spectrum(self, V, p0, tol):
+    def test_spectrum(self, V, p0, tol, exact, exact_levels):
         """For k <= 6: the four-colour p_k(0) to 1e-4, the singlet's closed
-        form 1/4 + (3/4) 2^(1-k) to 1e-12."""
+        form 1/4 + (3/4) 2^(1-k) to 1e-12.  Each phi(a) equals its exact
+        value to 1e-12: the Tait count for k <= 3 (k = 4's search over all
+        16 rotations took 52 s) and the loop value for every k."""
         for k, want in enumerate(p0, start=1):
             tree = balanced_tree(k)
-            phi = [
-                vacuum_matrix_element(TreeDiagram(tree, tree, a), V, "diagram")
-                for a in range(2**k)
-            ]
+            rotations = [TreeDiagram(tree, tree, a) for a in range(2**k)]
+            phi = [vacuum_matrix_element(f, V, "diagram") for f in rotations]
+            if k <= exact_levels:
+                for a, f in enumerate(rotations):
+                    assert abs(phi[a] - exact(f)) <= 1e-12, (k, a)
             p = np.fft.fft(phi) / 2**k
             assert np.abs(p.imag).max() <= 1e-12, k
             assert p.real.min() >= -1e-15, k
             assert abs(p.real.sum() - 1) <= 1e-12, k
             assert abs(p[0].real - want) <= tol, k
+
+    def test_singlet_loop_values(self):
+        """The singlet's phi, exactly, for k <= 6: 1 at the identity and at
+        the half-turn, 1/4 at every other rotation."""
+        for k in range(1, 7):
+            tree = balanced_tree(k)
+            values = [loop_value(TreeDiagram(tree, tree, a)) for a in range(2**k)]
+            assert values == [
+                Fraction(1) if a % 2 ** (k - 1) == 0 else Fraction(1, 4) for a in range(2**k)
+            ], k
 
 
 class TestGram:

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import thompson_holo
@@ -140,6 +141,49 @@ def test_public_names_are_used():
         and name not in acceptance
     ]
     assert unused == []
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """Every function or method with a private name (one leading underscore,
+    not a dunder) that no code in `sources` reads outside its own body."""
+    trees = [ast.parse(source) for source in sources]
+
+    def counts(node: ast.AST) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    total = sum(map(counts, trees), Counter())
+    return [
+        fn.name
+        for tree in trees
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.endswith("__")
+        and total[fn.name] == counts(fn)[fn.name]
+    ]
+
+
+def test_detector_finds_unread_private_definitions():
+    sources = [
+        "def _used(x): return _used(x) if x else 0\n"
+        "def _unused(): return _used(1)\n"
+        "class T:\n"
+        "    def __init__(self): self._helper()\n"
+        "    def _helper(self): pass\n"
+        "    def _own(self): return self._own\n",
+        "def f(): return _used\n",
+    ]
+    assert unread_private_definitions(sources) == ["_unused", "_own"]
+
+
+def test_private_definitions_are_read():
+    """Every private function and method in the package is read somewhere in
+    the package outside its own body, so none is dead or left for tests only."""
+    assert unread_private_definitions([path.read_text() for path in SOURCES]) == []
 
 
 def test_package_surface_is_the_modules_all():

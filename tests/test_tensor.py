@@ -130,6 +130,11 @@ class TestBuiltins:
         for t in (four_colour_tensor(), singlet_tensor(), qutrit_code_tensor()):
             assert DenseTensor.from_text(t.to_text()) == t
 
+    def test_equality_with_another_type(self):
+        t = four_colour_tensor()
+        assert t.__eq__(t.array) is NotImplemented
+        assert t != t.to_text()
+
     @pytest.mark.parametrize(
         "body, line, reason",
         [

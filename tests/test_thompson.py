@@ -482,6 +482,20 @@ class TestDeepTrees:
         assert time.perf_counter() - start < 0.5
         assert (reduced.num_leaves, square.num_leaves) == (4001, 4002)
 
+    def test_reduce_collapses_4001_blocks_in_one_walk(self):
+        """A right comb and a left comb of 4000 carets with every leaf a caret:
+        8002 leaves, reducing to the two combs.  The whole-tree collapse took
+        0.03 s here; collapsing the 4001 blocks one by one through path
+        copies, as `_right_multiply` does, took 10 s."""
+        right = left = LEAF
+        for _ in range(4000):
+            right, left = TTree(LEAF, right), TTree(left, LEAF)
+        f = TreeDiagram(_graft(right, [_CARET] * 4001), _graft(left, [_CARET] * 4001))
+        start = time.perf_counter()
+        reduced = reduce_diagram(f)
+        assert time.perf_counter() - start < 1
+        assert reduced == TreeDiagram(right, left, 0)
+
 
 LETTERS = [_letter_element(c) for c in "ABCabc"]
 _CARET = TTree(LEAF, LEAF)
