@@ -19,7 +19,11 @@ the removed chords and the sorted added chords; the flipped edge and the new
 chord each join or leave the list their kind names.  The flip path runs on
 integers: the edge's ends and the new chord's are read through f or f^-1 as
 integer pairs by `evaluate`'s descents, with no interval object built, and
-chords compare their ends as integers.
+chords compare their ends as integers.  Labels and drawing share one
+integer walk of tau_0's intervals (`_farey_walk`), and a render draws
+tau_0's window from a table cached per depth (`_window_rows`) of finished
+paths, so it draws only the added chords and builds no object per window
+chord or per vertex.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .dyadic import (
     TTree,
     _find_node,
     _interval_of,
+    _lowest_terms,
     _splice,
 )
 from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted, ThompsonHoloError
@@ -144,11 +149,16 @@ def _tau0_apexes(a: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return inside, (a - 1, k)
 
 
-def _window_chord(i: int) -> Chord:
-    """The tau_0 chord at window position i: e0 at 0, then the chord of
-    [a/2^k, (a+1)/2^k] at 2^k - 3 + a, level by level."""
+def _window_interval(i: int) -> tuple[int, int]:
+    """(a, k) of the tau_0 interval [a/2^k, (a+1)/2^k] whose chord sits at
+    window position i: e0 at 0, then 2^k - 3 + a, level by level."""
     k = (i + 3).bit_length() - 1
-    a = i + 3 - (1 << k)
+    return i + 3 - (1 << k), k
+
+
+def _window_chord(i: int) -> Chord:
+    """The tau_0 chord at window position i."""
+    a, k = _window_interval(i)
     return chord(DyadicRational(a, k), DyadicRational(a + 1, k))
 
 
@@ -551,15 +561,30 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
     its other two sides.  A vertex is labelled while its dyadic exponent stays
     within the window (depth + 2 by default) or it touches a modified chord.
     """
+    return FareyLabeling(
+        tuple((DyadicRational(num, exp), lx) for num, exp, lx in _farey_walk(t, max_exponent))
+    )
+
+
+def _farey_walk(t: Tessellation, max_exponent: int | None):
+    """`farey_labels`' vertices in order, as (num, exp, label) with num/2^exp
+    in lowest terms.  The walk runs on integers: a vertex's image is read
+    off a range leaf's end or the affine piece of the domain leaf it lies in,
+    and the ends of the modified chords, which are labelled past the
+    window, are read off the diff's positions and added chords."""
     if max_exponent is None:
         max_exponent = t.depth + 2
     _check_cap(max_exponent, 2, "window points", f"max exponent {max_exponent}: ")
-    special = {x for c in t.removed | t.added for x in c.endpoints()}
+    removed, added = t._diff
+    special = {(x.num, x.exp) for c in added for x in c.endpoints()}
+    for a, k in map(_window_interval, removed):
+        special.update((_lowest_terms(a, k), _lowest_terms((a + 1) % (1 << k), k)))
     f = t.element
     n, m, ends = f.num_leaves, f.marker, f.range_tree._leaf_ends()
 
     u, v = t.doe
-    out = [(u, (0, 1)), (v, (1, 0))]
+    yield u.num, u.exp, (0, 1)
+    yield v.num, v.exp, (1, 0)
     # (interval [a/2^k, (a+1)/2^k], its ends' labels, whether the walk meets
     # them clockwise, the parent interval's domain node, first leaf and level);
     # the left face of e0 sees 1/0 as -1/0, so its labels come out negative.
@@ -576,16 +601,15 @@ def farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyLabel
         if node.is_leaf:  # inside one domain leaf: its affine piece, as in evaluate
             ra, rn = ends[(m + j) % n]
             num = ((2 * a + 1) << dn) + ((ra - (a >> (k - dn))) << (k + 1))
-            x = DyadicRational(num, k + 1 + rn)  # inside range leaf j + m, so in [0, 1)
+            x = _lowest_terms(num, k + 1 + rn)  # inside range leaf j + m, so in [0, 1)
         else:  # a domain leaf's left end, sent to a range leaf's left end
-            x = DyadicRational(*ends[(m + j + node.left.num_leaves) % n])
-        if x.exp > max_exponent and x not in special:
+            x = _lowest_terms(*ends[(m + j + node.left.num_leaves) % n])
+        if x[1] > max_exponent and x not in special:
             continue
         lx = (la[0] + lb[0], la[1] + lb[1])
-        out.append((x, lx))
+        yield *x, lx
         sides = [(2 * a, k + 1, la, lx), (2 * a + 1, k + 1, lx, lb)]
         queue.extend(s + (clockwise, node, j, dn) for s in (sides[::-1] if clockwise else sides))
-    return FareyLabeling(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +756,16 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
 # rendering
 
 
-def _circle_xy(x: DyadicRational, radius: float = 480.0):
+def _circle_xy(x, radius: float = 480.0):
+    """The point of the circle of `radius` at parameter x, a float or a
+    DyadicRational in [0, 1)."""
     th = 2.0 * math.pi * float(x)
     return (500.0 + radius * math.cos(th), 500.0 - radius * math.sin(th))
 
 
-def _arc_path(p: DyadicRational, q: DyadicRational) -> str:
-    """SVG path for the geodesic between boundary points p and q."""
+def _arc_path(p, q) -> str:
+    """SVG path for the geodesic between boundary points p and q, each a
+    float or a DyadicRational."""
     x1, y1 = _circle_xy(p)
     x2, y2 = _circle_xy(q)
     delta = abs(float(p) - float(q)) % 1.0
@@ -752,30 +779,73 @@ def _arc_path(p: DyadicRational, q: DyadicRational) -> str:
     return f"M {x1:.3f} {y1:.3f} A {r:.3f} {r:.3f} 0 0 {sweep} {x2:.3f} {y2:.3f}"
 
 
-def _chord_paths(chords: list[Chord], stroke: str, doe: Chord | None = None) -> list[str]:
-    """A path per chord but the doe, in the exact order of the chords' ends,
-    each read as an integer numerator over one power of two.  A chord given
-    twice, as a two-interval cutoff gives its diameter, is drawn twice."""
-    e = max(x.exp for c in chords + [doe] if c for x in c.endpoints())
+def _chord_path(p, q, stroke: str) -> str:
+    return f'<path d="{_arc_path(p, q)}" fill="none" {stroke}/>'
+
+
+_EDGE = 'stroke="black" stroke-width="1"'
+
+
+def _chord_paths(chords: list[Chord], stroke: str) -> list[str]:
+    """A path per chord, in the exact order of the chords' ends, each read as
+    an integer numerator over one power of two.  A chord given twice, as a
+    two-interval cutoff gives its diameter, is drawn twice."""
+    e = max(x.exp for c in chords for x in c.endpoints())
 
     def key(c: Chord) -> tuple[int, int]:
         return c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)
 
-    skip = doe and key(doe)
-    keyed = [(k, c) for k, c in sorted((key(c), c) for c in chords) if k != skip]
-    return [f'<path d="{_arc_path(c.a, c.b)}" fill="none" {stroke}/>' for _, c in keyed]
+    return [_chord_path(c.a, c.b, stroke) for c in sorted(chords, key=key)]
+
+
+@functools.lru_cache(maxsize=8)
+def _window_rows(depth: int) -> tuple[tuple[int, int, int, str], ...]:
+    """tau_0's window (`_standard_window`) in drawing order, as rows (a, b,
+    position, path): the chord's ends a < b as integers over 2^(depth+2),
+    its window position and its finished black <path .../> line."""
+    e = depth + 2
+    rows = []
+    for i in range(2 ** (depth + 3) - 3):
+        a, k = _window_interval(i)
+        p, q = a << (e - k), ((a + 1) << (e - k)) % (1 << e)
+        p, q = (p, q) if q else (q, p)  # the chord of [a/2^k, 1] runs from 0
+        rows.append((p, q, i, _chord_path(p / (1 << e), q / (1 << e), _EDGE)))
+    return tuple(sorted(rows))
 
 
 def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
-    parts = _chord_paths(t.window_edges(), 'stroke="black" stroke-width="1"', t.doe_chord())
+    """The window's edges but the doe, in the order of their ends, then the
+    doe and, with `labels`, the Farey labels.  The tau_0 edges are the rows
+    of `_window_rows` whose positions are neither removed nor the doe's, and
+    each added chord but the doe is drawn and put in by bisection, its ends
+    and the rows' read as integers over the finest power of two among them."""
+    _check_cap(t.depth + 3, 2, "window chords", f"depth {t.depth}: ")
+    rows = _window_rows(t.depth)
+    removed, added = t._diff
+    doe = t.doe_chord()
+    skip = {*removed, _window_index(doe)}
+    added = [c for c in added if c != doe]
+    e = max([t.depth + 2] + [x.exp for c in added for x in c.endpoints()])
+    s = e - t.depth - 2
+    parts, start = [], 0
+    for c in added:
+        at = bisect.bisect(
+            rows,
+            (c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)),
+            key=lambda row: (row[0] << s, row[1] << s),
+        )
+        parts += [row[3] for row in rows[start:at] if row[2] not in skip]
+        parts.append(_chord_path(c.a, c.b, _EDGE))
+        start = at
+    parts += [row[3] for row in rows[start:] if row[2] not in skip]
     u, v = t.doe
     parts.append(
         f'<path d="{_arc_path(u, v)}" fill="none" stroke="red" '
         'stroke-width="3" marker-end="url(#arrow)"/>'
     )
     if labels:
-        for vert, (p, q) in farey_labels(t).vertex_to_label:
-            x, y = _circle_xy(vert, 455.0)
+        for num, exp, (p, q) in _farey_walk(t, None):
+            x, y = _circle_xy(num / (1 << exp), 455.0)
             parts.append(
                 f'<text x="{x:.1f}" y="{y:.1f}" font-size="14" '
                 f'text-anchor="middle">{p}/{q}</text>'

@@ -54,24 +54,39 @@ def test_no_recursive_function():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
-def unbounded_caches(source: str) -> list[int]:
-    """Lines of every functools.cache and every lru_cache(maxsize=None)."""
+def integer_constant(node: ast.AST | None) -> int | None:
+    """The value of an expression of integer literals and arithmetic, or
+    None for anything else: a name, None, a float, a call."""
+    allowed = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    if node is None or not all(isinstance(n, allowed) for n in ast.walk(node)):
+        return None
+    value = eval(compile(ast.Expression(node), "<maxsize>", "eval"), {"__builtins__": {}})
+    return value if type(value) is int else None
+
+
+def cache_bounds(source: str) -> list[tuple[int, int | None]]:
+    """(line, maxsize) of every functools cache: every functools.cache and
+    every lru_cache, with maxsize None unless the cache is given one as an
+    integer constant expression."""
+    tree = ast.parse(source)
+    called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            if any(alias.name == "cache" for alias in node.names):
-                out.append(node.lineno)
+            out += [(node.lineno, None) for alias in node.names if alias.name == "cache"]
         elif isinstance(node, ast.Attribute) and node.attr == "cache":
             if isinstance(node.value, ast.Name) and node.value.id == "functools":
-                out.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            f = node.func
-            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != "lru_cache":
-                continue
-            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
-            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
-                out.append(node.lineno)
-    return out
+                out.append((node.lineno, None))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "lru_cache" in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+        ):
+            call = called.get(id(node))  # a bare lru_cache takes its default maxsize
+            sizes = [] if call is None else call.args[:1] + [
+                k.value for k in call.keywords if k.arg == "maxsize"
+            ]
+            out.append((node.lineno, integer_constant(sizes[0]) if sizes else None))
+    return sorted(out)
 
 
 def test_detector_finds_unbounded_caches():
@@ -86,15 +101,33 @@ def test_detector_finds_unbounded_caches():
         "def h(x): return x\n"
         "@functools.lru_cache(maxsize=8)\n"
         "def k(x): return x\n"
+        "@functools.lru_cache\n"
+        "def l(x): return x\n"
+        "@lru_cache(typed=True)\n"
+        "def m(x): return x\n"
+        "@functools.lru_cache(maxsize=SIZE)\n"
+        "def n(x): return x\n"
+        "@functools.lru_cache(maxsize=2.5)\n"
+        "def o(x): return x\n"
+        "@functools.lru_cache(6**3 + 6**2 + 6)\n"
+        "def p(x): return x\n"
     )
-    assert unbounded_caches(source) == [2, 3, 5, 7]
+    assert cache_bounds(source) == [
+        (2, None), (3, None), (5, None), (7, None), (9, 8),
+        (11, None), (13, None), (15, None), (17, None), (19, 258),
+    ]
 
 
 def test_no_unbounded_cache():
     """A cache keyed by the inputs grows with every distinct input, so
-    every cache in the package has a bound."""
-    found = {path.name: unbounded_caches(path.read_text()) for path in SOURCES}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    every cache in the package has an explicit finite integer maxsize."""
+    found = [
+        (path.name, line, maxsize)
+        for path in SOURCES
+        for line, maxsize in cache_bounds(path.read_text())
+    ]
+    assert [(name, line) for name, line, maxsize in found if maxsize is None] == []
+    assert len(found) >= 7
 
 
 def exported(tree: ast.Module) -> list[str]:

@@ -10,7 +10,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -20,6 +19,7 @@ from thompson_holo.errors import (
     EdgeNotFound,
     LabelNotRepresented,
     NotStandardDyadic,
+    ResourceLimit,
     SearchExhausted,
 )
 from thompson_holo.tensor import _check_cap
@@ -33,11 +33,11 @@ from thompson_holo.tessellation import (
     _Triangulation,
     _chord_pairs,
     _normalize_label,
-    _render_tessellation,
     _render_tree,
     _standard_window,
     _window_chord,
     _window_index,
+    _window_rows,
     apply_element,
     apply_flips,
     chord,
@@ -917,6 +917,8 @@ class TestRendering:
         assert "<svg" in render_svg(parse_word("B"))
         svg = render_svg(DyadicPartition.parse("0, 1/2^1, 3/2^2, 1"))
         assert svg.startswith("<svg") and svg.count('stroke="blue"') == 3
+        # a two-interval cutoff draws its diameter once per interval
+        assert render_svg(DyadicPartition.parse("0, 1/2^1, 1")).count('stroke="blue"') == 2
         with pytest.raises(TypeError, match="^cannot render object of type object$"):
             render_svg(object())
 
@@ -1155,15 +1157,14 @@ def assert_matches_reference(t: Tessellation, ref: RefTessellation, outputs: boo
         return
     assert t.flips == ref.flips
     assert t.window_edges() == ref.window_edges()
-    assert farey_labels(t).vertex_to_label == face_walk_farey_labels(ref).vertex_to_label
-    # a RefTessellation has no element, so its labelled parts come from the
-    # face walk
-    with mock.patch.object(tessellation, "farey_labels", face_walk_farey_labels):
-        want = [_render_tessellation(ref, labels) for labels in (False, True)]
+    ref_labels = face_walk_farey_labels(ref).vertex_to_label
+    assert farey_labels(t).vertex_to_label == ref_labels
     for labels in (False, True):
         # render_svg is the header, the boundary circle, the disc's parts and
-        # the closing tag, one per line
-        assert render_svg(t, labels).split("\n")[2:-1] == want[labels]
+        # the closing tag, one per line; a RefTessellation has no element, so
+        # its labels come from the face walk
+        want = ref_disc_parts(ref.window_edges(), ref.doe, ref_labels if labels else ())
+        assert render_svg(t, labels).split("\n")[2:-1] == want
     if t.flips is not None:
         assert t.to_json() == ref.to_json()
 
@@ -1267,25 +1268,33 @@ def ref_farey_labels(t: Tessellation, max_exponent: int | None = None) -> FareyL
     return FareyLabeling(tuple(out))
 
 
-def ref_render_svg(t: Tessellation, labels: bool) -> str:
+def ref_disc_parts(edges: list[Chord], doe: tuple, vertex_to_label) -> list[str]:
+    """The SVG lines of a tessellation inside the disc: a black path per
+    edge but the doe's chord, in Chord order, the red doe, and a text per
+    labelled vertex."""
     parts = []
-    for c in sorted(set(ref_window_edges(t)) - {t.doe_chord()}):
+    for c in sorted(set(edges) - {chord(*doe)}):
         parts.append(
             f'<path d="{tessellation._arc_path(c.a, c.b)}" fill="none" '
             'stroke="black" stroke-width="1"/>'
         )
-    u, v = t.doe
+    u, v = doe
     parts.append(
         f'<path d="{tessellation._arc_path(u, v)}" fill="none" stroke="red" '
         'stroke-width="3" marker-end="url(#arrow)"/>'
     )
-    if labels:
-        for vert, (p, q) in ref_farey_labels(t).vertex_to_label:
-            x, y = tessellation._circle_xy(vert, 455.0)
-            parts.append(
-                f'<text x="{x:.1f}" y="{y:.1f}" font-size="14" '
-                f'text-anchor="middle">{p}/{q}</text>'
-            )
+    for vert, (p, q) in vertex_to_label:
+        x, y = tessellation._circle_xy(vert, 455.0)
+        parts.append(
+            f'<text x="{x:.1f}" y="{y:.1f}" font-size="14" '
+            f'text-anchor="middle">{p}/{q}</text>'
+        )
+    return parts
+
+
+def ref_render_svg(t: Tessellation, labels: bool) -> str:
+    vertex_to_label = ref_farey_labels(t).vertex_to_label if labels else ()
+    parts = ref_disc_parts(ref_window_edges(t), t.doe, vertex_to_label)
     # the header and the boundary circle are the same for every tessellation
     head = render_svg(standard_tessellation(0)).split("\n")[:2]
     return "\n".join(head + parts + ["</svg>"])
@@ -1471,6 +1480,84 @@ class TestCarriedWindow:
         assert 0 < len(index_calls) <= 2 * len(edges)
         assert t.window_edges() == Tessellation(6, t.element).window_edges()
         assert t.element == apply_flips(standard_tessellation(6), edges).element
+
+
+class TestRenderFromWindowTable:
+    """render_svg draws tau_0's window from a per-depth table of finished
+    paths, and draws the labels from the integer walk of farey_labels."""
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_rows_are_the_window_in_chord_order(self, depth):
+        """Each row holds its chord's ends over 2^(depth+2), its window
+        position and its path, and the rows follow Chord order."""
+        window, e = _standard_window(depth), depth + 2
+        rows = _window_rows(depth)
+        assert [window[i] for _, _, i, _ in rows] == sorted(window)
+        for a, b, i, path in rows:
+            c = window[i]
+            assert (Fraction(a, 2**e), Fraction(b, 2**e)) == (as_frac(c.a), as_frac(c.b))
+            assert path == (
+                f'<path d="{tessellation._arc_path(c.a, c.b)}" fill="none" '
+                'stroke="black" stroke-width="1"/>'
+            )
+
+    def test_seeded_walks_match_reference(self):
+        """At every step of seeded walks at depths 0-6, each starting with a
+        flip of the chord at the last window position, both renders equal
+        the reference's.  The walks meet does that are added chords and
+        tessellations without the last window chord."""
+        rng = random.Random(3838)
+        doe_added = last_removed = 0
+        for depth in range(7):
+            last = len(_standard_window(depth)) - 1
+            t = pachner_flip(standard_tessellation(depth), _window_chord(last))
+            for e in seeded_walk(rng, t, 30)[0]:
+                t = pachner_flip(t, e)
+                doe_added += t.doe_chord() in t.added
+                last_removed += last in t._diff[0]
+                for labels in (False, True):
+                    assert render_svg(t, labels) == ref_render_svg(t, labels), (
+                        depth, str(t.element), labels
+                    )
+        assert doe_added > 0 and last_removed > 0
+
+    def test_cap_is_checked_before_the_table(self):
+        before = _window_rows.cache_info()
+        message = "^depth 22: 2\\^25 window chords exceed the cap of 16777216$"
+        for labels in (False, True):
+            with pytest.raises(ResourceLimit, match=message):
+                render_svg(standard_tessellation(22), labels)
+        assert _window_rows.cache_info() == before
+
+    def test_table_is_built_once_per_depth(self):
+        _window_rows.cache_clear()
+        for depth in (4, 5, 4, 5, 4):
+            for labels in (False, True):
+                render_svg(pachner_flip(standard_tessellation(depth), E0), labels)
+        info = _window_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
+
+    def test_render_builds_nothing_per_window_row(self, monkeypatch):
+        """Once the diff, the doe and the table are in hand, rendering a
+        walked depth-6 tessellation reads no window_edges and builds no
+        DyadicRational, with labels or without, and one Chord: the doe's."""
+        rng = random.Random(3839)
+        t = apply_flips(standard_tessellation(6), seeded_walk(rng, standard_tessellation(6), 35)[0])
+        assert t.removed and t.added
+        for labels in (False, True):
+            want = render_svg(t, labels)
+        built, chords = [], []
+        post_init, init = DyadicRational.__post_init__, Chord.__init__
+        monkeypatch.setattr(
+            DyadicRational, "__post_init__", lambda x: built.append(x) or post_init(x)
+        )
+        monkeypatch.setattr(Chord, "__init__", lambda c, *ends: chords.append(ends) or init(c, *ends))
+        monkeypatch.setattr(Tessellation, "window_edges", lambda t: pytest.fail("window_edges read"))
+        got = [render_svg(t, labels) for labels in (False, True)]
+        monkeypatch.undo()
+        assert got[1] == want
+        assert built == []
+        assert [chord(*ends) for ends in chords] == [t.doe_chord()] * 2
 
 
 class TestActionCommutesWithFlips:
