@@ -405,33 +405,42 @@ class BTZState:
 
 
 def btz_state(halfwidth: int, V: DenseTensor) -> BTZState:
-    """Contract the ring of 4*halfwidth triangles of the finite BTZ strip.
+    """The ring of 4*halfwidth triangles of the finite BTZ strip, normalised.
 
     The strip has 2*halfwidth triangle columns between the two identified
     geodesics; each column is two triangles sharing a diagonal, and closing
     the strip into a ring performs the identification.  Even triangles face
-    boundary A, odd triangles boundary B.  The contracted legs come out in
-    ring order; one division by the norm writes them C-contiguous, A legs
-    first, so each half's matrix in `entanglement_entropy` is a view.
+    boundary A, odd triangles boundary B; a triangle's legs are (bond to
+    the previous one, boundary, bond to the next one).  The ring is a
+    product of transfer matrices: the column tensor
+    C[alpha, a, b, gamma] = sum_beta V[alpha, a, beta] V[beta, b, gamma],
+    h = halfwidth columns multiplied into a half-ring
+    H[alpha, a_0 .. a_(h-1), b_0 .. b_(h-1), gamma], and the two halves
+    joined by one matrix product over the two cut bonds, which gives the
+    amplitudes as [A1, B1, A2, B2].  One division by the norm writes them
+    C-contiguous, A legs first, so each half's matrix in
+    `entanglement_entropy` is a view.  The size is checked against the
+    amplitude cap before anything is made, and a ring that sums to zero
+    raises ValueError.
     """
     _check_halfwidth(halfwidth)
     _check_three_legs(V)
     d = V.leg_dims[0]
-    ntri = 4 * halfwidth
-    _check_cap(ntri, d)
-    nodes = [V] * ntri
-    bonds = []
-    open_a, open_b = [], []
-    for i in range(ntri):
-        # triangle legs: 0 = bond to previous, 1 = boundary, 2 = bond to next
-        bonds.append(((i, 2), ((i + 1) % ntri, 0)))
-        (open_a if i % 2 == 0 else open_b).append((i, 1))
-    net = TensorNetwork(nodes, bonds, open_a + open_b)
-    raw = contract(net).array
+    _check_cap(4 * halfwidth, d)
+    v, h = V.array, halfwidth
+    column = (v.reshape(d * d, d) @ v.reshape(d, d * d)).reshape(d, -1)  # [alpha, (a b gamma)]
+    half = column
+    for _ in range(h - 1):
+        half = half.reshape(-1, d) @ column  # [alpha, a_0, b_0, ..., a_j, b_j, gamma]
+    half = half.reshape((d,) * (2 * h + 2))
+    legs = [*range(1, 2 * h, 2), *range(2, 2 * h + 1, 2)]  # a_0 .. a_(h-1), b_0 .. b_(h-1)
+    left = half.transpose([*legs, 2 * h + 1, 0]).reshape(-1, d * d)
+    raw = left @ half.transpose([0, 2 * h + 1, *legs]).reshape(d * d, -1)  # [A1, B1, A2, B2]
     norm = np.linalg.norm(raw)
     if norm == 0:
         raise ValueError("BTZ network contracted to zero")
-    amps = np.asarray(np.divide(raw, norm, order="C"), dtype=complex)
+    amps = np.divide(raw.reshape((d**h,) * 4).transpose(0, 2, 1, 3), norm, order="C")
+    amps = amps.reshape((d,) * (4 * h))
     return _built(BTZState, amps, halfwidth=halfwidth, tensor=V)  # invariant by construction
 
 
@@ -450,15 +459,14 @@ def entanglement_entropy(state, subsystem) -> float:
     (`_momentum_blocks`), each about d^n / n wide for n legs of dimension
     d, instead of from one d^n-wide matrix.  m is then the amplitudes as a
     square matrix, transposed for the B half, and neither is copied when
-    the amplitudes are C-contiguous.
+    the amplitudes are C-contiguous; whether the state is real is read from
+    the entries the sectors gather, not from a scan of every amplitude.
     """
     amps = state.amplitudes
     n = amps.ndim
     sub = sorted(set(subsystem))
     if any(not 0 <= j < n for j in sub):
         raise IndexError("subsystem leg index out of range")
-    if not np.any(amps.imag):
-        amps = amps.real
     if isinstance(state, BTZState) and sub in (
         list(range(state.num_a)),
         list(range(state.num_a, n)),
@@ -467,6 +475,8 @@ def entanglement_entropy(state, subsystem) -> float:
         m = amps.reshape(d ** len(sub), -1)
         blocks = _momentum_blocks(m if sub[0] == 0 else m.T, d, len(sub))
     else:
+        if not np.any(amps.imag):
+            amps = amps.real
         rest = [j for j in range(n) if j not in sub]
         m = amps.transpose(sub + rest).reshape(
             math.prod(amps.shape[j] for j in sub), -1
@@ -521,21 +531,34 @@ def _momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
     representatives' columns.  rho commutes with the shift too, and its
     block k is M_k M_k^dagger.  For real m, blocks k and n - k are complex
     conjugates with one spectrum, so only k = 0 ... n/2 are built, and the
-    k = 0 and k = n/2 blocks are real.
+    k = 0 and k = n/2 blocks are real.  m counts as real when the gathered
+    entries are: every row of m is a shift of a representative's row, so
+    no other entry is read.  Their DFT is then two real matrix products,
+    one for its real part and one for its imaginary part.
     """
     reps, images, periods = _shift_orbits(d, n)
-    gathered = m[reps[:, None, None], images]  # [o, s, o'] = m[r_o, shift_s(r_o')]
-    real = not np.iscomplexobj(m)
-    spectra = np.fft.rfft(gathered, axis=1) if real else np.fft.fft(gathered, axis=1)
+    orbits = len(reps)
+    # [s, (o, o')] = m[r_o, shift_s(r_o')]
+    gathered = m[reps[None, :, None], images[:, None, :]].reshape(n, -1)
+    real = not np.any(gathered.imag)
+    if real:  # spectra is the DFT's real part, imag its imaginary part
+        dft = np.fft.rfft(np.eye(n), axis=0)  # dft[k, s] = w^(ks), k = 0 ... n/2
+        rows = gathered.real.copy()  # contiguous, so both products run in BLAS
+        spectra = (dft.real @ rows).reshape(-1, orbits, orbits)
+        imag = (dft.imag @ rows).reshape(-1, orbits, orbits)
+    else:
+        spectra = np.fft.fft(gathered, axis=0).reshape(n, orbits, orbits)
     weights = np.sqrt(periods / n)
     blocks = []
-    for k in range(spectra.shape[1]):
+    for k in range(len(spectra)):
         sel = np.flatnonzero(k * periods % n == 0)
-        mk = spectra[sel, k][:, sel] * np.outer(weights[sel], weights[sel])
+        scale, pick = np.outer(weights[sel], weights[sel]), np.ix_(sel, sel)
+        mk = spectra[k][pick] * scale
         if not real:
             blocks.append((mk @ mk.conj().T, 1))
         elif 2 * k % n == 0:
-            blocks.append((mk.real @ mk.real.T, 1))
+            blocks.append((mk @ mk.T, 1))
         else:
+            mk = mk + 1j * (imag[k][pick] * scale)
             blocks.append((mk @ mk.conj().T, 2))
     return blocks

@@ -1,9 +1,10 @@
 """Perfect tensors and a small deterministic dense contraction engine.
 
 Tensor entries are complex doubles; exactness lives in the combinatorics.
-Two networks are contracted: the diagram route's two trees of 3-leg tensors
-glued leaf to leaf along the boundary (planar, no open legs), and the BTZ
-ring of 4*halfwidth triangles.  `contract` plans first, on leg sizes and
+One kind of network is contracted: the diagram route's two trees of 3-leg
+tensors glued leaf to leaf along the boundary (planar, no open legs).  The
+BTZ ring is not a network here: `semicontinuous.btz_state` multiplies its
+column tensors directly.  `contract` plans first, on leg sizes and
 integer labels alone: it merges greedily from a heap of bonded pairs keyed
 (result size, older id, newer id), ids numbering pool entries as they are
 made, so it takes the first minimum of an all-pairs scan in pool order
@@ -92,6 +93,8 @@ class DenseTensor:
         return self.array.ndim
 
     def __eq__(self, other) -> bool:
+        if self is other:  # entries are finite, so a tensor equals itself
+            return True
         if not isinstance(other, DenseTensor):
             return NotImplemented
         return self.leg_dims == other.leg_dims and np.array_equal(self.array, other.array)

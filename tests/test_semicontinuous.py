@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +40,6 @@ from thompson_holo.semicontinuous import (
 )
 from thompson_holo.tensor import (
     DenseTensor,
-    TensorNetwork,
     contract,
     four_colour_tensor,
     normalize_isometry,
@@ -63,6 +63,7 @@ from thompson_holo.thompson import (
     reduce_diagram,
 )
 
+from test_tensor import btz_ring
 from test_tessellation import ALPHA, BETA
 
 
@@ -1175,12 +1176,9 @@ def rho_row_momentum_blocks(m: np.ndarray, d: int, n: int) -> list:
 
 
 def ring_copy_then_divide(h: int, V: DenseTensor) -> np.ndarray:
-    """btz_state's amplitudes as a C-ordered copy of the contracted ring,
-    then divided by the copy's norm."""
-    ntri = 4 * h
-    bonds = [((i, 2), ((i + 1) % ntri, 0)) for i in range(ntri)]
-    legs = [(i, 1) for i in range(0, ntri, 2)] + [(i, 1) for i in range(1, ntri, 2)]
-    amps = np.array(contract(TensorNetwork([V] * ntri, bonds, legs)).array, order="C")
+    """btz_state's amplitudes as a C-ordered copy of the ring contracted as
+    one network, then divided by the copy's norm."""
+    amps = np.array(contract(btz_ring(h, V)).array, order="C")
     amps /= np.linalg.norm(amps)
     return amps
 
@@ -1248,19 +1246,77 @@ class TestSectorBlocksFromAmplitudes:
         + [(1, singlet_tensor()), (2, singlet_tensor())],
     )
     def test_amplitudes_match_copy_then_divide(self, h, V):
-        """btz_state divides the contracted ring by its norm in one pass.
-        That norm sums in the contraction's memory order, not in C order;
-        for the phased tensor at h >= 2 its last bit differs, and the
-        amplitudes by up to 2 ulp."""
+        """btz_state multiplies column tensors into two half-rings and
+        divides their product by its norm in one pass.  The norm sums in
+        the product's memory order, not in C order, and at h = 3 the
+        columns associate differently from the contraction's greedy order:
+        for the phased tensor some amplitudes of about 1e-16 come from
+        cancellations, and differ by tens of ulp there, about 1e-17."""
         amps, reference = btz_state(h, V).amplitudes, ring_copy_then_divide(h, V)
         assert amps.flags.c_contiguous
-        if V is PHASED and h > 1:
+        if V is PHASED and h > 2:
+            assert np.max(np.abs(amps - reference)) <= 1e-16
+        elif V is PHASED and h > 1:
             for part in ("real", "imag"):
                 np.testing.assert_array_max_ulp(
                     getattr(amps, part), getattr(reference, part), maxulp=2
                 )
         else:
             assert np.array_equal(amps, reference)
+
+
+def random_three_leg(d: int, seed: int) -> DenseTensor:
+    rng = np.random.default_rng(seed)
+    return DenseTensor(rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3))
+
+
+class TestRingAsColumnProducts:
+    """btz_state multiplies column tensors instead of contracting the ring."""
+
+    @pytest.mark.parametrize("d, h", [(2, h) for h in (1, 2, 3, 4)] + [(3, h) for h in (1, 2, 3)])
+    def test_random_complex_tensors_match_the_ring_network(self, d, h):
+        """Any 3-leg V, perfect or not: the column product needs no isometry."""
+        V = random_three_leg(d, 10 * d + h)
+        amps, reference = btz_state(h, V).amplitudes, ring_copy_then_divide(h, V)
+        assert amps.flags.c_contiguous and not amps.flags.writeable
+        assert np.max(np.abs(amps - reference)) <= 1e-15
+
+    def test_peak_memory_is_two_full_arrays(self):
+        """The product over the cut bonds and its normalised C-ordered copy:
+        2 * 3^12 complex entries are 17.0 MB."""
+        btz_state(1, V3)
+        tracemalloc.start()
+        try:
+            state = btz_state(3, V3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.amplitudes.nbytes == 3**12 * 16
+        assert peak <= 18e6
+
+    def test_zero_ring_checked_after_the_cap(self, monkeypatch):
+        zero = DenseTensor(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="^BTZ network contracted to zero$"):
+            btz_state(2, zero)
+        monkeypatch.setenv("THOMPSON_HOLO_MAX_AMPLITUDES", str(2**8 - 1))
+        with pytest.raises(ResourceLimit, match="2\\^8 amplitudes exceed the cap of 255"):
+            btz_state(2, zero)
+
+    @pytest.mark.parametrize("d, h", [(2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_hand_built_complex_states(self, d, h, eigvalsh_args):
+        """A random complex ring, and a real ring times i (every real part
+        zero) and times exp(0.3 i), each built by hand: every half is read
+        from one complex block per momentum."""
+        V = random_three_leg(d, 10 * d + h)
+        real_ring = btz_state(h, DenseTensor(V.array.real)).amplitudes
+        assert not np.any(real_ring.imag)
+        for amps in (ring_copy_then_divide(h, V), 1j * real_ring, np.exp(0.3j) * real_ring):
+            state = BTZState(h, amps, V)
+            for side in halves(state):
+                eigvalsh_args.clear()
+                entropy = entanglement_entropy(state, side)
+                assert [dtype for _, dtype in eigvalsh_args] == [np.complex128] * (2 * h)
+                assert entropy == pytest.approx(reference_entropy(state, side), abs=1e-12)
 
 
 class TestStateStorage:

@@ -219,6 +219,14 @@ def test_private_definitions_are_read():
     assert unread_private_definitions([path.read_text() for path in SOURCES]) == []
 
 
+def test_btz_state_builds_no_network():
+    """The BTZ ring is a product of column tensors, so `btz_state` neither
+    builds a TensorNetwork nor calls the general contraction."""
+    tree = ast.parse((ROOT / "src" / "thompson_holo" / "semicontinuous.py").read_text())
+    (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "btz_state"]
+    assert reads(fn).isdisjoint({"TensorNetwork", "contract"})
+
+
 def test_package_surface_is_the_modules_all():
     """`import thompson_holo` exposes exactly the modules' __all__, the
     errors module and the submodules themselves."""
