@@ -403,9 +403,24 @@ def _build(item, split) -> TTree:
 
 
 def _graft(tree: TTree, subtrees: list[TTree]) -> TTree:
-    """`tree` with its leaf j replaced by subtrees[j]."""
-    below = iter(subtrees)
-    return _build(tree, lambda node: next(below) if node.is_leaf else (node.left, node.right))
+    """`tree` with its leaf j replaced by subtrees[j], by one explicit-stack
+    walk that reads the subtrees by a running index and builds only the
+    carets above them; a None on the stack joins the last two subtrees
+    built."""
+    out: list[TTree] = []
+    j = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            right = out.pop()
+            out[-1] = TTree(out[-1], right)
+        elif node.left is None:
+            out.append(subtrees[j])
+            j += 1
+        else:
+            stack += [None, node.right, node.left]
+    return out[0]
 
 
 def _leaf_subtrees(t1: TTree, t2: TTree) -> tuple[list[TTree], list[TTree]]:

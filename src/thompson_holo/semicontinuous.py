@@ -252,7 +252,7 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
     n = sum(t.num_leaves for t in below)
     _check_cap(n, s.tensor.leg_dims[0])
     amps = _grain(s.amplitudes, below, s.tensor)
-    range_tree, marker = _graft_images(f, below_f)
+    range_tree, marker = _graft_images(f.range_tree, f.marker, below_f)
     perm = [(k - marker) % n for k in range(n)]
     return _built(
         CutoffState, amps.transpose(perm), cutoff=tree_to_partition(range_tree), tensor=s.tensor
@@ -261,6 +261,18 @@ def act(f: TreeDiagram, s: CutoffState) -> CutoffState:
 
 # ---------------------------------------------------------------------------
 # matrix elements
+
+
+@functools.lru_cache(maxsize=8)
+def _diagram_tensors(V: DenseTensor) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
+    """The diagram route's node tensors for V: the cup, W3 = the splitter W
+    with legs (in, out, out), and its conjugate W3c.  Cached per tensor; a
+    tensor that is not perfect raises NotPerfect on every call, since
+    exceptions are not cached."""
+    W = _normalized_splitter(V)
+    d = W.shape[1]
+    W3 = DenseTensor(W.reshape(d, d, d).transpose(2, 0, 1))
+    return DenseTensor(_cup(d)), W3, DenseTensor(np.conj(W3.array))
 
 
 def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
@@ -273,14 +285,11 @@ def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
     f = reduce_diagram(f)
     if f.domain_tree.is_leaf:
         return complex(1.0)
-    d = V.leg_dims[0]
-    W = _normalized_splitter(V)
-    W3 = DenseTensor(W.reshape(d, d, d).transpose(2, 0, 1))  # legs (in, out, out)
-    W3c = DenseTensor(np.conj(W3.array))
+    cup, W3, W3c = _diagram_tensors(V)
     nodes: list[DenseTensor] = []
     bonds: list = []
-    ket_leaves = _grain_like_side(f.domain_tree, W3, d, nodes, bonds)
-    bra_leaves = _grain_like_side(f.range_tree, W3c, d, nodes, bonds)
+    ket_leaves = _grain_like_side(f.domain_tree, cup, W3, nodes, bonds)
+    bra_leaves = _grain_like_side(f.range_tree, cup, W3c, nodes, bonds)
     n = f.num_leaves
     for j in range(n):
         bonds.append((ket_leaves[j], bra_leaves[(f.marker + j) % n]))
@@ -289,14 +298,14 @@ def _diagram_matrix_element(f: TreeDiagram, V: DenseTensor) -> complex:
     return complex(value.array)
 
 
-def _grain_like_side(tree: TTree, W3: DenseTensor, d: int, nodes, bonds):
-    """Wire a cup at the root of `tree` and one copy of W3 (legs in, out,
+def _grain_like_side(tree: TTree, cup: DenseTensor, W3: DenseTensor, nodes, bonds):
+    """Wire `cup` at the root of `tree` and one copy of W3 (legs in, out,
     out) per internal node below it, numbered parent before children; return
     the open leaf legs, left to right."""
-    nodes.append(DenseTensor(_cup(d)))
-    cup = len(nodes) - 1
+    root = len(nodes)
+    nodes.append(cup)
     open_legs: list = []
-    stack = [(tree.right, (cup, 1)), (tree.left, (cup, 0))]
+    stack = [(tree.right, (root, 1)), (tree.left, (root, 0))]
     while stack:
         node, feed = stack.pop()
         if node.is_leaf:

@@ -283,21 +283,22 @@ class TensorNetwork:
 
     def validate(self) -> list[list[int]]:
         """Check the wiring and return each node's leg labels: a bonded leg's
-        is its bond's index, open leg j's is len(bonds) + j."""
-        labels: list[list[int | None]] = [[None] * t.num_legs for t in self.tensors]
+        is its bond's index, open leg j's is len(bonds) + j.  Each tensor's
+        shape is read once, into one list, before any check."""
+        shapes = [t.array.shape for t in self.tensors]
+        labels: list[list[int | None]] = [[None] * len(shape) for shape in shapes]
         for b, ((n1, l1), (n2, l2)) in enumerate(self.bonds):
             for node, leg in ((n1, l1), (n2, l2)):
-                if not 0 <= node < len(self.tensors):
+                if not 0 <= node < len(shapes):
                     raise ValueError(f"bond {b} references missing node {node}")
-                if not 0 <= leg < self.tensors[node].num_legs:
+                if not 0 <= leg < len(shapes[node]):
                     raise ValueError(f"bond {b} references missing leg {leg} of node {node}")
                 if labels[node][leg] is not None:
                     raise ValueError(f"leg ({node},{leg}) used more than once")
                 labels[node][leg] = b
-            if self.tensors[n1].leg_dims[l1] != self.tensors[n2].leg_dims[l2]:
+            if shapes[n1][l1] != shapes[n2][l2]:
                 raise DimensionMismatch(
-                    f"bond {b} joins legs of dimension "
-                    f"{self.tensors[n1].leg_dims[l1]} and {self.tensors[n2].leg_dims[l2]}"
+                    f"bond {b} joins legs of dimension {shapes[n1][l1]} and {shapes[n2][l2]}"
                 )
         for j, (node, leg) in enumerate(self.open_legs):
             if not (0 <= node < len(labels) and 0 <= leg < len(labels[node])):
@@ -306,9 +307,8 @@ class TensorNetwork:
                 raise ValueError(f"open leg ({node},{leg}) is also bonded")
             labels[node][leg] = len(self.bonds) + j
         for node, lab in enumerate(labels):
-            for leg, label in enumerate(lab):
-                if label is None:
-                    raise ValueError(f"leg ({node},{leg}) is neither bonded nor open")
+            if None in lab:
+                raise ValueError(f"leg ({node},{lab.index(None)}) is neither bonded nor open")
         return labels
 
 

@@ -55,6 +55,8 @@ class TreeDiagram:
         n = self.domain_tree.num_leaves
         if self.range_tree.num_leaves != n:
             raise ValueError("domain and range trees must have equal leaf counts")
+        if isinstance(self.marker, bool) or not isinstance(self.marker, int):
+            raise ValueError(f"marker must be an int, not {type(self.marker).__name__}")
         if not 0 <= self.marker < n:
             raise ValueError(f"marker {self.marker} out of range for {n} leaves")
 
@@ -144,7 +146,9 @@ def adjoin_caret(f: TreeDiagram, leaf_index: int) -> TreeDiagram:
     if not 0 <= leaf_index < n:
         raise IndexError(f"leaf index {leaf_index} out of range for {n} leaves")
     carets = [_CARET if j == leaf_index else LEAF for j in range(n)]
-    return TreeDiagram(_graft(f.domain_tree, carets), *_graft_images(f, carets))
+    return TreeDiagram(
+        _graft(f.domain_tree, carets), *_graft_images(f.range_tree, f.marker, carets)
+    )
 
 
 def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
@@ -192,12 +196,13 @@ def _collapse(tree: TTree, blocks: set[tuple[int, int]]) -> TTree:
     return _build((tree, 0), split)
 
 
-def _graft_images(f: TreeDiagram, below: list[TTree]) -> tuple[TTree, int]:
-    """f's range tree with below[j] grafted under the image of domain leaf j,
-    and the marker that then sends the first new domain leaf to its image."""
-    n, m = f.num_leaves, f.marker
+def _graft_images(tree: TTree, m: int, below: list[TTree]) -> tuple[TTree, int]:
+    """The range tree `tree` of a diagram with marker m, with below[j] grafted
+    under the image of domain leaf j, and the marker that then sends the
+    first new domain leaf to its image."""
+    n = tree.num_leaves
     image = below[n - m :] + below[: n - m]  # image[k] is below[(k - m) mod n]
-    return _graft(f.range_tree, image), sum(t.num_leaves for t in image[:m])
+    return _graft(tree, image), sum(t.num_leaves for t in image[:m])
 
 
 def compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
@@ -221,11 +226,13 @@ def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
 
     Each range caret of g below a domain leaf j of f is grafted, by
     one path copy, under f's range leaf (marker + j) mod n, and g's domain
-    tree gets the subtree of f's domain tree below each range leaf of g.  A
-    domain node of f o g holding a node of f's domain tree cannot match its
-    image, or that node would match under f already; so the only candidates
-    for reduction are g's domain carets whose leaves each kept one leaf, each
-    looked up by one descent and collapsed by a path copy.
+    tree gets the subtree of f's domain tree below each range leaf of g,
+    by one `_graft` with g^-1's marker (-marker) mod n; g^-1 itself is never
+    built, so the only diagram made is the result.  A domain node of f o g
+    holding a node of f's domain tree cannot match its image, or that node
+    would match under f already; so the only candidates for reduction are
+    g's domain carets whose leaves each kept one leaf, each looked up by one
+    descent and collapsed by a path copy.
     """
     n, m = f.num_leaves, f.marker
     below = []  # the subtree of f's domain tree below each range leaf of g
@@ -233,25 +240,26 @@ def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
     stack = [(g.range_tree, f.domain_tree, 0)]
     while stack:
         s, r, j = stack.pop()
-        if s.is_leaf:
+        if s.left is None:
             below.append(r)
-        elif r.is_leaf:
+        elif r.left is None:
             grafts.append(((m + j) % n, s))
             below += [LEAF] * s.num_leaves
         else:
             stack += [(s.right, r.right, j + r.left.num_leaves), (s.left, r.left, j)]
     range_tree = f.range_tree
-    for k, s in sorted(grafts, key=lambda ks: -ks[0]):  # later leaves first
-        range_tree = _splice(_find_node(range_tree, k, 1)[1], s)
-    m += sum(s.num_leaves - 1 for k, s in grafts if k < m)
-    domain_tree, mg = _graft_images(inverse(g), below)
+    if grafts:
+        for k, s in sorted(grafts, key=lambda ks: -ks[0]):  # later leaves first
+            range_tree = _splice(_find_node(range_tree, k, 1)[1], s)
+        m += sum(s.num_leaves - 1 for k, s in grafts if k < m)
+    domain_tree, mg = _graft_images(g.domain_tree, (-g.marker) % g.num_leaves, below)
     n = domain_tree.num_leaves
     m = (m - mg) % n
     blocks = []  # (domain start, range start, leaf count) of each maximal match
     stack = [(g.domain_tree, domain_tree, 0)]
     while stack:
         node, grown, a = stack.pop()
-        if node.is_leaf:
+        if node.left is None:
             continue
         k = grown.num_leaves
         if k == node.num_leaves:
@@ -261,11 +269,12 @@ def _right_multiply(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
                 blocks.append((a, b, k))
                 continue
         stack += [(node.left, grown.left, a), (node.right, grown.right, a + grown.left.num_leaves)]
-    for a, _, k in sorted(blocks, reverse=True):
-        domain_tree = _splice(_find_node(domain_tree, a, k)[1], LEAF)
-    for _, b, k in sorted(blocks, key=lambda block: -block[1]):
-        range_tree = _splice(_find_node(range_tree, b, k)[1], LEAF)
-    m -= sum(k - 1 for _, b, k in blocks if b < m)
+    if blocks:
+        for a, _, k in sorted(blocks, reverse=True):
+            domain_tree = _splice(_find_node(domain_tree, a, k)[1], LEAF)
+        for _, b, k in sorted(blocks, key=lambda block: -block[1]):
+            range_tree = _splice(_find_node(range_tree, b, k)[1], LEAF)
+        m -= sum(k - 1 for _, b, k in blocks if b < m)
     return TreeDiagram(domain_tree, range_tree, m)
 
 

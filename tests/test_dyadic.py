@@ -1,6 +1,7 @@
 """Exact dyadic arithmetic, standard intervals, trees and partitions."""
 
 import bisect
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from thompson_holo.dyadic import (
     StdDyadicInterval,
     TTree,
     ZERO,
+    _build,
     _find_node,
     _graft,
     _interval_of,
@@ -263,6 +265,43 @@ class TestPairedWalk:
         assert len(right) == len(left) == count
         self.check(right.tree, left.tree)
         assert not refines(right, left) and not refines(left, right)
+
+
+def build_graft(tree: TTree, subtrees: list[TTree]) -> TTree:
+    """`_graft`'s earlier form: `_build` with a callback that reads the
+    subtrees one `next` per leaf."""
+    below = iter(subtrees)
+    return _build(tree, lambda node: next(below) if node.is_leaf else (node.left, node.right))
+
+
+def seeded_tree(rng: random.Random, leaves: int) -> TTree:
+    if leaves == 1:
+        return LEAF
+    left = rng.randrange(1, leaves)
+    return TTree(seeded_tree(rng, left), seeded_tree(rng, leaves - left))
+
+
+class TestGraft:
+    """The explicit-stack `_graft` against the `_build`-callback form."""
+
+    def test_random_trees(self):
+        rng = random.Random(40)
+        for leaves in range(1, 61):
+            for _ in range(3):
+                tree = seeded_tree(rng, leaves)
+                subtrees = [seeded_tree(rng, rng.choice([1, 1, 2, 5])) for _ in range(leaves)]
+                out = _graft(tree, subtrees)
+                assert out == build_graft(tree, subtrees)
+                assert str(out) == str(build_graft(tree, subtrees))
+
+    def test_deep_comb(self):
+        """Grafting onto, and grafting, an 1100-deep comb stays iterative."""
+        comb = TTree.parse("(." * 1100 + "." + ")" * 1100)
+        caret = TTree(LEAF, LEAF)
+        subtrees = [comb if j in (0, 700, 1100) else caret if j % 3 else LEAF for j in range(1101)]
+        out = _graft(comb, subtrees)
+        assert out == build_graft(comb, subtrees)
+        assert out.num_leaves == 5133
 
 
 # The breakpoint algorithms that the tree operations replaced, kept as

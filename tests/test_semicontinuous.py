@@ -196,6 +196,27 @@ class TestSplitter:
         for _ in range(2):
             with pytest.raises(NotPerfect):
                 _normalized_splitter(bad)
+        for _ in range(2):
+            with pytest.raises(NotPerfect):
+                vacuum_matrix_element(parse_word("A"), bad, "diagram")
+
+    def test_diagram_route_builds_only_the_contraction_result(self, monkeypatch):
+        """The cup, W3 and W3c are built once per V: after one call, each
+        diagram-route call constructs one DenseTensor, `contract`'s result."""
+        V = singlet_tensor()
+        words = ["A", "CbA", "abCCBa", "BBcAc"]
+        expected = [vacuum_matrix_element(parse_word(w), V, "diagram") for w in words]
+        built = []
+        init = DenseTensor.__init__
+
+        def counting_init(self, array):
+            built.append(1)
+            init(self, array)
+
+        monkeypatch.setattr(DenseTensor, "__init__", counting_init)
+        for w, value in zip(words, expected):
+            assert vacuum_matrix_element(parse_word(w), V, "diagram") == value
+        assert len(built) == len(words)
 
 
 def kronecker_matrix(fg) -> np.ndarray:

@@ -341,6 +341,44 @@ class TestContraction:
             net.validate()
         assert str(err.value) == f"open leg 3 references missing leg ({leg[0]},{leg[1]})"
 
+    @pytest.mark.parametrize(
+        "names, bonds, open_legs, error, message",
+        [  # t has legs (3, 3, 3), s (4, 4, 4)
+            ("tt", [((0, 0), (2, 0))], [], ValueError, "bond 0 references missing node 2"),
+            ("tt", [((-1, 0), (0, 0))], [], ValueError, "bond 0 references missing node -1"),
+            ("tt", [((0, 0), (1, 3))], [], ValueError, "bond 0 references missing leg 3 of node 1"),
+            ("tt", [((0, -1), (1, 0))], [], ValueError, "bond 0 references missing leg -1 of node 0"),
+            ("tt", [((0, 0), (1, 0)), ((1, 0), (0, 1))], [], ValueError, "leg (1,0) used more than once"),
+            ("t", [((0, 0), (0, 0))], [], ValueError, "leg (0,0) used more than once"),
+            ("ts", [((0, 0), (1, 0))], [], DimensionMismatch, "bond 0 joins legs of dimension 3 and 4"),
+            # the mismatch is found before the later bond's missing node
+            (
+                "ts",
+                [((0, 0), (1, 0)), ((0, 1), (2, 0))],
+                [],
+                DimensionMismatch,
+                "bond 0 joins legs of dimension 3 and 4",
+            ),
+            ("tt", [], [(0, 0), (2, 1)], ValueError, "open leg 1 references missing leg (2,1)"),
+            ("tt", [((0, 0), (1, 0))], [(0, 1), (1, 0)], ValueError, "open leg (1,0) is also bonded"),
+            ("t", [], [(0, 0), (0, 0)], ValueError, "open leg (0,0) is also bonded"),
+            (
+                "tt",
+                [((0, 0), (1, 0))],
+                [(0, 1), (1, 1)],
+                ValueError,
+                "leg (0,2) is neither bonded nor open",
+            ),
+            ("ts", [], [(1, 1)], ValueError, "leg (0,0) is neither bonded nor open"),
+        ],
+    )
+    def test_validate_messages(self, names, bonds, open_legs, error, message):
+        """Every wiring error `validate` raises, by type and exact message."""
+        tensors = [{"t": four_colour_tensor, "s": singlet_tensor}[c]() for c in names]
+        with pytest.raises(error) as err:
+            TensorNetwork(tensors, bonds, open_legs).validate()
+        assert type(err.value) is error and str(err.value) == message
+
     def test_ring_matches_trace_formula(self):
         """A cycle of 3-leg tensors contracts to a product of transfer
         matrices; check against the explicit trace."""

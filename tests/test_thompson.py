@@ -176,6 +176,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TreeDiagram.parse("(..)|(..)@5")
 
+    @pytest.mark.parametrize("marker", [True, 1.0])
+    def test_marker_must_be_an_int(self, marker):
+        """A bool or a float marker is refused, not left to fail untyped in
+        the group law or the diagram route."""
+        caret = TTree(LEAF, LEAF)
+        name = type(marker).__name__
+        with pytest.raises(ValueError, match=f"^marker must be an int, not {name}$"):
+            TreeDiagram(caret, caret, marker)
+        assert type(TreeDiagram.parse("(..)|(..)@1").marker) is int
+        with pytest.raises(ValueError):
+            TreeDiagram.parse(f"(..)|(..)@{marker}")
+
 
 # Reference PL view: f as its affine pieces, the form evaluation took before
 # it descended the two trees.
@@ -378,7 +390,8 @@ def ref_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
 def expand_domain(f: TreeDiagram, target: TTree) -> TreeDiagram:
     """f with carets adjoined until its domain tree is `target`, which must
     contain it from the root down."""
-    return TreeDiagram(target, *_graft_images(f, _leaf_subtrees(f.domain_tree, target)[0]))
+    below = _leaf_subtrees(f.domain_tree, target)[0]
+    return TreeDiagram(target, *_graft_images(f.range_tree, f.marker, below))
 
 
 def expand_compose(f: TreeDiagram, g: TreeDiagram) -> TreeDiagram:
@@ -584,6 +597,24 @@ class TestRightMultiply:
             assert reduce_diagram(f) == f
             for g in LETTERS:
                 assert _right_multiply(f, g) == expand_compose(f, g)
+
+    def test_builds_one_diagram(self, monkeypatch):
+        """The only TreeDiagram one product constructs is its result: g^-1's
+        domain tree is grafted straight from g, not through inverse(g)."""
+        rng = random.Random(5)
+        cases = [(random_reduced(rng, leaves), g) for leaves in (1, 2, 9, 40) for g in LETTERS]
+        built = []
+        post_init = TreeDiagram.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TreeDiagram, "__post_init__", counting_post_init)
+        for f, g in cases:
+            built.clear()
+            h = _right_multiply(f, g)
+            assert len(built) == 1 and built[0] is h
 
     def test_shares_all_but_a_few_paths(self):
         """Nodes of the product that are not nodes of f (by identity) are a
