@@ -46,7 +46,6 @@ from .dyadic import (
     DyadicRational,
     StdDyadicInterval,
     TTree,
-    _build,
 )
 from .errors import DegenerateImage, NotMonotone
 from .tensor import _check_cap
@@ -288,7 +287,7 @@ def _greedy_range(points, n: int):
 
     top = bisect_left(pts, 1.0)  # the points lie in [0, 1]
     put(0, top, StdDyadicInterval(0, 0))
-    split = {}  # (a, n) of each split interval -> those of its halves
+    split = []  # (a, n) of each split interval, parents first
     ties: list[TieEvent] = []
     for step in range(2**n - 1):
         firsts, ivs = rows[top]
@@ -298,15 +297,17 @@ def _greedy_range(points, n: int):
         if not ivs:
             del rows[top]
         low, high = chosen.halves()
-        split[chosen.a, chosen.n] = (low.a, low.n), (high.a, high.n)
+        split.append((chosen.a, chosen.n))
         # the halves keep the chosen interval's points, so one bisection counts both
         at = bisect_left(pts, high.a / (1 << high.n), first, first + top)
         put(first, at - first, low)
         put(at, first + top - at, high)
         while top not in rows:
             top -= 1
-    tree = _build((0, 0), lambda an: split.get(an, LEAF))
-    return tree, tuple(ties)
+    nodes = {}  # built children first, so each split finds its halves' subtrees
+    for a, k in reversed(split):
+        nodes[a, k] = TTree(nodes.pop((2 * a, k + 1), LEAF), nodes.pop((2 * a + 1, k + 1), LEAF))
+    return nodes[0, 0], tuple(ties)
 
 
 def approximate(f: CircleMap, n: int) -> ApproximationResult:

@@ -6,8 +6,8 @@ arguments containing '|' are parsed as explicit tree-diagram text instead.
 
 Each subcommand returns (exit code, JSON payload, text lines), and `main`
 alone writes stdout: the payload under --json, the lines otherwise.  An
-error raised by a subcommand is one line on stderr, exit code 1 and an
-empty stdout.
+error raised by a subcommand, running out of memory included, is one line
+on stderr, exit code 1 and an empty stdout.
 """
 
 from __future__ import annotations
@@ -213,6 +213,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -382,26 +382,6 @@ def tree_to_partition(t: TTree) -> DyadicPartition:
 # Whole-tree walks shared by the partition algebra, the group law and
 # fine-graining; each keeps an explicit stack, so tree depth is not bounded by
 # the interpreter's recursion limit.
-def _build(item, split) -> TTree:
-    """Build a tree top-down: `split(item)` returns the finished subtree for
-    `item` or the (left, right) items of its two children; a None on the
-    stack joins the last two subtrees built under a new node."""
-    out: list[TTree] = []
-    stack = [item]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            right = out.pop()
-            out[-1] = TTree(out[-1], right)
-            continue
-        got = split(item)
-        if isinstance(got, TTree):
-            out.append(got)
-        else:
-            stack += [None, got[1], got[0]]
-    return out[0]
-
-
 def _graft(tree: TTree, subtrees: list[TTree]) -> TTree:
     """`tree` with its leaf j replaced by subtrees[j], by one explicit-stack
     walk that reads the subtrees by a running index and builds only the

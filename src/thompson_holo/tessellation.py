@@ -19,7 +19,7 @@ the removed chords and the sorted added chords; the flipped edge and the new
 chord each join or leave the list their kind names.  The flip path runs on
 integers: the edge's ends and the new chord's are read through f or f^-1 as
 integer pairs by `evaluate`'s descents, with no interval object built, and
-chords compare their ends as integers.  Labels and drawing share one
+chords order by their ends.  Labels and drawing share one
 integer walk of tau_0's intervals (`_farey_walk`), and a render draws
 tau_0's window from a table cached per depth (`_window_rows`) of finished
 paths, so it draws only the added chords and builds no object per window
@@ -54,7 +54,6 @@ from .errors import EdgeNotFound, LabelNotRepresented, SearchExhausted, Thompson
 from .tensor import _check_cap
 from .thompson import (
     TreeDiagram,
-    _affine_image,
     _evaluate_pair,
     _right_multiply,
     adjoin_caret,
@@ -80,26 +79,16 @@ __all__ = [
 ]
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Chord:
     """Unordered geodesic between two distinct circle points, stored sorted.
-    Chords order by (a, b), compared as integers over the finer power of two."""
+    Chords order by (a, b)."""
 
     a: DyadicRational
     b: DyadicRational
 
     def endpoints(self):
         return (self.a, self.b)
-
-    def __lt__(self, other: "Chord") -> bool:
-        if not isinstance(other, Chord):
-            return NotImplemented
-        x, y = self.a, other.a
-        if x.num == y.num and x.exp == y.exp:  # canonical, so equal ends
-            x, y = self.b, other.b
-        d = x.exp - y.exp
-        return x.num < y.num << d if d >= 0 else x.num << -d < y.num
 
     def __str__(self) -> str:
         return f"{self.a}~{self.b}"
@@ -374,10 +363,9 @@ def _flip_range(a: int, k: int, top: int) -> TTree:
     return tree
 
 
-def _flip_product(f: TreeDiagram, a: int, k: int):
+def _flip_product(f: TreeDiagram, a: int, k: int) -> TreeDiagram:
     """f r, for r the element with r(tau_0) = tau_0 flipped at the chord of
-    iv = [a/2^k, (a+1)/2^k], and a map of integer pairs (num, exp) that
-    agrees with f (`_evaluate_pair`) on the closure of iv's parent P.
+    iv = [a/2^k, (a+1)/2^k].
 
     For k >= 2, r is the tree rotation at P: both of its trees are the path
     from the root to P, and its range tree (`_flip_range`) splits iv where
@@ -388,8 +376,7 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
     - Where the descent meets a domain leaf j at level t <= k, graft r's
       range tree below level t (one caret when t = k) under leaf j and under
       its image leaf b = (m + j) mod n: f is unchanged, P and iv are domain
-      nodes, and the marker grows with the leaves when b < m.  P lies in
-      leaf j's affine piece of f when t < k, which the returned map is.
+      nodes, and the marker grows with the leaves when b < m.
     - Rotate the domain tree at P in place, ((T1, T2), T3) <-> (T1, (T2, T3)).
       After a graft nothing reduces: iv's halves are no longer a domain
       caret, yet every range node over the image of one half and another
@@ -401,9 +388,8 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
       to the inner node's image, walked back up, finds the largest match,
       the only collapse.
     """
-    image = functools.partial(_evaluate_pair, f)
     if k == 1:
-        return _right_multiply(f, _DOE_FLIP), image
+        return _right_multiply(f, _DOE_FLIP)
     n, m, range_tree = f.num_leaves, f.marker, f.range_tree
     node, path, j, grown = f.domain_tree, [], 0, 0  # the path to iv, and its first leaf
     for t in range(k + 1):
@@ -413,9 +399,6 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
             range_tree = _splice(_find_node(range_tree, b, 1)[1], node)
             grown = node.num_leaves - 1
             m += grown if b < m else 0
-            if t < k:
-                piece = (a >> (k - t), t, *f.range_tree._leaf_of_index(b))
-                image = lambda num, exp: _affine_image(num, exp, *piece)
         if t < k:
             right = (a >> (k - 1 - t)) & 1
             path.append((node, right))
@@ -442,13 +425,12 @@ def _flip_product(f: TreeDiagram, a: int, k: int):
                 up += 1
             # Range leaf m, domain leaf 0's image, starts the collapsed block
             # or lies outside it; so the block starts before m when b does.
-            product = TreeDiagram(
+            return TreeDiagram(
                 _splice(dpath[: len(dpath) - up], LEAF),
                 _splice(rpath[: len(rpath) - up], LEAF),
                 m - up - 1 if b < m else m,
             )
-            return product, image
-    return TreeDiagram(_splice(path, rotated), range_tree, m), image
+    return TreeDiagram(_splice(path, rotated), range_tree, m)
 
 
 def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
@@ -466,17 +448,16 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     product `_right_multiply`, also path copies.  When t's diff is cached,
     the child's is carried: `edge` goes out, and f of the opposite diagonal
     of f^-1(edge)'s quad in tau_0, the chord of its two tau_0 apexes, comes
-    in; after a graft above f^-1(edge)'s level both images are read off the
-    affine piece of f holding P, with no descent.  `edge` is an edge of t
+    in, both read through f by `_evaluate_pair`.  `edge` is an edge of t
     and the new chord crosses it, so each is toggled in the list its kind
     names: the removed positions for a tau_0 chord, else the added chords.
     """
     (a, k), _ = t._edge_interval(edge)
     flips = None if t.flips is None else t.flips + (edge,)
-    element, image = _flip_product(t.element, a, k)
-    child = Tessellation(t.depth, element, flips)
+    child = Tessellation(t.depth, _flip_product(t.element, a, k), flips)
     if "_diff" in vars(t):
-        new = chord(*(DyadicRational(*image(*x)) for x in _tau0_apexes(a, k)))
+        f = t.element
+        new = chord(*(DyadicRational(*_evaluate_pair(f, *x)) for x in _tau0_apexes(a, k)))
         removed, added = t._diff
         for c in (chord(edge.a, edge.b), new):
             if (i := _window_index(c)) is None:
@@ -516,8 +497,8 @@ class FareyLabeling:
     """Bidirectional map between represented vertices and Farey labels p/q."""
 
     vertex_to_label: tuple  # of (vertex, (p, q)) pairs
-    _by_vertex: dict = field(default=None, compare=False, repr=False)
-    _by_label: dict = field(default=None, compare=False, repr=False)
+    _by_vertex: dict = field(init=False, compare=False, repr=False)
+    _by_label: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_vertex", dict(self.vertex_to_label))
@@ -786,18 +767,6 @@ def _chord_path(p, q, stroke: str) -> str:
 _EDGE = 'stroke="black" stroke-width="1"'
 
 
-def _chord_paths(chords: list[Chord], stroke: str) -> list[str]:
-    """A path per chord, in the exact order of the chords' ends, each read as
-    an integer numerator over one power of two.  A chord given twice, as a
-    two-interval cutoff gives its diameter, is drawn twice."""
-    e = max(x.exp for c in chords for x in c.endpoints())
-
-    def key(c: Chord) -> tuple[int, int]:
-        return c.a.num << (e - c.a.exp), c.b.num << (e - c.b.exp)
-
-    return [_chord_path(c.a, c.b, stroke) for c in sorted(chords, key=key)]
-
-
 @functools.lru_cache(maxsize=8)
 def _window_rows(depth: int) -> tuple[tuple[int, int, int, str], ...]:
     """tau_0's window (`_standard_window`) in drawing order, as rows (a, b,
@@ -897,9 +866,12 @@ def render_svg(obj, labels: bool = False) -> str:
             f"marker {obj.marker}</text>"
         )
     elif isinstance(obj, DyadicPartition):
+        # A path per interval chord, in the chords' order; a two-interval
+        # cutoff draws its diameter twice, and [0, 1], whose ends are one
+        # circle point, has no chord.
         parts.append(_DISC)
-        chords = [interval_chord(iv) for iv in obj.intervals]
-        parts.extend(_chord_paths(chords, 'stroke="blue" stroke-width="2"'))
+        chords = sorted(interval_chord(iv) for iv in obj.intervals if iv.n)
+        parts += [_chord_path(c.a, c.b, 'stroke="blue" stroke-width="2"') for c in chords]
     else:
         raise TypeError(f"cannot render object of type {type(obj).__name__}")
     parts.append("</svg>")

@@ -18,7 +18,6 @@ from .dyadic import (
     DyadicPartition,
     DyadicRational,
     TTree,
-    _build,
     _find_node,
     _graft,
     _splice,
@@ -185,15 +184,15 @@ def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
 
 def _collapse(tree: TTree, blocks: set[tuple[int, int]]) -> TTree:
     """`tree` with the subtree at each (first leaf index, leaf count) in
-    `blocks` collapsed to a leaf."""
-
-    def split(item):
-        node, a = item
-        if node.is_leaf or (a, node.num_leaves) in blocks:
-            return LEAF
-        return (node.left, a), (node.right, a + node.left.num_leaves)
-
-    return _build((tree, 0), split)
+    `blocks` collapsed to a leaf.  The carets are rebuilt children first,
+    each keyed by its (first leaf index, leaf count); a block is not, so its
+    parent finds no child there and takes a leaf, as for a leaf."""
+    nodes = {}
+    for node, a, k in reversed(list(tree._spans())):
+        if (a, k) not in blocks:
+            left = node.left.num_leaves
+            nodes[a, k] = TTree(nodes.pop((a, left), LEAF), nodes.pop((a + left, k - left), LEAF))
+    return nodes.get((0, tree.num_leaves), LEAF)
 
 
 def _graft_images(tree: TTree, m: int, below: list[TTree]) -> tuple[TTree, int]:

@@ -294,12 +294,13 @@ class TestOtherCommands:
         assert "<svg" in out.read_text()
 
     def test_render_one_interval_cutoff(self, capsys, tmp_path):
-        """[0, 1] has no chord: both of its ends are the circle point 0."""
+        """[0, 1] has no chord, both of its ends being the circle point 0,
+        so the drawing is the header and the disc."""
         out = tmp_path / "cut.svg"
         code, stdout, err = run(capsys, "render", "cutoff:0, 1", "--out", str(out))
-        assert (code, stdout) == (1, "")
-        assert err == "error: a chord needs two distinct circle points\n"
-        assert not out.exists()
+        assert (code, stdout, err) == (0, f"{out}\n", "")
+        header, disc, end = out.read_text().split("\n")
+        assert header.startswith("<svg") and disc.startswith("<circle") and end == "</svg>"
 
 
 class TestBadFiles:
@@ -458,6 +459,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "reduce", "((..)|(..)")
         assert (code, out) == (1, "")
         assert err == "error: unbalanced parentheses in tree text\n"
+
+    def test_out_of_memory(self, capsys, monkeypatch, tmp_path):
+        def exhausted(obj, labels=False):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.tessellation, "render_svg", exhausted)
+        out = tmp_path / "t.svg"
+        code, stdout, err = run(capsys, "render", "tessellation:3", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: out of memory\n")
+        assert not out.exists()
 
 
 class TestParserReuse:

@@ -119,6 +119,13 @@ def test_diagram_route_digest():
     assert sha256(lines) == "d19910855c99345e01fcfbc9b0f35adcad3566ce5b2f9bf06882136432037614"
 
 
+def test_diagram_route_exact_output():
+    """The diagram route's JSON for a 90-letter word, exactly as printed."""
+    w = "abbABCcccBBCCcaAbcBAcBbcaABbCACCBbcbAaACcCBcBCBbCcCaBbBaabABbBbbAAabCABBaaAacCbaCbbBAABbaB"
+    code, out, err = cli("matrix-element", w, "--route", "diagram", "--json")
+    assert (code, out, err) == (0, '{"diagram": [0.0001220703125000004, 0.0]}\n', "")
+
+
 def test_products_digest():
     """Unreduced diagrams of random trees with adjoined carets, seeded
     words, and diagrams of two 1100-deep combs."""

@@ -16,7 +16,6 @@ from thompson_holo.dyadic import (
     StdDyadicInterval,
     TTree,
     ZERO,
-    _build,
     _find_node,
     _graft,
     _interval_of,
@@ -268,10 +267,15 @@ class TestPairedWalk:
 
 
 def build_graft(tree: TTree, subtrees: list[TTree]) -> TTree:
-    """`_graft`'s earlier form: `_build` with a callback that reads the
-    subtrees one `next` per leaf."""
-    below = iter(subtrees)
-    return _build(tree, lambda node: next(below) if node.is_leaf else (node.left, node.right))
+    """`tree` with leaf j replaced by subtrees[j], as the tree of the grafted
+    breakpoints' partition: leaf [a/2^n, (a+1)/2^n] and the subtree's leaf
+    [b/2^m, (b+1)/2^m] break at (a 2^m + b) / 2^(n+m)."""
+    breaks = [
+        DyadicRational((leaf.a << below.n) + below.a, leaf.n + below.n)
+        for leaf, sub in zip(tree.leaf_intervals(), subtrees, strict=True)
+        for below in sub.leaf_intervals()
+    ]
+    return DyadicPartition(breaks + [ONE]).tree
 
 
 def seeded_tree(rng: random.Random, leaves: int) -> TTree:
@@ -282,7 +286,8 @@ def seeded_tree(rng: random.Random, leaves: int) -> TTree:
 
 
 class TestGraft:
-    """The explicit-stack `_graft` against the `_build`-callback form."""
+    """The explicit-stack `_graft` against the partition of the grafted
+    breakpoints."""
 
     def test_random_trees(self):
         rng = random.Random(40)

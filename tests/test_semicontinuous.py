@@ -773,6 +773,47 @@ class TestDyadicRotations:
             ], k
 
 
+class TestVacuumFixers:
+    """Elements s with pi(s)Omega = Omega, read exactly: then f(tau_0) and
+    fs(tau_0) are two geometries with one ket.  The four-colour value is 1
+    when the Tait count is 3 * 2^(N-2), and the singlet value is the loop
+    value."""
+
+    def test_four_colour_words_in_a_and_c(self):
+        """Every distinct element of the words over ACac of length <= 6: 150
+        with the identity, which has one leaf and is skipped, up to 8
+        leaves."""
+        seen = {}
+        for length in range(7):
+            for letters in itertools.product("ACac", repeat=length):
+                f = parse_word("".join(letters))
+                seen.setdefault(str(f), f)
+        assert len(seen) == 150
+        assert max(f.num_leaves for f in seen.values()) == 8
+        for f in seen.values():
+            if f.num_leaves > 1:
+                assert tait_colourings(f) == 3 * 2 ** (f.num_leaves - 2), str(f)
+
+    @pytest.mark.parametrize("word, count, full", [("B", 6, 12), ("aBA", 12, 24)])
+    def test_four_colour_non_fixers_give_half(self, word, count, full):
+        f = parse_word(word)
+        assert (tait_colourings(f), 3 * 2 ** (f.num_leaves - 2)) == (count, full)
+
+    def test_singlet_fixers(self):
+        """B, AC, aBA and 300 seeded words of 1-8 factors from theirs and
+        their inverses, up to 12 leaves, against A and C, which give 1/4."""
+        rng = random.Random(18)
+        factors = ["B", "b", "AC", "ca", "aBA", "abA"]
+        words = ["B", "AC", "aBA"] + [
+            "".join(rng.choice(factors) for _ in range(rng.randint(1, 8))) for _ in range(300)
+        ]
+        elements = [parse_word(w) for w in words]
+        assert max(f.num_leaves for f in elements) == 12
+        for w, f in zip(words, elements):
+            assert loop_value(f) == 1, w
+        assert [loop_value(parse_word(w)) for w in "AC"] == [Fraction(1, 4)] * 2
+
+
 class TestGram:
     def test_identity_and_b(self):
         words = [identity(), parse_word("B")]

@@ -625,6 +625,12 @@ def question_mark(x: Fraction) -> Fraction:
 
 
 class TestFareyLabels:
+    def test_takes_only_its_pairs(self):
+        pairs = ((d("0"), (0, 1)), (d("1/2^1"), (1, 0)))
+        assert FareyLabeling(pairs).vertex_of((1, 0)) == d("1/2^1")
+        with pytest.raises(TypeError):
+            FareyLabeling(pairs, {}, {})
+
     def test_base_labels_match_question_mark(self):
         t = standard_tessellation(3)
         lab = farey_labels(t)
