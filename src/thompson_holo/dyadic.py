@@ -257,13 +257,14 @@ class TTree:
             if node.left is not None:
                 stack += [(node.right, 2 * a + 1, n + 1), (node.left, 2 * a, n + 1)]
 
-    def _spans(self):
-        """(node, first leaf index, leaf count) for every internal node, parent
+    def _spans(self, stop=frozenset()):
+        """(node, first leaf index, leaf count) for every internal node outside
+        the subtrees whose (first leaf index, leaf count) is in `stop`, parent
         first, then the left subtree; an explicit stack, for deep trees."""
         stack = [(self, 0)]
         while stack:
             node, a = stack.pop()
-            if node.left is not None:
+            if node.left is not None and not (stop and (a, node.num_leaves) in stop):
                 yield node, a, node.num_leaves
                 stack += [(node.right, a + node.left.num_leaves), (node.left, a)]
 

@@ -215,7 +215,11 @@ class PerfectTensorCertificate:
     rotation_invariant: bool
 
     def constant(self, in_legs) -> float:
-        return self.normalization[frozenset(in_legs)]
+        if (c := self.normalization.get(frozenset(in_legs))) is None:
+            n = self.tensor.num_legs
+            legs = f"input legs {sorted(set(in_legs))} of a {n}-leg tensor"
+            raise DimensionMismatch(f"{legs}: an isometry takes at most {n // 2} of 0..{n - 1}")
+        return c
 
 
 def _bipartitions(n: int):

@@ -34,7 +34,7 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
@@ -105,24 +105,17 @@ def interval_chord(iv: StdDyadicInterval) -> Chord:
     return chord(iv.left, iv.right)
 
 
-def _arc_interval(pn: int, pe: int, qn: int, qe: int) -> tuple[tuple[int, int], bool] | None:
-    """The tau_0 interval [a/2^k, (a+1)/2^k] (k >= 1) whose chord joins the
-    distinct circle points p = pn/2^pe and q = qn/2^qe of [0, 1), given in
-    either order and in lowest terms or not, as ((a, k), whether p is its
-    left end), if any: the arc between them, or the arc from one to 1 when
-    the other is 0."""
-    if ak := _interval_of(pn, pe, qn, qe):
-        return ak, True
-    if ak := _interval_of(qn, qe, pn, pe):
-        return ak, False
-    if pn == 0 and (ak := _interval_of(qn, qe, 1, 0)):
-        return ak, False
-    if qn == 0 and (ak := _interval_of(pn, pe, 1, 0)):
-        return ak, True
-    return None
-
-
-E0 = chord(ZERO, HALF)
+def _arc_interval(pn: int, pe: int, qn: int, qe: int) -> tuple[int, int] | None:
+    """The tau_0 interval (a, k), [a/2^k, (a+1)/2^k] with k >= 1, whose chord
+    joins the distinct circle points pn/2^pe and qn/2^qe of [0, 1), given in
+    either order and in lowest terms or not, if any: the arc between them,
+    or the arc from one to 1 when the other is 0."""
+    return (
+        _interval_of(pn, pe, qn, qe)
+        or _interval_of(qn, qe, pn, pe)
+        or (_interval_of(qn, qe, 1, 0) if pn == 0 else None)
+        or (_interval_of(pn, pe, 1, 0) if qn == 0 else None)
+    )
 
 
 def _tau0_apexes(a: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -157,7 +150,7 @@ def _window_index(c: Chord) -> int | None:
     found = _arc_interval(c.a.num, c.a.exp, c.b.num, c.b.exp)
     if found is None:
         return None
-    (a, k), _ = found
+    a, k = found
     return (1 << k) - 3 + a if k > 1 else 0
 
 
@@ -236,10 +229,9 @@ class Tessellation:
     def doe(self) -> tuple[DyadicRational, DyadicRational]:
         return (evaluate(self.element, ZERO), evaluate(self.element, HALF))
 
-    def _edge_interval(self, c: Chord) -> tuple[tuple[int, int], bool]:
-        """The tau_0 interval (a, k) whose chord is f^-1(c), and whether
-        f^-1(c.a) is its left end, both ends read by `_evaluate_pair`;
-        EdgeNotFound unless c is an edge here."""
+    def _edge_interval(self, c: Chord) -> tuple[int, int]:
+        """The tau_0 interval (a, k) whose chord is f^-1(c), both ends read
+        by `_evaluate_pair`; EdgeNotFound unless c is an edge here."""
         g = inverse(self.element)
         found = _arc_interval(
             *_evaluate_pair(g, c.a.num, c.a.exp), *_evaluate_pair(g, c.b.num, c.b.exp)
@@ -273,12 +265,13 @@ class Tessellation:
     def face_apex(self, c: Chord, ccw_from_a: bool) -> DyadicRational:
         """Third vertex of the face adjacent to c on the selected side: f of
         the tau_0 apex beside f^-1(c).  f keeps the orientation, so the side
-        swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a)."""
-        (a, k), p_left = self._edge_interval(c)
+        swept ccw from c.a to c.b is the side swept ccw from f^-1(c.a), the
+        inside of f^-1(c)'s interval when f^-1(c.a) is its left end."""
+        a, k = self._edge_interval(c)
+        pn, pe = _evaluate_pair(inverse(self.element), c.a.num, c.a.exp)
         inside, outside = _tau0_apexes(a, k)
-        return DyadicRational(
-            *_evaluate_pair(self.element, *(inside if p_left == ccw_from_a else outside))
-        )
+        side = inside if (pn << k == a << pe) == ccw_from_a else outside
+        return DyadicRational(*_evaluate_pair(self.element, *side))
 
     # -- serialization ------------------------------------------------------
 
@@ -452,7 +445,7 @@ def pachner_flip(t: Tessellation, edge: Chord) -> Tessellation:
     and the new chord crosses it, so each is toggled in the list its kind
     names: the removed positions for a tau_0 chord, else the added chords.
     """
-    (a, k), _ = t._edge_interval(edge)
+    a, k = t._edge_interval(edge)
     flips = None if t.flips is None else t.flips + (edge,)
     child = Tessellation(t.depth, _flip_product(t.element, a, k), flips)
     if "_diff" in vars(t):
@@ -497,14 +490,14 @@ class FareyLabeling:
     """Bidirectional map between represented vertices and Farey labels p/q."""
 
     vertex_to_label: tuple  # of (vertex, (p, q)) pairs
-    _by_vertex: dict = field(init=False, compare=False, repr=False)
-    _by_label: dict = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_vertex", dict(self.vertex_to_label))
-        object.__setattr__(
-            self, "_by_label", {l: v for v, l in self.vertex_to_label}
-        )
+    @functools.cached_property
+    def _by_vertex(self) -> dict:
+        return dict(self.vertex_to_label)
+
+    @functools.cached_property
+    def _by_label(self) -> dict:
+        return {l: v for v, l in self.vertex_to_label}
 
     def label_of(self, vertex: DyadicRational) -> tuple[int, int]:
         if (label := self._by_vertex.get(vertex.mod1())) is None:
@@ -695,12 +688,12 @@ def flips_realizing(f: TreeDiagram, depth: int) -> list[Chord]:
     when the flipped interval's parent or the interval is not yet a domain
     node, and the general product, itself path copies, for the at most four
     doe flips.  So the whole costs O(n * depth) for the trees' depth, which
-    is quadratic only for combs.  `depth` only sets the window of the
-    standard tessellation that the replay starts from, and a negative or
-    non-integer one raises ValueError before any work; the sequence does not
-    depend on it.
+    is quadratic only for combs.  The replay starts from tau_0 with no flip
+    history, so no flip copies one.  `depth` only sets its window, and a
+    negative or non-integer one raises ValueError before any work; the
+    sequence does not depend on it.
     """
-    start = standard_tessellation(depth)
+    start = Tessellation(depth, identity(), None)
     f = reduce_diagram(f)
     g = _split_root_children(f)
     n, m = g.num_leaves, g.marker
@@ -807,11 +800,7 @@ def _render_tessellation(t: Tessellation, labels: bool) -> list[str]:
         parts.append(_chord_path(c.a, c.b, _EDGE))
         start = at
     parts += [row[3] for row in rows[start:] if row[2] not in skip]
-    u, v = t.doe
-    parts.append(
-        f'<path d="{_arc_path(u, v)}" fill="none" stroke="red" '
-        'stroke-width="3" marker-end="url(#arrow)"/>'
-    )
+    parts.append(_chord_path(*t.doe, 'stroke="red" stroke-width="3" marker-end="url(#arrow)"'))
     if labels:
         for num, exp, (p, q) in _farey_walk(t, None):
             x, y = _circle_xy(num / (1 << exp), 455.0)

@@ -184,14 +184,14 @@ def reduce_diagram(f: TreeDiagram) -> TreeDiagram:
 
 def _collapse(tree: TTree, blocks: set[tuple[int, int]]) -> TTree:
     """`tree` with the subtree at each (first leaf index, leaf count) in
-    `blocks` collapsed to a leaf.  The carets are rebuilt children first,
-    each keyed by its (first leaf index, leaf count); a block is not, so its
-    parent finds no child there and takes a leaf, as for a leaf."""
+    `blocks` collapsed to a leaf.  The carets outside the blocks are rebuilt
+    children first, each keyed by its (first leaf index, leaf count); the
+    walk enters no block, so a block's parent finds no child there and takes
+    a leaf, as for a leaf."""
     nodes = {}
-    for node, a, k in reversed(list(tree._spans())):
-        if (a, k) not in blocks:
-            left = node.left.num_leaves
-            nodes[a, k] = TTree(nodes.pop((a, left), LEAF), nodes.pop((a + left, k - left), LEAF))
+    for node, a, k in reversed(list(tree._spans(blocks))):
+        left = node.left.num_leaves
+        nodes[a, k] = TTree(nodes.pop((a, left), LEAF), nodes.pop((a + left, k - left), LEAF))
     return nodes.get((0, tree.num_leaves), LEAF)
 
 

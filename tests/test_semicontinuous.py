@@ -15,6 +15,7 @@ from thompson_holo.dyadic import (
     LEAF,
     ONE,
     DyadicPartition,
+    _leaf_subtrees,
     common_refinement,
     refines,
     tree_to_partition,
@@ -34,12 +35,15 @@ from thompson_holo.semicontinuous import (
     inner_product,
     vacuum,
     vacuum_matrix_element,
+    _diagram_tensors,
+    _grain_like_side,
     _momentum_blocks,
     _normalized_splitter,
     _shift_orbits,
 )
 from thompson_holo.tensor import (
     DenseTensor,
+    TensorNetwork,
     contract,
     four_colour_tensor,
     normalize_isometry,
@@ -53,6 +57,7 @@ from thompson_holo.tessellation import (
     standard_tessellation,
 )
 from thompson_holo.thompson import (
+    _LETTERS,
     TreeDiagram,
     compose,
     evaluate,
@@ -867,6 +872,90 @@ class TestGram:
         lhs = vacuum_matrix_element(f, V3)
         rhs = vacuum_matrix_element(inverse(f), V3)
         assert lhs == pytest.approx(np.conj(rhs), abs=1e-12)
+
+
+def grow(tree: TTree, feed, W: DenseTensor, nodes: list, bonds: list) -> list:
+    """Wire one W (legs in, out, out) per internal node of `tree` below the
+    open leg `feed`, parent before children; return the open leaf legs,
+    left to right."""
+    out, stack = [], [(tree, feed)]
+    while stack:
+        node, feed = stack.pop()
+        if node.is_leaf:
+            out.append(feed)
+            continue
+        nodes.append(W)
+        bonds.append((feed, (len(nodes) - 1, 0)))
+        stack += [(node.right, (len(nodes) - 1, 2)), (node.left, (len(nodes) - 1, 1))]
+    return out
+
+
+def split_matrix_element(f: TreeDiagram, g: TreeDiagram, V: DenseTensor) -> complex:
+    """<pi(f^-1) Omega | pi(g) Omega> as one network that never forms f g.
+    The ket is a cup and one W per caret of g's domain tree, its domain
+    leaf j on g's range leaf (marker + j) mod n; the bra is f^-1's, wired
+    the same way from f's range tree and conjugated.  Each side is
+    fine-grained to the union of g's range tree and f's domain tree, and
+    the two are joined leaf to leaf."""
+    cup, W3, W3c = _diagram_tensors(V)
+    nodes, bonds, sides = [], [], []
+    below_g, below_f = _leaf_subtrees(g.range_tree, f.domain_tree)
+    for tree, W, m, below in (
+        (g.domain_tree, W3, g.marker, below_g),
+        (f.range_tree, W3c, -f.marker, below_f),
+    ):
+        leaves = _grain_like_side(tree, cup, W, nodes, bonds)
+        n = len(leaves)
+        sides.append(
+            [x for k, t in enumerate(below) for x in grow(t, leaves[(k - m) % n], W, nodes, bonds)]
+        )
+    bonds += zip(*sides)
+    return complex(contract(TensorNetwork(nodes, bonds, [])).array)
+
+
+def random_word(length: int, seed: int) -> str:
+    """The word of `random_element(length, seed)`."""
+    rng = random.Random(seed)
+    return "".join(rng.choice(_LETTERS) for _ in range(length))
+
+
+class TestHomomorphismAtScale:
+    """pi(f) pi(g) = pi(f g) on the vacuum at hundreds of leaves: the two
+    networks of `split_matrix_element` against the diagram route on the
+    product, which `compose` forms by path copies.  The singlet's values
+    are a quarter, so they compare absolutely, also with the exact
+    `loop_value`; the four-colour ones read 1e-33 to 1e-196, so they
+    compare relatively."""
+
+    WORD = random_word(3200, 1)
+
+    def check(self, f: TreeDiagram, g: TreeDiagram, V: DenseTensor):
+        try:
+            split = split_matrix_element(f, g, V)
+            value = vacuum_matrix_element(compose(f, g), V, "diagram")
+        except ResourceLimit as exc:
+            pytest.skip(f"over the cap: {exc}")
+        if V is V3:
+            assert split == pytest.approx(value, rel=1e-10, abs=0)
+        else:
+            exact = float(loop_value(compose(f, g)))
+            assert abs(split - value) <= 1e-12 and abs(split - exact) <= 1e-12
+
+    @pytest.mark.parametrize("V", [V3, singlet_tensor()], ids=["four-colour", "singlet"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_pairs(self, seed, V):
+        rng = random.Random(seed)
+        f, g = (random_element(rng.randint(220, 2000), rng.randrange(10**6)) for _ in "fg")
+        assert 50 <= min(f.num_leaves, g.num_leaves) and max(f.num_leaves, g.num_leaves) <= 500
+        self.check(f, g, V)
+
+    @pytest.mark.parametrize("V", [V3, singlet_tensor()], ids=["four-colour", "singlet"])
+    @pytest.mark.parametrize("cut", [1, 800, 1600, 2400, 3199])
+    def test_splits_of_one_word(self, cut, V):
+        """f and g are the prefix and suffix of one word of 722 leaves."""
+        f, g = parse_word(self.WORD[:cut]), parse_word(self.WORD[cut:])
+        assert compose(f, g) == random_element(3200, 1) and compose(f, g).num_leaves == 722
+        self.check(f, g, V)
 
 
 class TestBulkKets:

@@ -219,6 +219,54 @@ def test_private_definitions_are_read():
     assert unread_private_definitions([path.read_text() for path in SOURCES]) == []
 
 
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """"module: name" for every name a module defines at top level, by an
+    assignment, a def or a class (not a dunder, not `__all__`), that the
+    module does not export and no other top-level statement of `sources`
+    reads, bare or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    statements = [(module, node, reads(node)) for module, tree in trees.items() for node in tree.body]
+    out = []
+    for module, node, _ in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [
+            f"{module}: {name}"
+            for name in names
+            if not name.startswith("__")
+            and name not in exported(trees[module])
+            and not any(name in seen for _, other, seen in statements if other is not node)
+        ]
+    return out
+
+
+def test_detector_finds_unread_module_names():
+    sources = {
+        "a.py": (
+            "import os\n"
+            "__all__ = ['Public']\n"
+            "__version__ = '1'\n"
+            "LIMIT = 3\n"
+            "_SEEN, _LOST = 1, 2\n"
+            "class Public: pass\n"
+            "def _helper(): return LIMIT + _SEEN + _helper()\n"
+        ),
+        "b.py": "from a import _helper\nVALUE: int = _helper()\ndef f(): return a.VALUE\n",
+    }
+    assert unread_module_names(sources) == ["a.py: _LOST", "b.py: f"]
+
+
+def test_module_names_are_read():
+    """Every name a module defines at top level is read elsewhere in the
+    package or exported, so no constant outlives its readers."""
+    assert unread_module_names({path.name: path.read_text() for path in SOURCES}) == []
+
+
 def test_btz_state_builds_no_network():
     """The BTZ ring is a product of column tensors, so `btz_state` neither
     builds a TensorNetwork nor calls the general contraction."""

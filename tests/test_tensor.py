@@ -112,6 +112,12 @@ class TestVerifyPerfect:
         m = iso.flatten_map([0])
         assert np.allclose(m.conj().T @ m, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("split", [[1, 2], [3]])
+    def test_normalize_isometry_rejects_a_split_with_no_isometry(self, split):
+        # two of three legs in is no isometry, and leg 3 does not exist
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{split} of a 3-leg tensor")):
+            normalize_isometry(four_colour_tensor(), split)
+
 
 class TestBuiltins:
     def test_lookup(self):

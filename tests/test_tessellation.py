@@ -14,7 +14,15 @@ from fractions import Fraction
 import pytest
 
 from thompson_holo import tessellation
-from thompson_holo.dyadic import LEAF, DyadicPartition, DyadicRational, StdDyadicInterval, TTree
+from thompson_holo.dyadic import (
+    HALF,
+    LEAF,
+    ZERO,
+    DyadicPartition,
+    DyadicRational,
+    StdDyadicInterval,
+    TTree,
+)
 from thompson_holo.errors import (
     EdgeNotFound,
     LabelNotRepresented,
@@ -25,7 +33,6 @@ from thompson_holo.errors import (
 from thompson_holo.tensor import _check_cap
 from thompson_holo.tessellation import (
     _DOE_FLIP,
-    E0,
     Chord,
     FareyLabeling,
     Tessellation,
@@ -69,6 +76,8 @@ from test_thompson import as_frac, expand_compose, pl_scan, to_pl_map
 # Farey tessellation: alpha of order 4 and beta = CC of order 3.
 ALPHA = TreeDiagram.parse("((..)(..))|((..)(..))@1")
 BETA = TreeDiagram.parse("(.(..))|(.(..))@1")
+# tau_0's distinguished edge e0, from 0 to 1/2.
+E0 = chord(ZERO, HALF)
 
 
 def flip_element(a: int, k: int) -> TreeDiagram:
@@ -292,7 +301,7 @@ def assert_diff_is_derived(t: Tessellation):
 def assert_flip_matches_product(t: Tessellation, edge: Chord, branches: collections.Counter):
     """t flipped at `edge` has the element f flip_element(a, k), by the
     general product, and carries the diff derived from that element."""
-    (a, k), _ = t._edge_interval(edge)
+    a, k = t._edge_interval(edge)
     t._diff  # cached, so the flip carries it
     child = pachner_flip(t, edge)
     product = _right_multiply(t.element, flip_element(a, k))
@@ -399,7 +408,7 @@ class TestFlipProduct:
         iv = StdDyadicInterval(a, k)
         edge = chord(evaluate(f, iv.left), evaluate(f, iv.right))
         t = Tessellation(4, f)
-        assert t._edge_interval(edge)[0] == (a, k)
+        assert t._edge_interval(edge) == (a, k)
         branches = collections.Counter()
         child = assert_flip_matches_product(t, edge, branches)
         assert branches == {branch: 1}
@@ -631,6 +640,15 @@ class TestFareyLabels:
         with pytest.raises(TypeError):
             FareyLabeling(pairs, {}, {})
 
+    def test_lookups_are_built_on_first_lookup(self):
+        """`farey_labels` builds neither lookup dict; each is built by the
+        first lookup that reads it."""
+        t = pachner_flip(standard_tessellation(3), E0)
+        lab = farey_labels(t)
+        assert "_by_vertex" not in vars(lab) and "_by_label" not in vars(lab)
+        assert lab.label_of(t.doe[0]) == (0, 1) and "_by_label" not in vars(lab)
+        assert lab.vertex_of((1, 0)) == t.doe[1]
+
     def test_base_labels_match_question_mark(self):
         t = standard_tessellation(3)
         lab = farey_labels(t)
@@ -713,6 +731,15 @@ class TestFlipsRealizing:
     def test_deterministic(self):
         f = parse_word("aC")
         assert flips_realizing(f, 5) == flips_realizing(f, 5)
+
+    def test_the_replay_keeps_no_flip_history(self, monkeypatch):
+        """Only the replayed element is read, so every tessellation of the
+        replay has `flips is None` and no flip copies a growing tuple."""
+        built, post_init = [], Tessellation.__post_init__
+        monkeypatch.setattr(Tessellation, "__post_init__", lambda t: built.append(t) or post_init(t))
+        seq = flips_realizing(random_element(300, 3), 4)
+        assert len(built) == len(seq) + 1
+        assert all(t.flips is None for t in built)
 
     def test_a_replay_that_misses_is_reported(self, monkeypatch):
         """The sequence is replayed from tau_0 as an oracle; a replay that
@@ -1205,7 +1232,7 @@ class TestAgainstDiffReference:
             for _ in range(rng.randint(1, 40)):
                 edges = t.window_edges()
                 e = r.doe_chord() if rng.random() < 0.2 else rng.choice(edges)
-                flip = flip_element(*t._edge_interval(e)[0])
+                flip = flip_element(*t._edge_interval(e))
                 composed = expand_compose(t.element, flip)
                 t, r = pachner_flip(t, e), ref_flip(r, e)
                 assert t.element == composed

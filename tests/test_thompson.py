@@ -495,6 +495,17 @@ class TestDeepTrees:
         assert time.perf_counter() - start < 0.5
         assert (reduced.num_leaves, square.num_leaves) == (4001, 4002)
 
+    def test_reduce_builds_no_caret_inside_a_block(self, monkeypatch):
+        """T | T is one block at its root, 920 leaves: the collapse enters no
+        block, so reducing it builds no tree; rebuilding every caret and
+        dropping those inside a block would build 1836."""
+        tree, one = random_element(4000, 1).domain_tree, identity()
+        built, init = [], TTree.__init__
+        monkeypatch.setattr(TTree, "__init__", lambda t, *kids: built.append(t) or init(t, *kids))
+        assert tree.num_leaves == 920
+        assert reduce_diagram(TreeDiagram(tree, tree, 0)) == one
+        assert built == []
+
     def test_reduce_collapses_4001_blocks_in_one_walk(self):
         """A right comb and a left comb of 4000 carets with every leaf a caret:
         8002 leaves, reducing to the two combs.  The whole-tree collapse took
